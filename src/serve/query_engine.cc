@@ -76,6 +76,7 @@ std::unique_ptr<QueryEngine::BackendSlot> QueryEngine::MakeSlot(
     const std::string& name) {
   auto slot = std::make_unique<BackendSlot>();
   slot->name = name;
+  slot->fault_point = "serve.backend." + name;
   slot->latency = BackendLatencyStat(name);
   slot->breaker = std::make_unique<CircuitBreaker>(options_.breaker);
   slot->breaker_gauge = BackendBreakerGauge(name);
@@ -302,7 +303,7 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
           // The chaos harness's hook: may sleep, throw, or hand back an
           // error Status — all indistinguishable from a sick backend.
           const Status injected =
-              fault::MaybeInjectRuntimeFault("serve.backend." + slot->name);
+              fault::MaybeInjectRuntimeFault(slot->fault_point);
           if (!injected.ok()) {
             response.status = injected;
           } else {
@@ -436,6 +437,12 @@ Status QueryEngine::QueryBatch(std::span<const Request> requests,
           ? admitted + options_.default_deadline
           : Clock::time_point::max();
   const size_t chunk = std::max<size_t>(1, options_.batch_chunk);
+  if (requests.size() <= chunk) {
+    // One chunk: handing it to a worker and blocking on it would only add
+    // two thread wake-ups.
+    ExecuteChunk(requests, *out, admitted, deadline_default);
+    return Status::Ok();
+  }
   {
     TaskGroup group(pool_);
     for (size_t begin = 0; begin < requests.size(); begin += chunk) {

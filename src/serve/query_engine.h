@@ -2,7 +2,8 @@
 //
 // A QueryEngine owns an ordered fallback chain of QueryBackends and executes
 // batched distance/kNN requests on a shared ThreadPool, one TaskGroup per
-// batch so concurrent batches never wait on each other. It enforces:
+// batch so concurrent batches never wait on each other; a batch that fits
+// in one chunk runs on the calling thread instead. It enforces:
 //
 //  * Admission control — a bounded count of admitted-but-unfinished
 //    requests; a batch that would exceed it is rejected whole with
@@ -52,7 +53,8 @@ struct EngineOptions {
   /// Max admitted-but-unfinished requests across all concurrent batches;
   /// batches beyond it are rejected with Unavailable.
   size_t queue_capacity = 4096;
-  /// Requests per pool task; amortizes queue traffic for large batches.
+  /// Requests per pool task; amortizes queue traffic for large batches. A
+  /// batch no larger than this runs on the caller's thread.
   size_t batch_chunk = 32;
   /// Deadline for requests that do not carry their own (0 = none).
   std::chrono::microseconds default_deadline{0};
@@ -149,8 +151,10 @@ class QueryEngine {
 
   /// Executes `requests` as one batch: admits all-or-nothing (Unavailable
   /// on queue-full), fans out onto the pool, and blocks until every
-  /// response is filled. `out` is resized to requests.size(); per-request
-  /// failures land in Response::status, not the return value.
+  /// response is filled. A batch of at most `batch_chunk` requests is one
+  /// chunk anyway, so it runs on the calling thread with no pool hand-off.
+  /// `out` is resized to requests.size(); per-request failures land in
+  /// Response::status, not the return value.
   Status QueryBatch(std::span<const Request> requests,
                     std::vector<Response>* out);
 
@@ -170,6 +174,9 @@ class QueryEngine {
 
   struct BackendSlot {
     std::string name;
+    /// Fault-injection point "serve.backend.<name>", built once here rather
+    /// than per request (it is past the small-string buffer).
+    std::string fault_point;
     SlotState state = SlotState::kLoading;
     std::unique_ptr<QueryBackend> backend;
     Status load_status;

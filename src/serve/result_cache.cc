@@ -58,9 +58,10 @@ ResultCache::ResultCache(const ResultCacheOptions& options)
   }
 }
 
-ResultCache::Key ResultCache::MakeKey(const Request& request) const {
+ResultCache::Key ResultCache::MakeKey(const Request& request,
+                                      uint64_t generation) {
   Key key;
-  key.generation = generation_.load(std::memory_order_acquire);
+  key.generation = generation;
   key.kind = static_cast<uint32_t>(request.kind);
   key.s = request.s;
   key.tk = request.kind == RequestKind::kDistance
@@ -75,7 +76,7 @@ ResultCache::Shard& ResultCache::ShardFor(const Key& key) {
 }
 
 bool ResultCache::Lookup(const Request& request, Response* out) {
-  const Key key = MakeKey(request);
+  const Key key = MakeKey(request, generation());
   Shard& shard = ShardFor(key);
   {
     MutexLock lock(&shard.mu);
@@ -102,10 +103,14 @@ bool ResultCache::Lookup(const Request& request, Response* out) {
   return false;
 }
 
-void ResultCache::Insert(const Request& request, const Response& response) {
+void ResultCache::Insert(const Request& request, const Response& response,
+                         uint64_t generation) {
   if (!response.status.ok()) return;
   if (response.fell_back && !cache_fallback_) return;
-  const Key key = MakeKey(request);
+  // Keying by the caller's generation is what keeps a stale answer
+  // unreachable; skipping it here only avoids storing a dead entry.
+  if (generation != this->generation()) return;
+  const Key key = MakeKey(request, generation);
   Shard& shard = ShardFor(key);
   int64_t delta = 0;
   uint64_t evicted = 0;
@@ -186,6 +191,10 @@ CacheStats ResultCache::Stats() const {
 Status CachedEngine::QueryBatch(std::span<const Request> requests,
                                 std::vector<Response>* out) {
   if (cache_ == nullptr) return engine_->QueryBatch(requests, out);
+  // Read once, before any lookup: the misses' answers are inserted under
+  // this generation, so if a RELOAD invalidates while the engine computes
+  // them on the old model, they land under a retired key.
+  const uint64_t generation = cache_->generation();
   out->clear();
   out->resize(requests.size());
   std::vector<Request> misses;
@@ -209,7 +218,7 @@ Status CachedEngine::QueryBatch(std::span<const Request> requests,
     return Status::Ok();
   }
   for (size_t m = 0; m < miss_index.size(); ++m) {
-    cache_->Insert(misses[m], miss_out[m]);
+    cache_->Insert(misses[m], miss_out[m], generation);
     (*out)[miss_index[m]] = std::move(miss_out[m]);
   }
   return Status::Ok();

@@ -1,5 +1,6 @@
 #include "serve/server_loop.h"
 
+#include <charconv>
 #include <cstdio>
 #include <istream>
 #include <limits>
@@ -21,11 +22,10 @@ void PrintResponse(const Request& request, const Response& response,
     out->push_back('\n');
     return;
   }
-  char buf[64];
   if (request.kind == RequestKind::kDistance) {
-    std::snprintf(buf, sizeof(buf), "DIST %.2f ", response.distance);
-    out->append(buf);
-    out->append("backend=");
+    out->append("DIST ");
+    AppendDistance(response.distance, out);
+    out->append(" backend=");
     out->append(response.backend);
     out->append(" exact=");
     out->append(response.exact ? "1" : "0");
@@ -37,14 +37,26 @@ void PrintResponse(const Request& request, const Response& response,
     return;
   }
   out->append("KNN");
+  char id[16];
   for (const auto& [v, d] : response.knn) {
-    std::snprintf(buf, sizeof(buf), " %u:%.2f", v, d);
-    out->append(buf);
+    out->push_back(' ');
+    out->append(id, std::to_chars(id, id + sizeof(id), v).ptr);
+    out->push_back(':');
+    AppendDistance(d, out);
   }
   out->push_back('\n');
 }
 
 }  // namespace
+
+void AppendDistance(double value, std::string* out) {
+  // Sign, DBL_MAX's 309 integer digits, the point and two decimals: every
+  // finite double fits, so to_chars cannot fail with value_too_large.
+  char buf[1 + 309 + 1 + 2];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value,
+                                    std::chars_format::fixed, 2);
+  out->append(buf, result.ptr);
+}
 
 LineProtocolHandler::LineProtocolHandler(QueryEngine& engine,
                                          const ServerLoopOptions& options)

@@ -131,6 +131,10 @@ class LineProtocolHandler {
   size_t partial_dropped_ = 0;
 };
 
+/// Appends `value` exactly as printf("%.2f") renders it (the DIST and KNN
+/// answer format), via std::to_chars: no format-string parsing or locale.
+void AppendDistance(double value, std::string* out);
+
 /// Reads protocol lines from `in` until EOF (or `options.stop`), writing
 /// every answer to `out`. Returns the number of protocol lines processed
 /// (including errors).

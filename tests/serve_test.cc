@@ -400,9 +400,14 @@ TEST(QueryEngineTest, ConcurrentBatchHammerServesEverything) {
 // one blocking batch in front — the probe request's deadline (5ms) is long
 // gone by the time its chunk runs (>=30ms later).
 TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
+  // Only a batch larger than one chunk goes through the pool queue (a
+  // one-chunk batch runs on its caller), so both batches here are two
+  // one-request chunks: the blocker's first chunk holds the only worker
+  // and everything else queues behind it.
   EngineOptions options;
   options.num_threads = 1;
   options.queue_capacity = 8;
+  options.batch_chunk = 1;
   QueryEngine engine(options);
   auto stub = std::make_unique<StubBackend>();
   StubBackend* raw = stub.get();
@@ -410,7 +415,7 @@ TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
   raw->hold_ = release.get_future().share();
   engine.AddReadyBackend(std::move(stub));
 
-  std::vector<Request> blocker(1);
+  std::vector<Request> blocker(2);
   std::thread client([&engine, &blocker] {
     std::vector<Response> responses;
     EXPECT_TRUE(engine.QueryBatch(blocker, &responses).ok());
@@ -421,19 +426,89 @@ TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     release.set_value();
   });
-  Request probe;
-  probe.s = probe.t = 1;
-  probe.deadline = std::chrono::microseconds(5000);
-  const Response response = engine.Query(probe);
+  std::vector<Request> probes(2);
+  for (Request& probe : probes) {
+    probe.s = probe.t = 1;
+    probe.deadline = std::chrono::microseconds(5000);
+  }
+  std::vector<Response> responses;
+  ASSERT_TRUE(engine.QueryBatch(probes, &responses).ok());
   client.join();
   releaser.join();
 
-  EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(raw->calls_.load(), 1u) << "expired request must not dispatch";
+  for (const Response& response : responses) {
+    EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_EQ(raw->calls_.load(), 2u) << "expired requests must not dispatch";
   const MetricsSnapshot metrics = engine.Metrics();
-  EXPECT_EQ(metrics.fast_fails, 1u);
-  EXPECT_EQ(metrics.failed, 1u);
-  EXPECT_EQ(metrics.served, 1u);  // the blocker
+  EXPECT_EQ(metrics.fast_fails, 2u);
+  EXPECT_EQ(metrics.failed, 2u);
+  EXPECT_EQ(metrics.served, 2u);  // the blocker
+}
+
+TEST(QueryEngineTest, OneChunkBatchRunsOnTheCallingThread) {
+  // A batch of at most batch_chunk requests skips the pool: the backend is
+  // called from the caller's thread. Every counter must come out exactly as
+  // when the same traffic is split into pooled chunks.
+  class WhereBackend : public StubBackend {
+   public:
+    double Distance(VertexId s, VertexId t) override {
+      const size_t w = ThreadPool::CurrentWorkerIndex();
+      (w == ThreadPool::kNotAWorker ? on_caller : on_worker).fetch_add(1);
+      return StubBackend::Distance(s, t);
+    }
+    std::atomic<size_t> on_caller{0};
+    std::atomic<size_t> on_worker{0};
+  };
+  const auto run = [](size_t batch_chunk, WhereBackend** backend) {
+    EngineOptions options;
+    options.num_threads = 2;
+    options.queue_capacity = 4;
+    options.batch_chunk = batch_chunk;
+    auto engine = std::make_unique<QueryEngine>(options);
+    auto stub = std::make_unique<WhereBackend>();
+    *backend = stub.get();
+    engine->AddReadyBackend(std::move(stub));
+    std::vector<Request> small(4);
+    small[3].s = 999;  // out of range: a per-request failure
+    std::vector<Response> responses;
+    EXPECT_TRUE(engine->QueryBatch(small, &responses).ok());
+    EXPECT_TRUE(responses[0].status.ok());
+    EXPECT_EQ(responses[3].status.code(), StatusCode::kInvalidArgument);
+    std::vector<Request> too_big(5);  // past queue_capacity: rejected whole
+    EXPECT_EQ(engine->QueryBatch(too_big, &responses).code(),
+              StatusCode::kUnavailable);
+    return engine;
+  };
+  WhereBackend* inline_backend = nullptr;
+  WhereBackend* pooled_backend = nullptr;
+  const auto inline_engine = run(4, &inline_backend);
+  const auto pooled_engine = run(1, &pooled_backend);
+  EXPECT_EQ(inline_backend->on_caller.load(), 3u);
+  EXPECT_EQ(inline_backend->on_worker.load(), 0u);
+  EXPECT_EQ(pooled_backend->on_caller.load(), 0u);
+  EXPECT_EQ(pooled_backend->on_worker.load(), 3u);
+
+  const MetricsSnapshot a = inline_engine->Metrics();
+  const MetricsSnapshot b = pooled_engine->Metrics();
+  EXPECT_EQ(a.served, 3u);
+  EXPECT_EQ(a.failed, 1u);
+  EXPECT_EQ(a.rejected, 5u);
+  EXPECT_EQ(a.served, b.served);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.fell_back_load, b.fell_back_load);
+  EXPECT_EQ(a.fell_back_deadline, b.fell_back_deadline);
+  EXPECT_EQ(a.fell_back_breaker, b.fell_back_breaker);
+  EXPECT_EQ(a.shed, b.shed);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.fast_fails, b.fast_fails);
+  const auto health_a = inline_engine->Health();
+  const auto health_b = pooled_engine->Health();
+  ASSERT_EQ(health_a.size(), 1u);
+  ASSERT_EQ(health_b.size(), 1u);
+  EXPECT_EQ(health_a[0].breaker, health_b[0].breaker);
+  EXPECT_EQ(health_a[0].breaker_trips, health_b[0].breaker_trips);
 }
 
 // Tentpole: repeated primary failures retry down the chain, trip the

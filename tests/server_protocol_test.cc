@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -18,6 +22,7 @@
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
 #include "serve/server_loop.h"
+#include "util/rng.h"
 
 namespace rne::serve {
 namespace {
@@ -405,6 +410,42 @@ TEST_F(ServerProtocolTest, StopFlagHaltsTheLoopBeforeNewReads) {
   options.stop = &stop;
   EXPECT_EQ(RunServerLoop(in, out, engine_, options), 0u);
   EXPECT_TRUE(out.str().empty()) << out.str();
+}
+
+TEST(AppendDistanceTest, MatchesPrintfFixedTwoDecimals) {
+  // The answer format is pinned byte-for-byte to the printf("%.2f") it
+  // replaced, including round-half-even on exact ties and the widest
+  // finite value.
+  std::vector<double> values = {0.0,     -0.0,     0.005,    0.015,
+                                0.125,   0.375,    0.625,    2.875,
+                                1.005,   2.675,    1e-300,   DBL_MIN,
+                                DBL_MAX, -DBL_MAX, 1e15 + 0.125,
+                                INFINITY, -INFINITY};
+  for (int i = 0; i < 4000; ++i) {
+    values.push_back(i / 8.0);           // exact .x25/.x75 ties
+    values.push_back(i / 1000.0 + 0.005);  // nearest double to a .xx5 tie
+  }
+  Rng rng(20261017);
+  for (int i = 0; i < 50000; ++i) {
+    values.push_back(rng.UniformReal(0.0, 1e6));
+    values.push_back(rng.UniformReal(0.0, 10.0));
+    const double any = std::bit_cast<double>(
+        static_cast<uint64_t>(rng.engine()()));
+    if (std::isfinite(any)) values.push_back(any);
+  }
+  size_t mismatches = 0;
+  std::string got;
+  std::vector<char> want(400);
+  for (const double v : values) {
+    got.clear();
+    AppendDistance(v, &got);
+    std::snprintf(want.data(), want.size(), "%.2f", v);
+    if (got != want.data() && ++mismatches <= 5) {
+      ADD_FAILURE() << "value " << v << ": got '" << got << "', printf '"
+                    << want.data() << "'";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
 }
 
 }  // namespace

@@ -21,6 +21,13 @@
 // net/tcp_server.h (--listen; port 0 picks an ephemeral port, printed on
 // stderr as "listening on 127.0.0.1:<port>").
 //
+// Threads: --threads sizes the engine's worker pool. Under --listen the
+// main thread only accepts, and as many reactor threads as workers each
+// own a share of the connections: a reactor parses, formats and writes
+// while the workers compute another reactor's batch. A batch of at most one
+// chunk (32 requests) runs on its reactor without a pool hand-off. The
+// stdin loop runs on the main thread.
+//
 // --cache puts a sharded LRU result cache (serve/result_cache.h) in front
 // of the engine for both front ends; 0 disables it. A successful RELOAD
 // invalidates the cache via the ModelManager publish listener, so a swap
