@@ -7,8 +7,9 @@
 // DistanceMethod::Query is documented as not thread-safe (search methods
 // reuse internal workspaces), so each adapter picks its own strategy:
 //   * shared-read      — const lookups, served lock-free (RNE, quantized);
-//   * per-worker state — one scratch workspace per pool worker, picked via
-//                        ThreadPool::CurrentWorkerIndex() (exact Dijkstra);
+//   * pooled scratch   — a mutex-guarded free list of reusable search
+//                        workspaces, one per concurrent caller (exact
+//                        Dijkstra);
 //   * serialized       — an internal mutex around the index (CH, H2H, LT,
 //                        G-tree), trading parallelism for correctness.
 #ifndef RNE_SERVE_BACKEND_H_
@@ -69,7 +70,8 @@ struct BackendContext {
   /// How model-file backends open model_path: heap (default), zero-copy
   /// mmap / cold mmap, or — "rne-quantized" only — a bounded block cache.
   LoadOptions load;
-  /// Worker count of the serving pool (sizes per-worker scratch).
+  /// Worker count of the serving pool (parallelizes the "rne" kNN-index
+  /// build).
   size_t num_workers = 1;
   /// Landmark count for the "alt" backend.
   size_t alt_landmarks = 16;

@@ -112,10 +112,15 @@ Status ModelManager::Load(const std::string& path) {
                                                      options_.num_workers);
   snapshot->version = next_version_++;
   snapshot->path = path;
-  // Stage 4: lock-free publish. Readers that already hold the previous
-  // shared_ptr finish on it; the old generation is freed when the last
-  // in-flight query drops its reference.
-  current_.store(std::move(snapshot), std::memory_order_release);
+  // Stage 4: publish. Readers that already hold the previous shared_ptr
+  // finish on it; the old generation is freed when the last in-flight
+  // query drops its reference, or by `retired` after the lock is released
+  // when no query holds it, so readers never wait on that free.
+  std::shared_ptr<const Snapshot> retired;
+  {
+    MutexLock lock(&current_mu_);
+    retired = std::exchange(current_, std::move(snapshot));
+  }
   RNE_COUNTER_ADD("serve.swap.success", 1);
   RNE_GAUGE_SET("serve.model.version", static_cast<double>(next_version_ - 1));
   for (const auto& listener : publish_listeners_) {

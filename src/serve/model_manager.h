@@ -1,10 +1,11 @@
 // Hot model swap for the serving path (the swap primitive the ROADMAP's
 // dynamic-edge-weights item reuses): a ModelManager owns the published RNE
-// model + its kNN index as one immutable snapshot behind an atomic
+// model + its kNN index as one immutable snapshot behind a mutex-guarded
 // shared_ptr. Load() verifies and materializes a replacement entirely off
 // the serving path — envelope/structural verify (the same check as
 // `rne_tool verify`), full typed deserialize, kNN index build — and only
-// then publishes with a single lock-free pointer swap. In-flight queries
+// then publishes with a single pointer swap under that short lock (the
+// retired snapshot is released outside it). In-flight queries
 // keep the snapshot they started with, so a swap never fails a query; a
 // corrupt or mismatched replacement is rejected and the previous snapshot
 // keeps serving (rollback is the default because publish is the last step).
@@ -13,7 +14,6 @@
 #ifndef RNE_SERVE_MODEL_MANAGER_H_
 #define RNE_SERVE_MODEL_MANAGER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -54,7 +54,7 @@ class ModelManager {
 
   /// Verifies, loads, and publishes the model at `path`. Synchronous, but
   /// runs entirely off the serving threads: queries keep reading the old
-  /// snapshot until the final atomic publish. On any failure the previous
+  /// snapshot until the final publish. On any failure the previous
   /// snapshot (if any) keeps serving unchanged.
   Status Load(const std::string& path);
 
@@ -70,10 +70,11 @@ class ModelManager {
     std::string path;
   };
 
-  /// Lock-free acquire of the current snapshot; null before the first
-  /// successful Load().
-  std::shared_ptr<const Snapshot> Current() const {
-    return current_.load(std::memory_order_acquire);
+  /// Acquires the current snapshot (one shared_ptr copy under a short
+  /// lock); null before the first successful Load().
+  std::shared_ptr<const Snapshot> Current() const RNE_EXCLUDES(current_mu_) {
+    MutexLock lock(&current_mu_);
+    return current_;
   }
 
   /// Version of the published snapshot (0 = none).
@@ -83,7 +84,7 @@ class ModelManager {
   /// new snapshot's version — the seam the serving stack uses to invalidate
   /// its ResultCache on hot swap, so a RELOAD can never serve a stale
   /// cached distance. Listeners run on the Load() caller's thread, after
-  /// the atomic publish, while the load mutex is still held (so they
+  /// the publish, while the load mutex is still held (so they
   /// observe swaps in order). Register during setup: adding listeners
   /// concurrently with Load() is not supported.
   void AddPublishListener(std::function<void(uint64_t version)> listener);
@@ -97,7 +98,11 @@ class ModelManager {
  private:
   const Options options_;
 
-  std::atomic<std::shared_ptr<const Snapshot>> current_{nullptr};
+  /// Guards only the pointer: readers copy it, Load() swaps it. A plain
+  /// mutex rather than std::atomic<std::shared_ptr>, whose libstdc++
+  /// implementation ThreadSanitizer cannot see through.
+  mutable Mutex current_mu_;
+  std::shared_ptr<const Snapshot> current_ RNE_GUARDED_BY(current_mu_);
 
   /// Serializes concurrent Load()s (last successful publisher wins is not a
   /// useful semantic for operators; one reload at a time is).

@@ -62,7 +62,8 @@ class ThreadPool {
 
   /// Index of the calling pool worker in [0, num_threads()), or
   /// kNotAWorker when called from a thread that is not a pool worker.
-  /// Backends use this to pick a per-worker scratch slot without locking.
+  /// Parallel builders use this to pick a per-worker scratch slot without
+  /// locking.
   static constexpr size_t kNotAWorker = static_cast<size_t>(-1);
   static size_t CurrentWorkerIndex();
 
