@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark): the L1 query kernel vs the generic Lp
 // path, SIMD vs scalar kernel backends, point-to-point search costs
 // (Dijkstra / bidirectional / A*), training throughput at several thread
-// counts, and the end-to-end RNE query. These are the "60-150 ns" headline
-// numbers of the paper's abstract.
+// counts, the end-to-end RNE query (the "60-150 ns" headline numbers of the
+// paper's abstract), and the RneIndex kNN and range searches.
 //
 // Unless --benchmark_out is given, results are written to
 // bench_results/perf_kernels.json (machine-readable; the JSON context block
@@ -27,6 +27,7 @@
 #include "core/metric.h"
 #include "core/quantized.h"
 #include "core/rne.h"
+#include "core/rne_index.h"
 #include "core/trainer.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
@@ -246,6 +247,65 @@ void BM_RneOneToMany(benchmark::State& state) {
                           static_cast<int64_t>(batch));
 }
 BENCHMARK(BM_RneOneToMany)->Arg(100)->Arg(1000);
+
+// The servebench set-up: the 64x64 grid of `rne_tool generate --seed 11`
+// and a d = 64 model with `rne_tool build`'s training defaults (sequential
+// SGD here, so every run measures the same model).
+const Rne& ServeModel() {
+  static const Rne* model = [] {
+    RoadNetworkConfig cfg;
+    cfg.rows = 64;
+    cfg.cols = 64;
+    cfg.seed = 11;
+    const Graph g = MakeRoadNetwork(cfg);
+    RneConfig config;
+    config.dim = 64;
+    config.train.seed = 13;
+    return new Rne(Rne::Build(g, config));
+  }();
+  return *model;
+}
+
+const RneIndex& ServeIndex() {
+  static const RneIndex* index = new RneIndex(&ServeModel());
+  return *index;
+}
+
+// One `KNN s k` request's search (the knn_rne workload), uniform sources.
+void BM_RneIndexKnn(benchmark::State& state) {
+  const RneIndex& index = ServeIndex();
+  const auto k = static_cast<size_t>(state.range(0));
+  const size_t n = ServeModel().NumVertices();
+  Rng rng(23);
+  for (auto _ : state) {
+    const auto s = static_cast<VertexId>(rng.UniformIndex(n));
+    benchmark::DoNotOptimize(index.Knn(s, k));
+  }
+}
+BENCHMARK(BM_RneIndexKnn)->Arg(10);
+
+// Range search at tau = the mean 10th-neighbour distance, so a query
+// returns about as many targets as BM_RneIndexKnn's.
+void BM_RneIndexRange(benchmark::State& state) {
+  const RneIndex& index = ServeIndex();
+  const size_t n = ServeModel().NumVertices();
+  static const double tau = [&] {
+    Rng rng(29);
+    double sum = 0.0;
+    for (int i = 0; i < 256; ++i) {
+      const auto s = static_cast<VertexId>(rng.UniformIndex(n));
+      sum += index.Knn(s, 10).back().second;
+    }
+    return sum / 256.0;
+  }();
+  Rng rng(23);
+  for (auto _ : state) {
+    const auto s = static_cast<VertexId>(rng.UniformIndex(n));
+    benchmark::DoNotOptimize(index.Range(s, tau));
+  }
+  state.counters["tau"] = tau;
+}
+BENCHMARK(BM_RneIndexRange);
 
 // 8-bit quantized serving (1/4 index size): byte-row L1 walk.
 void BM_QuantizedRneQuery(benchmark::State& state) {

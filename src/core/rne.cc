@@ -82,7 +82,7 @@ Rne Rne::Build(const Graph& g, const RneConfig& config, RneBuildStats* stats) {
 void Rne::QueryOneToMany(VertexId s, std::span<const VertexId> targets,
                          std::span<double> out) const {
   RNE_CHECK(out.size() == targets.size());
-  if (mapping_ != nullptr) mapping_->EnsureAllVerifiedOrThrow();
+  EnsureVerified();
   const auto src = vertex_emb_.Row(s);
   for (size_t i = 0; i < targets.size(); ++i) {
     out[i] = MetricDist(src, vertex_emb_.Row(targets[i]), p_) * scale_;

@@ -68,7 +68,7 @@ class Rne {
   /// and throw CorruptionError if the file is bad (the serving layer turns
   /// that into a backend error); heap models pay one null-pointer branch.
   double Query(VertexId s, VertexId t) const {
-    if (mapping_ != nullptr) mapping_->EnsureAllVerifiedOrThrow();
+    EnsureVerified();
     return MetricDist(vertex_emb_.Row(s), vertex_emb_.Row(t), p_) * scale_;
   }
 
@@ -127,6 +127,14 @@ class Rne {
   /// block-cached cold storage.
   static StatusOr<Rne> Load(const std::string& path,
                             const LoadOptions& options);
+
+  /// The per-access gate of Query(): completes a cold-mapped model's
+  /// deferred verification, throwing CorruptionError if the file is bad.
+  /// Readers that take rows straight from the matrices (RneIndex) call it
+  /// once per operation.
+  void EnsureVerified() const {
+    if (mapping_ != nullptr) mapping_->EnsureAllVerifiedOrThrow();
+  }
 
   /// True when the matrices are views into an mmap'd file.
   bool IsMapped() const { return mapping_ != nullptr; }

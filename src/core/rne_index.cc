@@ -1,39 +1,80 @@
 #include "core/rne_index.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
+#include <limits>
 
+#include "core/kernels.h"
 #include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace rne {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Relative margin of the triangle-inequality cuts. A computed distance is
+// within eps_f/2 = 2^-24 (~6e-8) of the exact metric value (kernels.h), and
+// every bound combines at most three computed distances, each then scaled
+// by one more correctly rounded multiply; 1e-6 covers that with room to
+// spare, so a cut never drops a row whose computed distance would be kept.
+constexpr double kBoundSlack = 1e-6;
+
+struct NodeEntry {
+  double lower_bound;  // max(center_dist - radius, 0)
+  double center_dist;
+  uint32_t id;
+  bool operator>(const NodeEntry& o) const {
+    return lower_bound > o.lower_bound;
+  }
+};
+
+// Per-thread query scratch, so a search allocates nothing but its result
+// once the vectors have grown to their working size.
+struct Scratch {
+  std::vector<NodeEntry> nodes;                   // kNN min-heap of nodes
+  std::vector<std::pair<double, VertexId>> best;  // kNN max-heap, top = k-th
+  std::vector<uint32_t> stack;                    // range DFS stack
+};
+
+Scratch& LocalScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 RneIndex::RneIndex(const Rne* model, size_t num_threads) : model_(model) {
   std::vector<VertexId> all(model->NumVertices());
   for (VertexId v = 0; v < all.size(); ++v) all[v] = v;
-  leaf_targets_.assign(model_->hierarchy().num_nodes(), {});
-  for (const VertexId v : all) {
-    leaf_targets_[model_->hierarchy().LeafOf(v)].push_back(v);
-  }
-  num_targets_ = all.size();
-  BuildRadii(num_threads);
+  Build(all, num_threads);
 }
 
 RneIndex::RneIndex(const Rne* model, std::vector<VertexId> targets,
                    size_t num_threads)
     : model_(model) {
-  leaf_targets_.assign(model_->hierarchy().num_nodes(), {});
-  for (const VertexId v : targets) {
-    RNE_CHECK(v < model_->NumVertices());
-    leaf_targets_[model_->hierarchy().LeafOf(v)].push_back(v);
-  }
-  num_targets_ = targets.size();
-  BuildRadii(num_threads);
+  for (const VertexId v : targets) RNE_CHECK(v < model_->NumVertices());
+  Build(targets, num_threads);
 }
 
-void RneIndex::BuildRadii(size_t num_threads) {
+void RneIndex::Build(const std::vector<VertexId>& targets, size_t num_threads) {
   const PartitionHierarchy& hier = model_->hierarchy();
-  const double scale = model_->scale();
+  l1_ = model_->p() == 1.0 ? ActiveKernels().l1 : nullptr;
+  scale_ = model_->scale();
+  slack_ = model_->p() >= 1.0 ? kBoundSlack : kInf;
+
+  // Group the targets by leaf (counting sort into the flat arrays).
+  leaf_offsets_.assign(hier.num_nodes() + 1, 0);
+  for (const VertexId v : targets) ++leaf_offsets_[hier.LeafOf(v) + 1];
+  for (size_t id = 0; id < hier.num_nodes(); ++id) {
+    leaf_offsets_[id + 1] += leaf_offsets_[id];
+  }
+  std::vector<uint32_t> next(leaf_offsets_.begin(), leaf_offsets_.end() - 1);
+  leaf_ids_.resize(targets.size());
+  for (const VertexId v : targets) leaf_ids_[next[hier.LeafOf(v)]++] = v;
+  leaf_center_dist_.assign(targets.size(), 0.0);
+
   radius_.assign(hier.num_nodes(), -1.0);
   // Bottom-up: visit nodes by decreasing level so children precede parents.
   std::vector<uint32_t> order(hier.num_nodes());
@@ -45,7 +86,8 @@ void RneIndex::BuildRadii(size_t num_threads) {
   // vertices' embeddings, so compute it directly per node over the targets
   // in its subtree. Collect subtree targets bottom-up (cheap list splicing),
   // then scan the distance maxima — the O(levels * |targets| * dim) hot part
-  // — in parallel over nodes: every node writes only its own radius_ slot.
+  // — in parallel over nodes: every node writes only its own radius_ slot
+  // and, for a leaf, its own slice of the flat arrays.
   std::vector<std::vector<VertexId>> subtree(hier.num_nodes());
   std::vector<uint32_t> populated;
   populated.reserve(hier.num_nodes());
@@ -53,7 +95,8 @@ void RneIndex::BuildRadii(size_t num_threads) {
     const auto& node = hier.node(id);
     std::vector<VertexId>& mine = subtree[id];
     if (node.IsLeaf()) {
-      mine = leaf_targets_[id];
+      mine.assign(leaf_ids_.begin() + leaf_offsets_[id],
+                  leaf_ids_.begin() + leaf_offsets_[id + 1]);
     } else {
       for (const uint32_t c : node.children) {
         mine.insert(mine.end(), subtree[c].begin(), subtree[c].end());
@@ -63,12 +106,27 @@ void RneIndex::BuildRadii(size_t num_threads) {
   }
   const auto radius_of = [&](uint32_t id) {
     const auto center = model_->node_embeddings().Row(id);
-    double r = 0.0;
-    for (const VertexId v : subtree[id]) {
-      r = std::max(r, MetricDist(center, model_->vertex_embeddings().Row(v),
-                                 model_->p()));
+    const auto dist = [&](VertexId v) {
+      return Dist(center, model_->vertex_embeddings().Row(v));
+    };
+    if (!hier.node(id).IsLeaf()) {
+      double r = 0.0;
+      for (const VertexId v : subtree[id]) r = std::max(r, dist(v));
+      radius_[id] = r;
+      return;
     }
-    radius_[id] = r * scale;
+    // A leaf's rows, sorted by (distance to its embedding, id); the
+    // largest of those distances is its radius.
+    const uint32_t begin = leaf_offsets_[id];
+    std::vector<std::pair<double, VertexId>> rows;
+    rows.reserve(subtree[id].size());
+    for (const VertexId v : subtree[id]) rows.emplace_back(dist(v), v);
+    std::sort(rows.begin(), rows.end());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      leaf_center_dist_[begin + i] = rows[i].first;
+      leaf_ids_[begin + i] = rows[i].second;
+    }
+    radius_[id] = rows.back().first;
   };
   if (num_threads > 1 && populated.size() > 1) {
     ThreadPool pool(num_threads);
@@ -79,35 +137,58 @@ void RneIndex::BuildRadii(size_t num_threads) {
   }
 }
 
+template <typename CutOff, typename Accept>
+void RneIndex::ScanLeaf(uint32_t leaf, double center_dist,
+                        std::span<const float> src, CutOff cut_off,
+                        Accept accept) const {
+  const EmbeddingMatrix& rows = model_->vertex_embeddings();
+  for (uint32_t i = leaf_offsets_[leaf]; i < leaf_offsets_[leaf + 1]; ++i) {
+    const double row_dist = leaf_center_dist_[i];
+    const double tau = cut_off();
+    const double magnitude = center_dist + row_dist + tau;
+    // Rows ascend in row_dist and tau only shrinks, so once a row lies too
+    // far outside the source's ring around the center, every later one does.
+    if (Beyond(row_dist - center_dist, tau, magnitude)) break;
+    if (Beyond(center_dist - row_dist, tau, magnitude)) continue;
+    const VertexId v = leaf_ids_[i];
+    accept(v, Dist(src, rows.Row(v)));  // bit-identical to Query(source, v)
+  }
+}
+
 std::vector<VertexId> RneIndex::Range(VertexId source, double tau) const {
+  std::vector<VertexId> result;
+  RNE_COUNTER_ADD("index.range.queries", 1);
+  // Distances are never negative, so a negative (or NaN) tau matches none.
+  if (!(tau >= 0.0) || num_targets() == 0) return result;
+  model_->EnsureVerified();
   const PartitionHierarchy& hier = model_->hierarchy();
   const auto src = model_->vertex_embeddings().Row(source);
-  const double scale = model_->scale();
-  std::vector<VertexId> result;
-  std::vector<uint32_t> stack = {hier.root()};
+  std::vector<uint32_t>& stack = LocalScratch().stack;
+  stack.assign(1, hier.root());
+  const auto cut_off = [tau] { return tau; };
+  const auto accept = [&](VertexId v, double d) {
+    if (d <= tau) result.push_back(v);
+  };
+  // visited: nodes expanded; pruned: nodes bounded but not expanded.
   uint64_t visited = 0, pruned = 0;
   while (!stack.empty()) {
     const uint32_t id = stack.back();
     stack.pop_back();
     if (radius_[id] < 0.0) continue;  // no targets below
-    ++visited;
-    const double center_dist =
-        MetricDist(src, model_->node_embeddings().Row(id), model_->p()) *
-        scale;
-    if (center_dist - radius_[id] > tau) {  // triangle-inequality cut
+    const double center_dist = NodeDist(src, id);
+    if (Beyond(center_dist - radius_[id], tau,
+               center_dist + radius_[id] + tau)) {  // triangle-inequality cut
       ++pruned;
       continue;
     }
+    ++visited;
     const auto& node = hier.node(id);
     if (node.IsLeaf()) {
-      for (const VertexId v : leaf_targets_[id]) {
-        if (model_->Query(source, v) <= tau) result.push_back(v);
-      }
+      ScanLeaf(id, center_dist, src, cut_off, accept);
     } else {
       for (const uint32_t c : node.children) stack.push_back(c);
     }
   }
-  RNE_COUNTER_ADD("index.range.queries", 1);
   RNE_COUNTER_ADD("index.range.nodes_visited", visited);
   RNE_COUNTER_ADD("index.range.nodes_pruned", pruned);
   return result;
@@ -115,67 +196,89 @@ std::vector<VertexId> RneIndex::Range(VertexId source, double tau) const {
 
 std::vector<std::pair<VertexId, double>> RneIndex::Knn(VertexId source,
                                                        size_t k) const {
+  std::vector<std::pair<VertexId, double>> result;
+  if (k == 0 || num_targets() == 0) return result;
+  RNE_COUNTER_ADD("index.knn.queries", 1);
+  model_->EnsureVerified();
   const PartitionHierarchy& hier = model_->hierarchy();
   const auto src = model_->vertex_embeddings().Row(source);
-  const double scale = model_->scale();
-
-  // Entry kinds: tree node (is_vertex=false) keyed by the lower bound
-  // max(dist - radius, 0); vertex keyed by its estimated distance.
-  struct Entry {
-    double key;
-    uint32_t id;
-    bool is_vertex;
-    bool operator>(const Entry& o) const { return key > o.key; }
+  Scratch& scratch = LocalScratch();
+  // The k best (distance, id) pairs so far as a max-heap: best.front() is
+  // the k-th, and `kth` its distance (+inf until k rows have been seen).
+  auto& best = scratch.best;
+  // Nodes still to expand, as a min-heap on their lower bound.
+  auto& heap = scratch.nodes;
+  best.clear();
+  heap.clear();
+  double kth = kInf;
+  const auto cut_off = [&kth] { return kth; };
+  const auto accept = [&](VertexId v, double d) {
+    const std::pair<double, VertexId> row(d, v);
+    if (best.size() == k) {
+      if (!(row < best.front())) return;
+      std::pop_heap(best.begin(), best.end());
+      best.back() = row;
+    } else {
+      best.push_back(row);
+    }
+    std::push_heap(best.begin(), best.end());
+    if (best.size() == k) kth = best.front().first;
   };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  std::vector<std::pair<VertexId, double>> result;
-  if (k == 0 || num_targets_ == 0) return result;
 
-  uint64_t nodes_pushed = 0, nodes_visited = 0;
-  if (radius_[hier.root()] >= 0.0) {
-    const double d =
-        MetricDist(src, model_->node_embeddings().Row(hier.root()),
-                   model_->p()) *
-        scale;
-    queue.push({std::max(d - radius_[hier.root()], 0.0), hier.root(), false});
-    ++nodes_pushed;
+  // expanded: nodes whose leaf was scanned or whose children were bounded.
+  // bounded: nodes whose lower bound was computed but never expanded.
+  uint64_t expanded = 0, bounded = 0;
+  // Seed the top-k from the source's own leaf: its targets tend to be the
+  // nearest, so kth is tight before the first subtree is bounded.
+  const uint32_t home = hier.LeafOf(source);
+  if (radius_[home] >= 0.0) {
+    ScanLeaf(home, NodeDist(src, home), src, cut_off, accept);
+    ++expanded;
   }
-  while (!queue.empty() && result.size() < k) {
-    const Entry e = queue.top();
-    queue.pop();
-    if (e.is_vertex) {
-      result.emplace_back(static_cast<VertexId>(e.id), e.key);
+  const auto offer = [&](uint32_t id) {
+    if (id == home || radius_[id] < 0.0) return;
+    const double d = NodeDist(src, id);
+    const double lower_bound = std::max(d - radius_[id], 0.0);
+    if (Beyond(lower_bound, kth, d + radius_[id] + kth)) {
+      ++bounded;
+      return;
+    }
+    heap.push_back({lower_bound, d, id});
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+  };
+  offer(hier.root());
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const NodeEntry e = heap.back();
+    heap.pop_back();
+    // kth has shrunk since this node was pushed. Popping the rest costs no
+    // distance; their margins differ, so one cut does not imply the next.
+    if (Beyond(e.lower_bound, kth, e.center_dist + radius_[e.id] + kth)) {
+      ++bounded;
       continue;
     }
-    ++nodes_visited;
+    ++expanded;
     const auto& node = hier.node(e.id);
     if (node.IsLeaf()) {
-      for (const VertexId v : leaf_targets_[e.id]) {
-        queue.push({model_->Query(source, v), v, true});
-      }
+      ScanLeaf(e.id, e.center_dist, src, cut_off, accept);
     } else {
-      for (const uint32_t c : node.children) {
-        if (radius_[c] < 0.0) continue;
-        const double d =
-            MetricDist(src, model_->node_embeddings().Row(c), model_->p()) *
-            scale;
-        queue.push({std::max(d - radius_[c], 0.0), c, false});
-        ++nodes_pushed;
-      }
+      for (const uint32_t c : node.children) offer(c);
     }
   }
-  // Pushed-but-never-popped nodes are exactly those the best-first bound
-  // pruned: the search terminated with them still enqueued.
-  RNE_COUNTER_ADD("index.knn.queries", 1);
-  RNE_COUNTER_ADD("index.knn.nodes_visited", nodes_visited);
-  RNE_COUNTER_ADD("index.knn.nodes_pruned", nodes_pushed - nodes_visited);
+  RNE_COUNTER_ADD("index.knn.nodes_visited", expanded);
+  RNE_COUNTER_ADD("index.knn.nodes_pruned", bounded);
+
+  std::sort_heap(best.begin(), best.end());
+  result.reserve(best.size());
+  for (const auto& [d, v] : best) result.emplace_back(v, d);
   return result;
 }
 
 size_t RneIndex::MemoryBytes() const {
-  size_t bytes = radius_.size() * sizeof(double);
-  for (const auto& t : leaf_targets_) bytes += t.size() * sizeof(VertexId);
-  return bytes;
+  return radius_.size() * sizeof(double) +
+         leaf_offsets_.size() * sizeof(uint32_t) +
+         leaf_ids_.size() * sizeof(VertexId) +
+         leaf_center_dist_.size() * sizeof(double);
 }
 
 }  // namespace rne

@@ -5,13 +5,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <thread>
 
 #include "core/rne_index.h"
 #include "graph/generators.h"
+#include "util/mmap_file.h"
 
 namespace rne {
 namespace {
+
+using Neighbors = std::vector<std::pair<VertexId, double>>;
 
 class RneIndexTest : public ::testing::Test {
  protected:
@@ -35,16 +45,56 @@ class RneIndexTest : public ::testing::Test {
     graph_ = nullptr;
   }
 
-  static std::vector<std::pair<VertexId, double>> BruteKnn(
-      VertexId source, size_t k, const std::vector<VertexId>& targets) {
-    std::vector<std::pair<VertexId, double>> all;
+  // The k smallest (Query(source, t), t) pairs, in (distance, id) order.
+  static Neighbors BruteKnn(VertexId source, size_t k,
+                            const std::vector<VertexId>& targets) {
+    std::vector<std::pair<double, VertexId>> all;
     for (const VertexId t : targets) {
-      all.emplace_back(t, model_->Query(source, t));
+      all.emplace_back(model_->Query(source, t), t);
     }
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) { return a.second < b.second; });
+    std::sort(all.begin(), all.end());
     all.resize(std::min(k, all.size()));
-    return all;
+    Neighbors out;
+    for (const auto& [d, t] : all) out.emplace_back(t, d);
+    return out;
+  }
+
+  // Every target within tau of source, by ascending id.
+  static std::vector<VertexId> BruteRange(
+      VertexId source, double tau, const std::vector<VertexId>& targets) {
+    std::vector<VertexId> out;
+    for (const VertexId t : targets) {
+      if (model_->Query(source, t) <= tau) out.push_back(t);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  // Element-wise equality: same ids, bit-identical distances.
+  static void ExpectSameNeighbors(const Neighbors& got,
+                                  const Neighbors& expected,
+                                  VertexId source, size_t k) {
+    ASSERT_EQ(got.size(), expected.size()) << "source " << source << " k " << k;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, expected[i].first)
+          << "source " << source << " k " << k << " rank " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].second),
+                std::bit_cast<uint64_t>(expected[i].second))
+          << "source " << source << " k " << k << " rank " << i;
+    }
+  }
+
+  // The most targets any leaf holds, for k just above one leaf's worth.
+  static size_t LargestLeaf() {
+    std::vector<size_t> count(model_->hierarchy().num_nodes(), 0);
+    for (VertexId v = 0; v < model_->NumVertices(); ++v) {
+      ++count[model_->hierarchy().LeafOf(v)];
+    }
+    return *std::max_element(count.begin(), count.end());
+  }
+
+  static std::vector<size_t> KValues(size_t num_targets) {
+    return {1, 5, 10, 64, LargestLeaf() + 1, num_targets, num_targets + 7};
   }
 
   static Graph* graph_;
@@ -60,22 +110,19 @@ std::vector<VertexId> AllVertices(const Graph& g) {
   return v;
 }
 
+std::vector<VertexId> Sorted(std::vector<VertexId> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
 TEST_F(RneIndexTest, RangeMatchesBruteForce) {
   const RneIndex index(model_);
   const auto targets = AllVertices(*graph_);
-  for (const VertexId source : {VertexId{0}, VertexId{77}, VertexId{150}}) {
+  for (VertexId source = 0; source < graph_->NumVertices(); ++source) {
     for (const double tau : {300.0, 800.0, 2000.0}) {
-      auto got = index.Range(source, tau);
-      std::set<VertexId> got_set(got.begin(), got.end());
-      EXPECT_EQ(got_set.size(), got.size()) << "duplicates in range result";
-      size_t expected = 0;
-      for (const VertexId t : targets) {
-        const bool in_range = model_->Query(source, t) <= tau;
-        EXPECT_EQ(got_set.count(t) == 1, in_range)
-            << "source " << source << " tau " << tau << " target " << t;
-        expected += in_range;
-      }
-      EXPECT_EQ(got.size(), expected);
+      EXPECT_EQ(Sorted(index.Range(source, tau)),
+                BruteRange(source, tau, targets))
+          << "source " << source << " tau " << tau;
     }
   }
 }
@@ -83,20 +130,44 @@ TEST_F(RneIndexTest, RangeMatchesBruteForce) {
 TEST_F(RneIndexTest, KnnMatchesBruteForce) {
   const RneIndex index(model_);
   const auto targets = AllVertices(*graph_);
-  for (const VertexId source : {VertexId{3}, VertexId{111}}) {
-    for (const size_t k : {1u, 5u, 20u}) {
-      const auto got = index.Knn(source, k);
-      const auto expected = BruteKnn(source, k, targets);
-      ASSERT_EQ(got.size(), expected.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        // Distances must match; ties may order differently.
-        EXPECT_NEAR(got[i].second, expected[i].second, 1e-9);
-      }
-      // Sorted ascending.
-      for (size_t i = 1; i < got.size(); ++i) {
-        EXPECT_LE(got[i - 1].second, got[i].second);
-      }
+  ASSERT_LT(LargestLeaf() + 1, targets.size());
+  for (VertexId source = 0; source < graph_->NumVertices(); ++source) {
+    for (const size_t k : KValues(targets.size())) {
+      ExpectSameNeighbors(index.Knn(source, k), BruteKnn(source, k, targets),
+                          source, k);
     }
+  }
+}
+
+TEST_F(RneIndexTest, NonMetricModelIsSearchedWithoutPruning) {
+  // p < 1 is not a metric (the Fig 9 sweep includes p = 0.5), so neither
+  // triangle-inequality cut is valid; the index must still be exact.
+  RneConfig config;
+  config.dim = 16;
+  config.p = 0.5;
+  config.train.level_samples = 2000;
+  config.train.vertex_samples = 8000;
+  config.train.finetune_rounds = 0;
+  const Rne lp_model = Rne::Build(*graph_, config);
+  const RneIndex index(&lp_model);
+  for (VertexId source = 0; source < graph_->NumVertices(); ++source) {
+    std::vector<std::pair<double, VertexId>> all;
+    for (VertexId t = 0; t < graph_->NumVertices(); ++t) {
+      all.emplace_back(lp_model.Query(source, t), t);
+    }
+    std::sort(all.begin(), all.end());
+    const auto knn = index.Knn(source, 10);
+    ASSERT_EQ(knn.size(), 10u);
+    for (size_t i = 0; i < knn.size(); ++i) {
+      EXPECT_EQ(knn[i].first, all[i].second) << "source " << source;
+    }
+    const double tau = all[20].first;
+    std::vector<VertexId> within;
+    for (const auto& [d, t] : all) {
+      if (d <= tau) within.push_back(t);
+    }
+    EXPECT_EQ(Sorted(index.Range(source, tau)), Sorted(within))
+        << "source " << source;
   }
 }
 
@@ -120,13 +191,50 @@ TEST_F(RneIndexTest, SubsetTargets) {
   for (const auto& [v, d] : knn) {
     EXPECT_TRUE(target_set.count(v)) << "kNN returned a non-target";
   }
-  const auto expected = BruteKnn(10, 5, targets);
-  for (size_t i = 0; i < 5; ++i) {
-    EXPECT_NEAR(knn[i].second, expected[i].second, 1e-9);
-  }
+  ExpectSameNeighbors(knn, BruteKnn(10, 5, targets), 10, 5);
 
   for (const VertexId v : index.Range(10, 1500.0)) {
     EXPECT_TRUE(target_set.count(v));
+  }
+}
+
+TEST_F(RneIndexTest, SourceLeafWithoutTargets) {
+  // Drop every vertex of one leaf from the targets and query from inside
+  // it: the search has no home leaf to seed from and the source is not a
+  // target.
+  const PartitionHierarchy& hier = model_->hierarchy();
+  const uint32_t empty_leaf = hier.LeafOf(77);
+  std::vector<VertexId> targets, sources;
+  for (VertexId v = 0; v < graph_->NumVertices(); ++v) {
+    (hier.LeafOf(v) == empty_leaf ? sources : targets).push_back(v);
+  }
+  ASSERT_FALSE(sources.empty());
+  const RneIndex index(model_, targets);
+  for (const VertexId source : sources) {
+    for (const size_t k : KValues(targets.size())) {
+      ExpectSameNeighbors(index.Knn(source, k), BruteKnn(source, k, targets),
+                          source, k);
+    }
+    for (const double tau : {300.0, 800.0, 2000.0}) {
+      EXPECT_EQ(Sorted(index.Range(source, tau)),
+                BruteRange(source, tau, targets))
+          << "source " << source << " tau " << tau;
+    }
+  }
+}
+
+TEST_F(RneIndexTest, OneTargetIndex) {
+  const std::vector<VertexId> targets = {123};
+  const RneIndex index(model_, targets);
+  for (VertexId source = 0; source < graph_->NumVertices(); ++source) {
+    for (const size_t k : {size_t{1}, size_t{3}}) {
+      ExpectSameNeighbors(index.Knn(source, k), BruteKnn(source, k, targets),
+                          source, k);
+    }
+    const double d = model_->Query(source, 123);
+    EXPECT_EQ(index.Range(source, d), targets) << "source " << source;
+    EXPECT_TRUE(index.Range(source, std::nextafter(d, -1.0)).empty())
+        << "source " << source;
   }
 }
 
@@ -145,6 +253,82 @@ TEST_F(RneIndexTest, EmptyTargetSet) {
   EXPECT_EQ(index.num_targets(), 0u);
   EXPECT_TRUE(index.Knn(0, 5).empty());
   EXPECT_TRUE(index.Range(0, 1000.0).empty());
+}
+
+TEST_F(RneIndexTest, ConcurrentQueriesMatchSerialAnswers) {
+  const RneIndex index(model_);
+  const size_t n = graph_->NumVertices();
+  std::vector<Neighbors> knn(n);
+  std::vector<std::vector<VertexId>> range(n);
+  for (VertexId s = 0; s < n; ++s) {
+    knn[s] = index.Knn(s, 10);
+    range[s] = Sorted(index.Range(s, 800.0));
+  }
+  constexpr size_t kThreads = 4;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the sources from a different offset, three times.
+      for (size_t i = 0; i < 3 * n; ++i) {
+        const auto s = static_cast<VertexId>((i + t * n / kThreads) % n);
+        mismatches[t] += index.Knn(s, 10) != knn[s];
+        mismatches[t] += Sorted(index.Range(s, 800.0)) != range[s];
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+}
+
+TEST_F(RneIndexTest, ParallelBuildMatchesSequential) {
+  // Build workers fill disjoint leaf slices of the flat arrays.
+  const RneIndex sequential(model_);
+  const RneIndex parallel(model_, 4);
+  EXPECT_EQ(parallel.MemoryBytes(), sequential.MemoryBytes());
+  for (VertexId s = 0; s < graph_->NumVertices(); ++s) {
+    EXPECT_EQ(parallel.Knn(s, 10), sequential.Knn(s, 10)) << "source " << s;
+    EXPECT_EQ(Sorted(parallel.Range(s, 800.0)),
+              Sorted(sequential.Range(s, 800.0)))
+        << "source " << s;
+  }
+}
+
+TEST_F(RneIndexTest, CorruptColdMappedModelThrows) {
+  // A cold map defers the vertex-embedding checksum to first use; queries
+  // through the index must hit that gate rather than serve corrupt rows.
+  const std::string path =
+      std::filesystem::temp_directory_path() / "rne_index_corrupt.rne";
+  ASSERT_TRUE(model_->Save(path).ok());
+  const auto info = InspectEnvelope(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  uint64_t flip_at = 0;
+  for (const SectionInfo& sec : info.value().sections) {
+    if (sec.tag == kSecRneVertexEmb) {
+      flip_at = sec.offset + (sec.size / 2 & ~uint64_t{3});  // a float's LSB
+    }
+  }
+  ASSERT_GT(flip_at, 0u);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(flip_at));
+    char byte = 0;
+    f.read(&byte, 1);
+    byte ^= 0x01;  // lowest mantissa bit: the float stays finite
+    f.seekp(static_cast<std::streamoff>(flip_at));
+    f.write(&byte, 1);
+  }
+  LoadOptions options;
+  options.mode = LoadMode::kMmapCold;
+  auto cold = Rne::Load(path, options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const RneIndex index(&cold.value());
+  EXPECT_THROW(index.Knn(5, 10), CorruptionError);
+  EXPECT_THROW(index.Range(5, std::numeric_limits<double>::max()),
+               CorruptionError);
+  std::filesystem::remove(path);
 }
 
 }  // namespace
