@@ -64,8 +64,9 @@ RneConfig DefaultRneConfig(size_t dim, size_t num_vertices) {
   config.train.finetune_samples = 15 * num_vertices;
   config.train.finetune_epochs = 3;
   config.train.grid_k = 16;
-  // High source reuse keeps exact-sample generation (one search per source)
-  // from dominating build time on the larger datasets.
+  // Training labels are H2H lookups (DESIGN.md §9), so source reuse saves
+  // no time; 16 is kept because it shapes the samples the recorded figures
+  // were trained on.
   config.train.source_reuse = 16;
   return config;
 }

@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark): the L1 query kernel vs the generic Lp
 // path, SIMD vs scalar kernel backends, point-to-point search costs
 // (Dijkstra / bidirectional / A*), training throughput at several thread
-// counts, the end-to-end RNE query (the "60-150 ns" headline numbers of the
-// paper's abstract), and the RneIndex kNN and range searches.
+// counts, exact training-label throughput, the end-to-end RNE query (the
+// "60-150 ns" headline numbers of the paper's abstract), and the RneIndex
+// kNN and range searches.
 //
 // Unless --benchmark_out is given, results are written to
 // bench_results/perf_kernels.json (machine-readable; the JSON context block
@@ -251,17 +252,23 @@ BENCHMARK(BM_RneOneToMany)->Arg(100)->Arg(1000);
 // The servebench set-up: the 64x64 grid of `rne_tool generate --seed 11`
 // and a d = 64 model with `rne_tool build`'s training defaults (sequential
 // SGD here, so every run measures the same model).
-const Rne& ServeModel() {
-  static const Rne* model = [] {
+const Graph& ServeGraph() {
+  static const Graph* g = [] {
     RoadNetworkConfig cfg;
     cfg.rows = 64;
     cfg.cols = 64;
     cfg.seed = 11;
-    const Graph g = MakeRoadNetwork(cfg);
+    return new Graph(MakeRoadNetwork(cfg));
+  }();
+  return *g;
+}
+
+const Rne& ServeModel() {
+  static const Rne* model = [] {
     RneConfig config;
     config.dim = 64;
     config.train.seed = 13;
-    return new Rne(Rne::Build(g, config));
+    return new Rne(Rne::Build(ServeGraph(), config));
   }();
   return *model;
 }
@@ -489,6 +496,34 @@ BENCHMARK(BM_TrainThroughput)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Exact training labels (items/s = labels/s): one phase-1 level's 20,000
+// sub-graph pairs on the servebench graph at 1 and 4 threads. Each
+// iteration constructs a fresh Trainer, so the label-index build is timed
+// along with the labelling pass, as it is in a model build.
+void BM_TrainMaterialize(benchmark::State& state) {
+  const Graph& g = ServeGraph();
+  static const PartitionHierarchy* hier = new PartitionHierarchy(
+      PartitionHierarchy::Build(g, HierarchyOptions{}));
+  static const std::vector<VertexPair>* pairs = [] {
+    Rng rng(29);
+    return new std::vector<VertexPair>(
+        SubgraphLevelPairs(*hier, 1, 20000, rng, TrainConfig{}.source_reuse));
+  }();
+  TrainConfig cfg;
+  cfg.num_threads = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    Trainer trainer(g, *hier, cfg);
+    benchmark::DoNotOptimize(trainer.Materialize(*pairs).data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(pairs->size()));
+}
+BENCHMARK(BM_TrainMaterialize)
+    ->Arg(1)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -32,8 +32,10 @@ QueryEngine& FuzzEngine() {
     auto* e = new QueryEngine(options);
     BackendContext ctx;
     ctx.graph = &graph;
-    e->AddBackend("dijkstra", ctx);
-    (void)e->WaitUntilLoaded();
+    // Built in place rather than through AddBackend, whose loader thread
+    // would still be unjoined when the process exits (the engine is never
+    // destroyed).
+    e->AddReadyBackend(MakeBackend("dijkstra", ctx).value());
     return e;
   }();
   return *engine;

@@ -250,7 +250,7 @@ VertexId H2HIndex::Lca(VertexId u, VertexId v) const {
   return parent_[u] == kInvalidVertex ? u : parent_[u];
 }
 
-double H2HIndex::Query(VertexId s, VertexId t) {
+double H2HIndex::Distance(VertexId s, VertexId t) const {
   RNE_CHECK(s < n_ && t < n_);
   if (s == t) return 0.0;
   if (root_of_[s] != root_of_[t]) return kInfDistance;  // different components

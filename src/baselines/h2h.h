@@ -10,7 +10,9 @@
 //  3. Top-down labeling: dist(v, a) for every ancestor a via the bag
 //     recurrence d(v,a) = min_{x in X(v)} w(v,x) + d(x,a).
 // Query: d(s,t) = min over the bag positions of LCA(s,t) of
-// ds[pos] + dt[pos] — O(tree width) with an O(log) LCA.
+// ds[pos] + dt[pos] — O(tree width) with an O(log) LCA. A query only reads
+// the labels, the LCA table and the bag positions, so Distance() is const
+// and safe to call concurrently on one index.
 //
 // The label arrays are O(|V| * tree height): the big-index/fast-query
 // trade-off the paper reports for H2H in Table IV.
@@ -38,10 +40,13 @@ class H2HIndex : public DistanceMethod {
   explicit H2HIndex(const Graph& g, const H2HOptions& options = {});
 
   std::string Name() const override { return "H2H"; }
-  double Query(VertexId s, VertexId t) override;
+  double Query(VertexId s, VertexId t) override { return Distance(s, t); }
+  /// Exact shortest distance s -> t; kInfDistance across components.
+  double Distance(VertexId s, VertexId t) const;
   size_t IndexBytes() const override;
   bool IsExact() const override { return true; }
 
+  size_t num_vertices() const { return n_; }
   /// Max bag size (graph tree-width + 1) — the query-cost driver.
   size_t max_bag_size() const { return max_bag_size_; }
   /// Max tree depth — the label-size driver.

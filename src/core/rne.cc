@@ -75,6 +75,8 @@ Rne Rne::Build(const Graph& g, const RneConfig& config, RneBuildStats* stats) {
       stats->phase_samples[i] = phase_samples[i];
     }
     stats->train_threads = trainer.sgd_threads();
+    stats->label_seconds = trainer.label_seconds();
+    stats->label_index_bytes = trainer.label_index_bytes();
   }
   return model;
 }

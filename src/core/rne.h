@@ -54,6 +54,11 @@ struct RneBuildStats {
   size_t phase_samples[3] = {0, 0, 0};
   /// SGD worker threads actually used by the trainer (1 = sequential).
   size_t train_threads = 1;
+  /// Exact training labels: the label-index build plus every labelling
+  /// pass. Part of train_seconds; the passes also count in phase_seconds.
+  double label_seconds = 0.0;
+  /// Label-index footprint, held only while training.
+  size_t label_index_bytes = 0;
 };
 
 /// Immutable trained model. Copyable (matrices + tree); cheap to move.

@@ -30,6 +30,9 @@ namespace {
 /// rare outlier pairs early in training.
 constexpr double kErrorClip = 10.0;
 
+/// Smallest pair set Materialize labels on the SGD pool.
+constexpr size_t kParallelLabelMinPairs = 1024;
+
 /// row[i] += alpha * g[i] on a row that other workers may be updating
 /// concurrently (Hogwild). Lost updates are SGD noise; see trainer.h.
 void HogwildAxpy(std::span<float> row, std::span<const float> g,
@@ -64,9 +67,16 @@ Trainer::Trainer(const Graph& g, const PartitionHierarchy& hier,
       hier_(hier),
       config_(config),
       model_(&hier, config.dim, config.p),
-      dist_sampler_(g, config.num_threads),
       rng_(config.seed) {
   RNE_CHECK(hier.num_vertices() == g.NumVertices());
+  {
+    RNE_SPAN("train.label_index");
+    const Timer timer;
+    H2HOptions options;
+    options.num_threads = config_.num_threads;
+    labeller_ = std::make_unique<const H2HIndex>(g_, options);
+    label_seconds_ = timer.ElapsedSeconds();
+  }
   // Init spread ~ init_scale / dim keeps the initial L1 estimate O(1) in
   // normalized units for every dimension choice.
   model_.RandomInit(rng_, config_.init_scale / static_cast<double>(config_.dim));
@@ -106,9 +116,30 @@ void Trainer::MaybeInitScale(const std::vector<DistanceSample>& samples) {
 }
 
 std::vector<DistanceSample> Trainer::Materialize(
-    const std::vector<VertexPair>& pairs) const {
+    const std::vector<VertexPair>& pairs) {
   RNE_SPAN("train.materialize");
-  return dist_sampler_.ComputeDistances(pairs);
+  const Timer timer;
+  std::vector<DistanceSample> out(pairs.size());
+  const auto label = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const auto [s, t] = pairs[i];
+      out[i] = {s, t, labeller_->Distance(s, t)};
+    }
+  };
+  // A label costs well under a microsecond, so only sets big enough to
+  // amortize the pool hand-off fan out.
+  if (pool_ && pairs.size() >= kParallelLabelMinPairs) {
+    const size_t workers = sgd_threads_;
+    const size_t per = (pairs.size() + workers - 1) / workers;
+    pool_->ParallelFor(workers, [&](size_t w) {
+      const size_t begin = std::min(pairs.size(), w * per);
+      label(begin, std::min(pairs.size(), begin + per));
+    });
+  } else {
+    label(0, pairs.size());
+  }
+  label_seconds_ += timer.ElapsedSeconds();
+  return out;
 }
 
 bool Trainer::ComputeGradient(const DistanceSample& sample, SgdScratch& scr,

@@ -14,6 +14,13 @@
 // Distances are normalized by a scale factor (mean sample distance) so the
 // same learning rate works across datasets; the factor is part of the model.
 //
+// Training labels come from one exact H2H index built in the constructor and
+// freed with the trainer: a label is an O(tree width) lookup instead of a
+// graph search, and it equals Dijkstra's distance up to floating-point
+// summation order (~1e-15 relative). Validation sets are labelled elsewhere
+// by DistanceSampler (Dijkstra), so accuracy is never measured against the
+// labeller.
+//
 // Parallel training (num_threads > 1): each epoch's shuffled sample order is
 // cut into per-worker shards processed Hogwild-style — vertex-local rows are
 // updated in place without locks (each sample touches only its two endpoint
@@ -36,6 +43,7 @@
 #include <vector>
 
 #include "algo/distance_sampler.h"
+#include "baselines/h2h.h"
 #include "core/hierarchical_model.h"
 #include "core/sampler.h"
 #include "util/thread_pool.h"
@@ -78,14 +86,15 @@ struct TrainConfig {
   size_t grid_k = 8;
   FineTuneStrategy finetune_strategy = FineTuneStrategy::kGlobal;
 
-  /// Consecutive pairs sharing one source vertex during sample generation
-  /// (amortizes exact-distance searches; marginal distribution unchanged).
+  /// Consecutive pairs sharing one source vertex during sample generation.
+  /// Labels are index lookups, so this saves no time; it is kept because it
+  /// shapes the sample distribution.
   size_t source_reuse = 8;
 
-  /// Worker threads. Sample materialization (exact Dijkstra) always
-  /// parallelizes (0 = all cores, matching DistanceSampler). The SGD loop
-  /// itself shards epochs across a pool only when num_threads > 1 — 0/1
-  /// keeps the exact sequential reference semantics.
+  /// Worker threads (0 = all cores). The label index always builds with
+  /// this many workers (its bytes are identical for any count). Labelling
+  /// and the SGD loop run on a pool only when num_threads > 1 — 0/1 keeps
+  /// the exact sequential reference semantics.
   size_t num_threads = 0;
   /// Samples each SGD worker processes between upper-level delta merges;
   /// smaller chunks track the sequential trajectory more closely at the cost
@@ -136,9 +145,15 @@ class Trainer {
   void TrainOnSamples(const std::vector<DistanceSample>& samples,
                       const std::vector<double>& level_lrs, size_t epochs);
 
-  /// Computes exact distances for pairs using the internal sampler.
-  std::vector<DistanceSample> Materialize(
-      const std::vector<VertexPair>& pairs) const;
+  /// Labels pairs with exact distances from the label index (kInfDistance
+  /// for unreachable pairs, which SGD skips); parallel over the SGD pool.
+  std::vector<DistanceSample> Materialize(const std::vector<VertexPair>& pairs);
+
+  /// Seconds spent on labels so far: the index build plus every
+  /// Materialize call.
+  double label_seconds() const { return label_seconds_; }
+  /// Bytes held by the label index while the trainer lives.
+  size_t label_index_bytes() const { return labeller_->IndexBytes(); }
 
  private:
   /// Per-worker SGD scratch: embedding/gradient staging plus the node-row
@@ -194,7 +209,8 @@ class Trainer {
   const PartitionHierarchy& hier_;
   TrainConfig config_;
   HierarchicalModel model_;
-  DistanceSampler dist_sampler_;
+  std::unique_ptr<const H2HIndex> labeller_;
+  double label_seconds_ = 0.0;
   Rng rng_;
   double scale_ = 0.0;
   /// 1 / (4 * dim): converts lr0 into a dim-independent correction fraction.

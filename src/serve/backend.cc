@@ -77,6 +77,24 @@ class QuantizedRneBackend : public QueryBackend {
   QuantizedRne model_;
 };
 
+/// Exact H2H hop labels: Distance() only reads the labels and the LCA
+/// table, so queries are lock-free shared reads.
+class H2HBackend : public QueryBackend {
+ public:
+  explicit H2HBackend(const Graph& g) : index_(g) {}
+
+  std::string Name() const override { return index_.Name(); }
+  bool IsExact() const override { return true; }
+  size_t NumVertices() const override { return index_.num_vertices(); }
+  size_t IndexBytes() const override { return index_.IndexBytes(); }
+  double Distance(VertexId s, VertexId t) override {
+    return index_.Distance(s, t);
+  }
+
+ private:
+  const H2HIndex index_;
+};
+
 /// Exact Dijkstra over a mutex-guarded free list of reusable workspaces:
 /// each call takes one (building a new one when every workspace is in use)
 /// and hands it back on return, so the list grows to the peak number of
@@ -156,7 +174,7 @@ class DijkstraBackend : public QueryBackend {
 };
 
 /// Mutex-serialized adapter for search-based DistanceMethods whose Query()
-/// mutates an internal workspace (CH, H2H, LT, G-tree). Parallelism is
+/// mutates an internal workspace (CH, LT, G-tree). Parallelism is
 /// sacrificed; use per-worker or shared-read backends on hot chains.
 template <typename MethodT>
 class SerializedBackend : public QueryBackend {
@@ -245,9 +263,7 @@ Registry& GlobalRegistry() {
     r->factories["h2h"] =
         [](const BackendContext& ctx) -> StatusOr<std::unique_ptr<QueryBackend>> {
       RNE_RETURN_IF_ERROR(RequireGraph(ctx, "h2h"));
-      return std::unique_ptr<QueryBackend>(
-          new SerializedBackend<H2HIndex>(ctx.graph->NumVertices(),
-                                          *ctx.graph));
+      return std::unique_ptr<QueryBackend>(new H2HBackend(*ctx.graph));
     };
     r->factories["alt"] =
         [](const BackendContext& ctx) -> StatusOr<std::unique_ptr<QueryBackend>> {

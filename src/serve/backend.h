@@ -6,11 +6,12 @@
 //
 // DistanceMethod::Query is documented as not thread-safe (search methods
 // reuse internal workspaces), so each adapter picks its own strategy:
-//   * shared-read      — const lookups, served lock-free (RNE, quantized);
+//   * shared-read      — const lookups, served lock-free (RNE, quantized,
+//                        H2H);
 //   * pooled scratch   — a mutex-guarded free list of reusable search
 //                        workspaces, one per concurrent caller (exact
 //                        Dijkstra);
-//   * serialized       — an internal mutex around the index (CH, H2H, LT,
+//   * serialized       — an internal mutex around the index (CH, LT,
 //                        G-tree), trading parallelism for correctness.
 #ifndef RNE_SERVE_BACKEND_H_
 #define RNE_SERVE_BACKEND_H_

@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "algo/dijkstra.h"
 #include "algo/distance_sampler.h"
@@ -195,6 +198,37 @@ TEST(H2hTest, LcaProperties) {
   for (int i = 0; i < 50; ++i) {
     const auto u = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
     EXPECT_EQ(h2h.Lca(u, u), u);
+  }
+}
+
+// Distance() is const and reads only immutable labels, so one index serves
+// concurrent callers (the label source of a parallel training run).
+TEST(H2hTest, ConcurrentDistancesMatchSerial) {
+  const Graph g = TestNetwork(10, 16);
+  const H2HIndex h2h(g);
+  Rng rng(10);
+  std::vector<std::pair<VertexId, VertexId>> pairs(8000);
+  for (auto& [s, t] : pairs) {
+    s = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
+    t = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
+  }
+  std::vector<double> serial(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    serial[i] = h2h.Distance(pairs[i].first, pairs[i].second);
+  }
+  constexpr size_t kThreads = 4;
+  std::vector<double> concurrent(pairs.size());
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t i = w; i < pairs.size(); i += kThreads) {
+        concurrent[i] = h2h.Distance(pairs[i].first, pairs[i].second);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(concurrent[i], serial[i]) << i;
   }
 }
 

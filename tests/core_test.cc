@@ -3,17 +3,20 @@
 // and the Rne facade (build, query, save/load).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <set>
 
+#include "algo/dijkstra.h"
 #include "algo/distance_sampler.h"
 #include "core/hierarchical_model.h"
 #include "core/rne.h"
 #include "core/sampler.h"
 #include "core/spatial_grid.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 
 namespace rne {
 namespace {
@@ -355,6 +358,113 @@ TEST(TrainerTest, FlatModelTrains) {
   DistanceSampler sampler(g);
   Rng rng(19);
   EXPECT_LT(trainer.MeanRelativeError(sampler.RandomPairs(300, rng)), 0.35);
+}
+
+// ------------------------------------------------------- Training labels
+
+// Random graph whose edges never cross the two halves of the vertex range,
+// so it has at least two components (plus any vertex no edge touched).
+Graph RandomTwoHalvesGraph(size_t n, size_t edges, uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder b(n);
+  for (VertexId v = 0; v < n; ++v) {
+    b.SetCoord(v, {rng.UniformReal(0.0, 1000.0), rng.UniformReal(0.0, 1000.0)});
+  }
+  const size_t half = n / 2;
+  for (size_t e = 0; e < edges; ++e) {
+    const size_t base = e % 2 == 0 ? 0 : half;
+    const size_t span = e % 2 == 0 ? half : n - half;
+    b.AddEdge(static_cast<VertexId>(base + rng.UniformIndex(span)),
+              static_cast<VertexId>(base + rng.UniformIndex(span)),
+              rng.UniformReal(1.0, 1000.0));
+  }
+  return b.Build();
+}
+
+/// Every label equals an independent Dijkstra search within 1e-12
+/// relative; returns how many pairs were unreachable.
+size_t ExpectLabelsMatchDijkstra(const Graph& g,
+                                 const std::vector<DistanceSample>& labels,
+                                 const std::vector<VertexPair>& pairs) {
+  DijkstraSearch dij(g);
+  size_t unreachable = 0;
+  EXPECT_EQ(labels.size(), pairs.size());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    const DistanceSample& l = labels[i];
+    EXPECT_EQ(l.s, pairs[i].first);
+    EXPECT_EQ(l.t, pairs[i].second);
+    const double exact = dij.Distance(l.s, l.t);
+    if (exact == kInfDistance) {
+      EXPECT_EQ(l.dist, kInfDistance) << l.s << " -> " << l.t;
+      ++unreachable;
+    } else {
+      EXPECT_LE(std::abs(l.dist - exact), 1e-12 * exact)
+          << l.s << " -> " << l.t;
+    }
+  }
+  return unreachable;
+}
+
+TEST(TrainerLabelTest, RoadNetworkLabelsMatchDijkstra) {
+  const Graph g = SmallRoadNetwork();
+  const PartitionHierarchy h = SmallHierarchy(g);
+  TrainConfig cfg;
+  cfg.dim = 8;
+  Trainer trainer(g, h, cfg);
+  Rng rng(31);
+  std::vector<VertexPair> pairs =
+      SubgraphLevelPairs(h, h.max_level(), 1500, rng, 8);
+  const auto uniform = RandomVertexPairs(g.NumVertices(), 1500, rng, 8);
+  pairs.insert(pairs.end(), uniform.begin(), uniform.end());
+  pairs.emplace_back(5, 5);
+  EXPECT_EQ(ExpectLabelsMatchDijkstra(g, trainer.Materialize(pairs), pairs),
+            0u);
+  EXPECT_GT(trainer.label_seconds(), 0.0);
+  EXPECT_GT(trainer.label_index_bytes(), 0u);
+}
+
+TEST(TrainerLabelTest, DisconnectedRandomGraphLabelsMatchDijkstra) {
+  const Graph g = RandomTwoHalvesGraph(400, 700, 41);
+  HierarchyOptions opt;
+  opt.leaf_threshold = g.NumVertices();
+  const PartitionHierarchy h = PartitionHierarchy::Build(g, opt);
+  TrainConfig cfg;
+  cfg.dim = 8;
+  cfg.num_threads = 2;
+  Trainer trainer(g, h, cfg);
+  Rng rng(43);
+  const auto pairs = RandomVertexPairs(g.NumVertices(), 3000, rng, 8);
+  const auto labels = trainer.Materialize(pairs);
+  EXPECT_GT(ExpectLabelsMatchDijkstra(g, labels, pairs), 0u);
+
+  // Unreachable labels are skipped by SGD: training on them leaves the
+  // model finite.
+  std::vector<double> lrs(trainer.model().num_levels() + 1, 0.0);
+  lrs[trainer.model().vertex_level()] = cfg.lr0;
+  trainer.TrainOnSamples(labels, lrs, 2);
+  EXPECT_TRUE(std::isfinite(trainer.MeanRelativeError(labels)));
+}
+
+TEST(TrainerLabelTest, LabelsBitIdenticalAcrossThreadCounts) {
+  const Graph g = SmallRoadNetwork();
+  const PartitionHierarchy h = SmallHierarchy(g);
+  Rng rng(47);
+  const auto pairs = RandomVertexPairs(g.NumVertices(), 5000, rng, 8);
+  const auto label_with = [&](size_t threads) {
+    TrainConfig cfg;
+    cfg.dim = 8;
+    cfg.num_threads = threads;
+    Trainer trainer(g, h, cfg);
+    return trainer.Materialize(pairs);
+  };
+  const auto one = label_with(1);
+  const auto four = label_with(4);
+  ASSERT_EQ(one.size(), four.size());
+  for (size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(one[i].dist),
+              std::bit_cast<uint64_t>(four[i].dist))
+        << i;
+  }
 }
 
 // -------------------------------------------------------------- Rne facade

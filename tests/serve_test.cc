@@ -96,6 +96,39 @@ TEST(BackendRegistryTest, GraphBackendsAgreeWithDijkstra) {
   }
 }
 
+// The h2h backend is a lock-free shared read: four threads querying one
+// instance at once must each get the answers a serial run gives.
+TEST(BackendRegistryTest, H2hConcurrentDistancesMatchSerial) {
+  const Graph g = SmallNetwork();
+  BackendContext ctx;
+  ctx.graph = &g;
+  auto made = MakeBackend("h2h", ctx);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  QueryBackend& backend = *made.value();
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 2000;
+  const auto requests =
+      RandomDistanceRequests(g, kThreads * kPerThread, /*seed=*/61);
+  std::vector<double> serial(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    serial[i] = backend.Distance(requests[i].s, requests[i].t);
+  }
+  std::vector<double> concurrent(requests.size());
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      // Interleaved slices, so every thread walks the whole id range.
+      for (size_t i = w; i < requests.size(); i += kThreads) {
+        concurrent[i] = backend.Distance(requests[i].s, requests[i].t);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(concurrent[i], serial[i]) << i;
+  }
+}
+
 TEST(QueryEngineTest, BatchedDistancesMatchExactDijkstra) {
   const Graph g = SmallNetwork();
   EngineOptions options;

@@ -126,6 +126,10 @@ int CmdBuild(const ArgParser& args) {
   std::printf("  partition: %.1fs (%u build thread%s)\n",
               stats.partition_seconds, model.build_threads(),
               model.build_threads() == 1 ? "" : "s");
+  std::printf("  labels: %.2fs (exact label index %.1f MB, freed after "
+              "training)\n",
+              stats.label_seconds,
+              static_cast<double>(stats.label_index_bytes) / 1048576.0);
   for (int phase = 0; phase < 3; ++phase) {
     if (stats.phase_samples[phase] == 0) continue;
     const double secs = stats.phase_seconds[phase];
