@@ -749,11 +749,11 @@ ProcessRss ReadProcessRss() {
 /// parent's cross-mode equality check is bit-exact, never tolerance-based.
 int RunMmapProbe(const std::string& mode, const std::string& model_path,
                  size_t queries) {
-  LoadOptions load;
+  LoadMode load = LoadMode::kHeap;
   if (mode == "mmap") {
-    load.mode = LoadMode::kMmap;
+    load = LoadMode::kMmap;
   } else if (mode == "cold") {
-    load.mode = LoadMode::kMmapCold;
+    load = LoadMode::kMmapCold;
   } else if (mode != "heap") {
     std::fprintf(stderr, "error: --mmap-probe expects heap|mmap|cold\n");
     return 1;

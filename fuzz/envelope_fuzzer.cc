@@ -1,7 +1,7 @@
-// Envelope fuzzer: arbitrary bytes through BinaryReader (v1/v2 header,
-// section table, CRC paths), MappedEnvelope::Open, and every typed Load —
-// Rne, QuantizedRne, ContractionHierarchy, H2HIndex, AltIndex, GTree,
-// PartitionHierarchy — across heap / mmap / cold-mmap / block-cache modes.
+// Envelope fuzzer: arbitrary bytes through BinaryReader (header, section
+// table, CRC paths), MappedEnvelope::Open, and every typed Load — Rne,
+// QuantizedRne, ContractionHierarchy, H2HIndex, AltIndex, GTree,
+// PartitionHierarchy — across heap / mmap / cold-mmap modes.
 //
 // Input layout: byte 0 selects the index kind and load modes; the rest is
 // the file image. The image is exercised twice: once raw (header rejection
@@ -77,50 +77,42 @@ bool WriteScratch(const uint8_t* data, size_t size) {
 }
 
 // Re-seals the envelope around whatever the mutation produced: outer magic,
-// a valid version, the selected index kind's magic, a payload size that
-// fits the file, and the header / section-table / payload CRCs. Inner
+// the supported version, the selected index kind's magic, a payload size
+// that fits the file, and the header / section-table / payload CRCs. Inner
 // metadata stays untouched — that is the attack surface. Returns false when
-// the image is too small to hold a header.
+// the image is too small to hold a header and a section table.
 bool FixupEnvelope(uint8_t* file, size_t size, uint32_t index_magic) {
   if (size < kEnvelopeHeaderSize + kEnvelopeTrailerSize) return false;
   std::memcpy(file + 0, &kEnvelopeMagic, 4);
-  uint32_t version = 0;
-  std::memcpy(&version, file + 4, 4);
-  version = (version % 2 == 0) ? kFormatVersionV2 : kFormatVersionV1;
-  std::memcpy(file + 4, &version, 4);
+  std::memcpy(file + 4, &kFormatVersion, 4);
   std::memcpy(file + 8, &index_magic, 4);
   const uint32_t flags = 0;
   std::memcpy(file + 12, &flags, 4);
+  // Keep whatever section count the mutation chose, clamped so the table
+  // fits, then re-seal the table CRC. Entry contents stay as mutated.
+  uint64_t avail = size - kEnvelopeHeaderSize;
+  if (avail < 8) return false;
+  avail -= 8;  // count + table CRC
+  uint32_t count = 0;
+  std::memcpy(&count, file + kEnvelopeHeaderSize, 4);
+  if (count > avail / kSectionEntrySize) {
+    count %= static_cast<uint32_t>(avail / kSectionEntrySize + 1);
+    std::memcpy(file + kEnvelopeHeaderSize, &count, 4);
+  }
+  const uint64_t table_bytes = 4 + uint64_t{count} * kSectionEntrySize + 4;
+  uint32_t table_crc = Crc32c(file + kEnvelopeHeaderSize, 4);
+  table_crc = Crc32cExtend(table_crc, file + kEnvelopeHeaderSize + 4,
+                           uint64_t{count} * kSectionEntrySize);
+  std::memcpy(file + kEnvelopeHeaderSize + table_bytes - 4, &table_crc, 4);
+  const uint64_t payload_off = kEnvelopeHeaderSize + table_bytes;
+  const uint64_t after_table = size - payload_off;
+  if (after_table < kEnvelopeTrailerSize) return false;
+  // Respect a mutated payload size when it fits (sections may follow the
+  // trailer); otherwise claim everything up to the trailer.
   uint64_t payload_size = 0;
-  uint64_t payload_off = kEnvelopeHeaderSize;
-  if (version == kFormatVersionV1) {
-    payload_size = size - kEnvelopeHeaderSize - kEnvelopeTrailerSize;
-  } else {
-    // Keep whatever section count the mutation chose, clamped so the table
-    // fits, then re-seal the table CRC. Entry contents stay as mutated.
-    uint64_t avail = size - kEnvelopeHeaderSize;
-    if (avail < 8) return false;
-    avail -= 8;  // count + table CRC
-    uint32_t count = 0;
-    std::memcpy(&count, file + kEnvelopeHeaderSize, 4);
-    if (count > avail / kSectionEntrySize) {
-      count %= static_cast<uint32_t>(avail / kSectionEntrySize + 1);
-      std::memcpy(file + kEnvelopeHeaderSize, &count, 4);
-    }
-    const uint64_t table_bytes = 4 + uint64_t{count} * kSectionEntrySize + 4;
-    uint32_t table_crc = Crc32c(file + kEnvelopeHeaderSize, 4);
-    table_crc = Crc32cExtend(table_crc, file + kEnvelopeHeaderSize + 4,
-                             uint64_t{count} * kSectionEntrySize);
-    std::memcpy(file + kEnvelopeHeaderSize + table_bytes - 4, &table_crc, 4);
-    payload_off = kEnvelopeHeaderSize + table_bytes;
-    const uint64_t after_table = size - payload_off;
-    if (after_table < kEnvelopeTrailerSize) return false;
-    // Respect a mutated payload size when it fits (sections may follow the
-    // trailer); otherwise claim everything up to the trailer.
-    std::memcpy(&payload_size, file + 16, 8);
-    if (payload_size > after_table - kEnvelopeTrailerSize) {
-      payload_size = after_table - kEnvelopeTrailerSize;
-    }
+  std::memcpy(&payload_size, file + 16, 8);
+  if (payload_size > after_table - kEnvelopeTrailerSize) {
+    payload_size = after_table - kEnvelopeTrailerSize;
   }
   std::memcpy(file + 16, &payload_size, 8);
   const uint32_t header_crc = Crc32c(file, 24);
@@ -132,32 +124,17 @@ bool FixupEnvelope(uint8_t* file, size_t size, uint32_t index_magic) {
 
 void DriveTypedLoads(size_t kind, uint8_t modes) {
   const std::string& path = ScratchPath();
-  LoadOptions cold;
-  cold.mode = LoadMode::kMmapCold;
-  LoadOptions blocks;
-  blocks.mode = LoadMode::kBlockCache;
-  blocks.block_bytes = 512;
-  blocks.block_count = 4;
   switch (kind) {
-    case 0: {
+    case 0:
       (void)Rne::Load(path);
-      if (modes & 1) {
-        LoadOptions mapped;
-        mapped.mode = LoadMode::kMmap;
-        (void)Rne::Load(path, mapped);
-      }
-      if (modes & 2) (void)Rne::Load(path, cold);
+      if (modes & 1) (void)Rne::Load(path, LoadMode::kMmap);
+      if (modes & 2) (void)Rne::Load(path, LoadMode::kMmapCold);
       break;
-    }
-    case 1: {
+    case 1:
       (void)QuantizedRne::Load(path);
-      LoadOptions mapped;
-      mapped.mode = LoadMode::kMmap;
-      if (modes & 1) (void)QuantizedRne::Load(path, mapped);
-      if (modes & 2) (void)QuantizedRne::Load(path, cold);
-      if (modes & 4) (void)QuantizedRne::Load(path, blocks);
+      if (modes & 1) (void)QuantizedRne::Load(path, LoadMode::kMmap);
+      if (modes & 2) (void)QuantizedRne::Load(path, LoadMode::kMmapCold);
       break;
-    }
     case 2:
       (void)ContractionHierarchy::Load(path);
       break;
@@ -169,11 +146,7 @@ void DriveTypedLoads(size_t kind, uint8_t modes) {
       break;
     case 5:
       (void)GTree::Load(path, FuzzGraph());
-      if (modes & 1) {
-        LoadOptions mapped;
-        mapped.mode = LoadMode::kMmap;
-        (void)GTree::Load(path, FuzzGraph(), mapped);
-      }
+      if (modes & 1) (void)GTree::Load(path, FuzzGraph(), LoadMode::kMmap);
       break;
     default:
       (void)PartitionHierarchy::Load(path);

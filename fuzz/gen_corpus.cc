@@ -1,10 +1,9 @@
 // Seed-corpus generator. Writes the committed seed inputs under
 // fuzz/corpus/<target>/ from *real* artifacts: every persistable index kind
-// built on a small generator graph and saved through the production writers
-// (v2 sectioned and, where supported, legacy v1), plus protocol transcripts
-// shaped like bench_serve client traffic, realistic tool argv vectors, and
-// block-cache geometry/op streams. Run from the repo root after changing
-// the on-disk format or the harness input layouts:
+// built on a small generator graph and saved through the production writers,
+// plus protocol transcripts shaped like bench_serve client traffic and
+// realistic tool argv vectors. Run from the repo root after changing the
+// on-disk format or the harness input layouts:
 //
 //   ./build/fuzz/gen_fuzz_corpus fuzz/corpus
 //
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "graph/generators.h"
-#include "partition/hierarchy.h"
 #include "tests/index_kinds.h"
 #include "util/fault_injection.h"
 #include "util/serialize.h"
@@ -81,34 +79,6 @@ bool EmitEnvelopeSeeds(const std::string& dir, const Graph& g) {
                          input) &&
          ok;
   }
-  // A partition hierarchy (the seventh typed loader) and a legacy v1 file
-  // (Rne supports both formats) so the v1 decode path has a seed too.
-  {
-    HierarchyOptions options;
-    PartitionHierarchy hier = PartitionHierarchy::Build(g, options);
-    if (hier.Save(scratch).ok()) {
-      std::vector<uint8_t> file;
-      if (fault::ReadFileBytes(scratch, &file).ok()) {
-        std::vector<uint8_t> input;
-        input.push_back(static_cast<uint8_t>(6 + kNumKinds * 7));
-        input.insert(input.end(), file.begin(), file.end());
-        ok = WriteCorpusFile(dir + "/PartitionHierarchy_v2.bin", input) && ok;
-      }
-    }
-  }
-  {
-    const Status saved =
-        Rne::Build(g, SmallRneConfig()).Save(scratch, SaveFormat::kLegacyV1);
-    if (saved.ok()) {
-      std::vector<uint8_t> file;
-      if (fault::ReadFileBytes(scratch, &file).ok()) {
-        std::vector<uint8_t> input;
-        input.push_back(static_cast<uint8_t>(0 + kNumKinds * 7));
-        input.insert(input.end(), file.begin(), file.end());
-        ok = WriteCorpusFile(dir + "/Rne_v1.bin", input) && ok;
-      }
-    }
-  }
   (void)std::remove(scratch.c_str());
   return ok;
 }
@@ -169,37 +139,12 @@ bool EmitArgparserSeeds(const std::string& dir) {
   return ok;
 }
 
-bool EmitBlockcacheSeeds(const std::string& dir) {
-  // Harness layout: [u16 block_bytes sel][u8 block_count sel][u8 file len
-  // sel][4 pad][file content][3-byte ops...]. One seed with in-bounds
-  // traffic, one that truncates the file mid-stream, one tiny-geometry.
-  std::vector<uint8_t> cozy = {64, 0, 3, 12, 0, 0, 0, 0};
-  for (int i = 0; i < 204; ++i) cozy.push_back(static_cast<uint8_t>(i));
-  const uint8_t cozy_ops[] = {0, 0, 0,  0, 1, 0,  2, 3, 2,  5, 0, 0,
-                              0, 2, 0,  4, 0, 0,  2, 9, 1,  1, 0, 0};
-  cozy.insert(cozy.end(), cozy_ops, cozy_ops + sizeof(cozy_ops));
-  bool ok = WriteCorpusFile(dir + "/inbounds_traffic.bin", cozy);
-
-  std::vector<uint8_t> shrink = {16, 0, 1, 8, 0, 0, 0, 0};
-  for (int i = 0; i < 136; ++i) shrink.push_back(static_cast<uint8_t>(i));
-  const uint8_t shrink_ops[] = {0, 0, 0,  3, 1, 0,  0, 2, 0,  2, 4, 4,
-                                3, 0, 0,  0, 0, 0,  2, 0, 8};
-  shrink.insert(shrink.end(), shrink_ops, shrink_ops + sizeof(shrink_ops));
-  ok = WriteCorpusFile(dir + "/shrinking_file.bin", shrink) && ok;
-
-  std::vector<uint8_t> tiny = {0, 0, 0, 1, 0, 0, 0, 0, 0xAB};
-  const uint8_t tiny_ops[] = {0, 0, 0, 2, 0, 0, 5, 0, 0};
-  tiny.insert(tiny.end(), tiny_ops, tiny_ops + sizeof(tiny_ops));
-  ok = WriteCorpusFile(dir + "/tiny_geometry.bin", tiny) && ok;
-  return ok;
-}
-
 }  // namespace
 }  // namespace rne
 
 int main(int argc, char** argv) {
   const std::string root = argc > 1 ? argv[1] : "fuzz/corpus";
-  for (const char* sub : {"envelope", "protocol", "argparser", "blockcache"}) {
+  for (const char* sub : {"envelope", "protocol", "argparser"}) {
     const std::string dir = root + "/" + sub;
     ::mkdir(root.c_str(), 0755);
     if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -215,6 +160,5 @@ int main(int argc, char** argv) {
   bool ok = rne::EmitEnvelopeSeeds(root + "/envelope", graph);
   ok = rne::EmitProtocolSeeds(root + "/protocol") && ok;
   ok = rne::EmitArgparserSeeds(root + "/argparser") && ok;
-  ok = rne::EmitBlockcacheSeeds(root + "/blockcache") && ok;
   return ok ? 0 : 1;
 }

@@ -121,7 +121,7 @@ void GTree::ComputeMatrices(const Graph& g, const GTreeOptions& options) {
   num_leaf_borders_ = sources.size();
 
   // Allocate all matrices as one pool (concatenated in node-id order) so a
-  // v2 save can emit them as a single mmap-servable section; each node's
+  // save can emit them as a single mmap-servable section; each node's
   // span views its slice.
   std::vector<uint64_t> lens(nodes_.size(), 0);
   std::vector<uint64_t> offsets(nodes_.size(), 0);
@@ -496,19 +496,17 @@ std::vector<std::pair<VertexId, double>> GTree::BestFirst(VertexId s, size_t k,
   return result;
 }
 
-Status GTree::Save(const std::string& path, SaveFormat format) const {
+Status GTree::Save(const std::string& path) const {
   BinaryWriter w(path, kGTreeMagic);
   if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
   uint64_t total = 0;
   for (const NodeData& data : nodes_) total += data.matrix.size();
   const double* pool =
       matrix_pool_.empty() ? pool_view_ : matrix_pool_.data();
-  if (format == SaveFormat::kSectioned) {
-    // All node matrices, concatenated in node-id order, in one aligned
-    // lazy-verify section; the meta stream keeps only per-node lengths.
-    w.AddSection(kSecGTreeMatrixPool, pool, total * sizeof(double),
-                 kSectionFlagLazyVerify);
-  }
+  // All node matrices, concatenated in node-id order, in one aligned
+  // lazy-verify section; the meta stream keeps only per-node lengths.
+  w.AddSection(kSecGTreeMatrixPool, pool, total * sizeof(double),
+               kSectionFlagLazyVerify);
   hier_->WriteTo(w);
   w.WritePod<uint64_t>(num_leaf_borders_);
   w.WriteVector(vertex_pos_in_leaf_);
@@ -516,12 +514,7 @@ Status GTree::Save(const std::string& path, SaveFormat format) const {
   for (const NodeData& data : nodes_) {
     w.WriteVector(data.borders);
     w.WriteVector(data.junction);
-    if (format == SaveFormat::kSectioned) {
-      w.WritePod<uint64_t>(data.matrix.size());
-    } else {
-      w.WriteLengthPrefixed(data.matrix.data(), data.matrix.size(),
-                            sizeof(double));
-    }
+    w.WritePod<uint64_t>(data.matrix.size());
     w.WriteVector(data.border_in_junction);
     w.WritePod<uint64_t>(data.child_border_in_junction.size());
     for (const auto& child : data.child_border_in_junction) {
@@ -549,41 +542,23 @@ Status GTree::ParseMeta(BinaryReader& r, const std::string& path,
   if (num_nodes > r.remaining() / 48) {
     return Status::Corruption("inconsistent G-tree index " + path);
   }
-  const bool v2 = r.format_version() >= kFormatVersionV2;
-  // v2: per-node lengths must tile the CRC-protected matrix section exactly,
-  // which bounds them before any allocation.
-  uint64_t pool_doubles = 0;
-  if (v2) {
-    // An absent section is an empty pool (a tree whose matrices are all
-    // empty writes no section); every per-node length must then be 0.
-    const SectionInfo* sec = r.FindSection(kSecGTreeMatrixPool);
-    if (sec != nullptr && sec->size % sizeof(double) != 0) {
-      return Status::Corruption("inconsistent G-tree index " + path);
-    }
-    pool_doubles = sec == nullptr ? 0 : sec->size / sizeof(double);
+  // Per-node lengths must tile the CRC-protected matrix section exactly,
+  // which bounds them before any allocation. An absent section is an empty
+  // pool (a tree whose matrices are all empty writes no section); every
+  // per-node length must then be 0.
+  const SectionInfo* sec = r.FindSection(kSecGTreeMatrixPool);
+  if (sec != nullptr && sec->size % sizeof(double) != 0) {
+    return Status::Corruption("inconsistent G-tree index " + path);
   }
+  const uint64_t pool_doubles = sec == nullptr ? 0 : sec->size / sizeof(double);
   num_leaf_borders_ = num_borders;
   nodes_.resize(num_nodes);
   uint64_t total = 0;
   for (NodeData& data : nodes_) {
-    uint64_t num_children = 0;
-    if (!r.ReadVector(&data.borders) || !r.ReadVector(&data.junction)) {
+    uint64_t len = 0, num_children = 0;
+    if (!r.ReadVector(&data.borders) || !r.ReadVector(&data.junction) ||
+        !r.ReadPod(&len) || len > pool_doubles - total) {
       return r.ReadError("corrupt G-tree index " + path);
-    }
-    uint64_t len = 0;
-    if (v2) {
-      if (!r.ReadPod(&len) || len > pool_doubles - total) {
-        return r.ReadError("corrupt G-tree index " + path);
-      }
-    } else {
-      // v1 streams the matrix inline; append it to the pool (spans are
-      // bound after the loop, once the pool stops growing).
-      std::vector<double> matrix;
-      if (!r.ReadVector(&matrix)) {
-        return r.ReadError("corrupt G-tree index " + path);
-      }
-      len = matrix.size();
-      matrix_pool_.insert(matrix_pool_.end(), matrix.begin(), matrix.end());
     }
     matrix_lens->push_back(len);
     total += len;
@@ -603,7 +578,7 @@ Status GTree::ParseMeta(BinaryReader& r, const std::string& path,
       return r.ReadError("corrupt G-tree index " + path);
     }
   }
-  if (v2 && total != pool_doubles) {
+  if (total != pool_doubles) {
     return Status::Corruption("inconsistent G-tree index " + path);
   }
   return Status::Ok();
@@ -620,27 +595,11 @@ void GTree::BindMatrixSpans(const double* pool,
   }
 }
 
-StatusOr<GTree> GTree::Load(const std::string& path, const Graph& g) {
-  return Load(path, g, LoadOptions{});
-}
-
 StatusOr<GTree> GTree::Load(const std::string& path, const Graph& g,
-                            const LoadOptions& options) {
-  if (options.mode == LoadMode::kBlockCache) {
-    return Status::InvalidArgument(
-        "G-tree indexes do not support block-cache loads (queries walk many "
-        "matrices per call); use mmap");
-  }
-  if (options.mode == LoadMode::kMmap ||
-      options.mode == LoadMode::kMmapCold) {
-    auto opened = MappedEnvelope::Open(path, kGTreeMagic, options.mode);
-    if (!opened.ok()) {
-      if (opened.status().code() == StatusCode::kFailedPrecondition) {
-        // v1 file: there are no sections to map; fall back to a heap load.
-        return Load(path, g, LoadOptions{});
-      }
-      return opened.status();
-    }
+                            LoadMode mode) {
+  if (mode != LoadMode::kHeap) {
+    auto opened = MappedEnvelope::Open(path, kGTreeMagic, mode);
+    if (!opened.ok()) return opened.status();
     std::shared_ptr<const MappedEnvelope> env = std::move(opened).value();
     BinaryReader r(env->file().data(), env->file().size(), path, kGTreeMagic);
     if (!r.ok()) return r.status();
@@ -664,15 +623,13 @@ StatusOr<GTree> GTree::Load(const std::string& path, const Graph& g,
   std::vector<uint64_t> lens;
   RNE_RETURN_IF_ERROR(tree.ParseMeta(r, path, &lens));
   RNE_RETURN_IF_ERROR(r.Finish());
-  if (r.format_version() >= kFormatVersionV2) {
-    uint64_t total = 0;
-    for (const uint64_t len : lens) total += len;
-    tree.matrix_pool_.resize(total);
-    if (total > 0) {
-      RNE_RETURN_IF_ERROR(r.ReadSectionInto(kSecGTreeMatrixPool,
-                                            tree.matrix_pool_.data(),
-                                            total * sizeof(double)));
-    }
+  uint64_t total = 0;
+  for (const uint64_t len : lens) total += len;
+  tree.matrix_pool_.resize(total);
+  if (total > 0) {
+    RNE_RETURN_IF_ERROR(r.ReadSectionInto(kSecGTreeMatrixPool,
+                                          tree.matrix_pool_.data(),
+                                          total * sizeof(double)));
   }
   tree.BindMatrixSpans(tree.matrix_pool_.data(), lens);
   RNE_RETURN_IF_ERROR(tree.CheckConsistent(path, g));

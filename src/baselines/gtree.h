@@ -71,20 +71,14 @@ class GTree : public DistanceMethod {
   size_t num_borders() const { return num_leaf_borders_; }
 
   /// Persists the tree + all distance matrices; Load re-binds to `g` (must
-  /// be the graph the index was built on) and skips every search.
-  /// kSectioned (default) concatenates every node's matrix into one aligned
-  /// lazy-verify section so the file can be served via mmap; kLegacyV1
-  /// writes the flat v1 payload with per-node matrix vectors.
-  Status Save(const std::string& path,
-              SaveFormat format = SaveFormat::kSectioned) const;
-  /// Heap load; reads v1 and v2 files.
-  static StatusOr<GTree> Load(const std::string& path, const Graph& g);
-  /// Mode-controlled load. kMmap / kMmapCold serve the distance matrices
-  /// zero-copy from a read-only mapping (v1 files fall back to a heap
-  /// load — there is nothing to map). kBlockCache is not supported: queries
-  /// walk many matrices per call, so there is no bounded working set.
+  /// be the graph the index was built on) and skips every search. Every
+  /// node's matrix is concatenated into one aligned lazy-verify section so
+  /// the file can be served via mmap.
+  Status Save(const std::string& path) const;
+  /// Loads an index. kHeap reads the matrices into owned storage; kMmap /
+  /// kMmapCold serve them zero-copy from a read-only mapping.
   static StatusOr<GTree> Load(const std::string& path, const Graph& g,
-                              const LoadOptions& options);
+                              LoadMode mode = LoadMode::kHeap);
 
   /// True when the matrices are views into an mmap'd file.
   bool IsMapped() const { return mapping_ != nullptr; }
@@ -113,9 +107,8 @@ class GTree : public DistanceMethod {
   void ComputeBorders(const Graph& g);
   void ComputeMatrices(const Graph& g, const GTreeOptions& options);
 
-  /// Reads everything but the matrix payload; per-node matrix lengths (in
-  /// doubles) land in `matrix_lens`. v1 streams also append the matrix data
-  /// to matrix_pool_ (spans are bound afterwards, once the pool is stable).
+  /// Reads everything but the matrix section; per-node matrix lengths (in
+  /// doubles) land in `matrix_lens`.
   Status ParseMeta(BinaryReader& r, const std::string& path,
                    std::vector<uint64_t>* matrix_lens);
   /// Points every node's matrix span at its slice of `pool`.

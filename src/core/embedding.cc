@@ -20,25 +20,6 @@ double EmbeddingMatrix::L1Norm() const {
   return s;
 }
 
-void EmbeddingMatrix::Write(BinaryWriter& w) const {
-  w.WritePod<uint64_t>(rows_);
-  w.WritePod<uint64_t>(dim_);
-  w.WriteLengthPrefixed(raw(), rows_ * dim_, sizeof(float));
-}
-
-bool EmbeddingMatrix::Read(BinaryReader& r) {
-  uint64_t rows = 0, dim = 0;
-  if (!r.ReadPod(&rows) || !r.ReadPod(&dim)) return false;
-  // rows*dim floats must fit in the remaining payload; rejecting here also
-  // keeps the product below from overflowing on corrupt counts.
-  if (dim != 0 && rows > r.remaining() / sizeof(float) / dim) return false;
-  rows_ = rows;
-  dim_ = dim;
-  view_ = nullptr;
-  if (!r.ReadVector(&data_)) return false;
-  return data_.size() == rows_ * dim_;
-}
-
 void EmbeddingMatrix::WriteMeta(BinaryWriter& w) const {
   w.WritePod<uint64_t>(rows_);
   w.WritePod<uint64_t>(dim_);

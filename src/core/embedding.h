@@ -59,16 +59,13 @@ class EmbeddingMatrix {
 
   size_t MemoryBytes() const { return rows_ * dim_ * sizeof(float); }
 
-  void Write(BinaryWriter& w) const;
-  bool Read(BinaryReader& r);
-
-  /// v2 split: dimensions go in the metadata payload, the float data in an
-  /// aligned section (written by the caller via BinaryWriter::AddSection).
+  /// Dimensions go in the metadata payload, the float data in an aligned
+  /// section (written by the caller via BinaryWriter::AddSection).
   void WriteMeta(BinaryWriter& w) const;
   bool ReadMeta(BinaryReader& r, uint64_t section_bytes);
 
-  /// Replaces storage with an owned, zeroed rows x dim buffer (used by v2
-  /// heap loads before ReadSectionInto fills it).
+  /// Replaces storage with an owned, zeroed rows x dim buffer (used by heap
+  /// loads before ReadSectionInto fills it).
   float* AllocateOwned(size_t rows, size_t dim);
 
  private:

@@ -42,40 +42,15 @@ QuantizedRne::QuantizedRne(const Rne& model) {
   }
 }
 
-double QuantizedRne::QueryCold(VertexId s, VertexId t) const {
-  // Rows are staged through stack buffers (dim is capped at kMaxColdDim by
-  // the load path); the cache pins at most one block at a time here, so
-  // query threads can never deadlock on pinned-slot exhaustion.
-  uint8_t row_s[kMaxColdDim];
-  uint8_t row_t[kMaxColdDim];
-  Status st =
-      cache_->Read(codes_file_offset_ + uint64_t{s} * dim_, row_s, dim_);
-  if (st.ok()) {
-    st = cache_->Read(codes_file_offset_ + uint64_t{t} * dim_, row_t, dim_);
-  }
-  if (!st.ok()) throw CorruptionError(st.ToString());
-  return QuantizedL1Kernel(row_s, row_t, steps_.data(), dim_) * scale_;
-}
-
-Status QuantizedRne::Save(const std::string& path, SaveFormat format) const {
-  if (cache_ != nullptr) {
-    return Status::FailedPrecondition(
-        "cannot re-save a block-cached model (codes are not resident): " +
-        path);
-  }
+Status QuantizedRne::Save(const std::string& path) const {
   BinaryWriter w(path, kQuantMagic);
   if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
   const uint8_t* codes = codes_view_ != nullptr ? codes_view_ : codes_.data();
-  if (format == SaveFormat::kSectioned) {
-    w.AddSection(kSecQuantCodes, codes, rows_ * dim_, kSectionFlagLazyVerify);
-  }
+  w.AddSection(kSecQuantCodes, codes, rows_ * dim_, kSectionFlagLazyVerify);
   w.WritePod<uint64_t>(rows_);
   w.WritePod<uint64_t>(dim_);
   w.WritePod(scale_);
   w.WriteVector(steps_);
-  if (format != SaveFormat::kSectioned) {
-    w.WriteLengthPrefixed(codes, rows_ * dim_, sizeof(uint8_t));
-  }
   return w.Finish();
 }
 
@@ -85,51 +60,28 @@ Status QuantizedRne::ParseMeta(BinaryReader& r, const std::string& path) {
       !r.ReadVector(&steps_)) {
     return r.ReadError("corrupt quantized model " + path);
   }
-  if (r.format_version() >= kFormatVersionV2) {
-    // The CRC-protected section table bounds the code bytes; corrupt
-    // rows/dim fields fail this cross-check instead of allocating. An
-    // absent section means zero code bytes (empty sections are dropped by
-    // the writer), so rows*dim must then be 0 too.
-    const SectionInfo* sec = r.FindSection(kSecQuantCodes);
-    const uint64_t sec_size = sec == nullptr ? 0 : sec->size;
-    if ((dim != 0 && rows > sec_size / dim) || rows * dim != sec_size) {
-      return r.ReadError("corrupt quantized model " + path);
-    }
-  } else if (!r.ReadVector(&codes_)) {
-    return r.ReadError("corrupt quantized model " + path);
+  // The CRC-protected section table bounds the code bytes; corrupt rows/dim
+  // fields fail this cross-check instead of allocating. An absent section
+  // means zero code bytes (empty sections are dropped by the writer), so
+  // rows*dim must then be 0 too.
+  const SectionInfo* sec = r.FindSection(kSecQuantCodes);
+  const uint64_t sec_size = sec == nullptr ? 0 : sec->size;
+  if ((dim != 0 && rows > sec_size / dim) || rows * dim != sec_size) {
+    return Status::Corruption("corrupt quantized model " + path);
+  }
+  if (steps_.size() != dim) {
+    return Status::Corruption("inconsistent quantized model " + path);
   }
   rows_ = rows;
   dim_ = dim;
   return Status::Ok();
 }
 
-Status QuantizedRne::CheckConsistent(const std::string& path) const {
-  const bool inline_codes = codes_view_ == nullptr && cache_ == nullptr;
-  // The rows-bound check keeps rows*dim from overflowing on corrupt counts
-  // (v2 paths already cross-checked rows*dim against the section table).
-  if (steps_.size() != dim_ ||
-      (inline_codes && ((dim_ != 0 && rows_ > codes_.size() / dim_) ||
-                        codes_.size() != rows_ * dim_))) {
-    return Status::Corruption("inconsistent quantized model " + path);
-  }
-  return Status::Ok();
-}
-
-StatusOr<QuantizedRne> QuantizedRne::Load(const std::string& path) {
-  return Load(path, LoadOptions{});
-}
-
 StatusOr<QuantizedRne> QuantizedRne::Load(const std::string& path,
-                                          const LoadOptions& options) {
-  if (options.mode == LoadMode::kMmap ||
-      options.mode == LoadMode::kMmapCold) {
-    auto opened = MappedEnvelope::Open(path, kQuantMagic, options.mode);
-    if (!opened.ok()) {
-      if (opened.status().code() == StatusCode::kFailedPrecondition) {
-        return Load(path, LoadOptions{});  // v1: nothing to map
-      }
-      return opened.status();
-    }
+                                          LoadMode mode) {
+  if (mode != LoadMode::kHeap) {
+    auto opened = MappedEnvelope::Open(path, kQuantMagic, mode);
+    if (!opened.ok()) return opened.status();
     std::shared_ptr<const MappedEnvelope> env = std::move(opened).value();
     BinaryReader r(env->file().data(), env->file().size(), path,
                    kQuantMagic);
@@ -139,46 +91,18 @@ StatusOr<QuantizedRne> QuantizedRne::Load(const std::string& path,
     RNE_RETURN_IF_ERROR(r.Finish());
     q.codes_view_ = env->SectionData(kSecQuantCodes);
     q.mapping_ = std::move(env);
-    RNE_RETURN_IF_ERROR(q.CheckConsistent(path));
     return q;
   }
-
   BinaryReader r(path, kQuantMagic);
   if (!r.ok()) return r.status();
   QuantizedRne q;
   RNE_RETURN_IF_ERROR(q.ParseMeta(r, path));
   RNE_RETURN_IF_ERROR(r.Finish());
-  const bool v2 = r.format_version() >= kFormatVersionV2;
-  if (options.mode == LoadMode::kBlockCache && !v2) {
-    return Load(path, LoadOptions{});  // v1 codes are inline; heap fallback
+  q.codes_.resize(q.rows_ * q.dim_);
+  if (!q.codes_.empty()) {
+    RNE_RETURN_IF_ERROR(r.ReadSectionInto(kSecQuantCodes, q.codes_.data(),
+                                          q.codes_.size()));
   }
-  if (options.mode == LoadMode::kBlockCache) {
-    if (q.dim_ > kMaxColdDim) {
-      return Status::FailedPrecondition(
-          "embedding dim too large for block-cached serving: " + path);
-    }
-    // Integrity first: stream-verify every section (bounded memory), then
-    // serve rows by offset. The cache itself never re-checksums — the
-    // verified file is the unit of trust, as with an eager mmap.
-    RNE_RETURN_IF_ERROR(r.VerifyAllSections());
-    // ParseMeta proved rows*dim == section size, so a missing section means
-    // an empty model: any offset works, no block is ever fetched.
-    const SectionInfo* sec = r.FindSection(kSecQuantCodes);
-    q.codes_file_offset_ = sec == nullptr ? 0 : sec->offset;
-    BlockCache::Options copt;
-    copt.block_bytes = options.block_bytes;
-    copt.block_count = options.block_count;
-    auto cache = BlockCache::Open(path, copt);
-    if (!cache.ok()) return cache.status();
-    q.cache_ = std::move(cache).value();
-  } else if (v2) {
-    q.codes_.resize(q.rows_ * q.dim_);
-    if (!q.codes_.empty()) {
-      RNE_RETURN_IF_ERROR(r.ReadSectionInto(kSecQuantCodes, q.codes_.data(),
-                                            q.codes_.size()));
-    }
-  }
-  RNE_RETURN_IF_ERROR(q.CheckConsistent(path));
   return q;
 }
 

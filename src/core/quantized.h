@@ -5,9 +5,8 @@
 //   |x_a - x_b| = step_d * |q_a - q_b|      (same step within a dimension)
 // so queries stay a single pass over two byte rows.
 //
-// The code matrix can be served from owned heap storage (default), zero-copy
-// from an mmap'd v2 file, or — for cold storage with a hard resident-memory
-// cap — through a bounded BlockCache that preads rows on demand.
+// The code matrix is served from owned heap storage (default) or zero-copy
+// from an mmap'd index file.
 #ifndef RNE_CORE_QUANTIZED_H_
 #define RNE_CORE_QUANTIZED_H_
 
@@ -18,7 +17,6 @@
 
 #include "core/kernels.h"
 #include "core/rne.h"
-#include "util/block_cache.h"
 #include "util/mmap_file.h"
 
 namespace rne {
@@ -26,58 +24,41 @@ namespace rne {
 /// Quantized read-only copy of an Rne model's serving matrix (L1 only).
 class QuantizedRne {
  public:
-  /// Largest embedding dimension servable through the block cache (rows are
-  /// staged through fixed stack buffers on the query path).
-  static constexpr size_t kMaxColdDim = 4096;
-
   /// Quantizes model.vertex_embeddings() with per-dimension min/step.
   /// The model must use the L1 metric (p == 1).
   explicit QuantizedRne(const Rne& model);
 
   /// Approximate shortest-path distance in the edge-weight unit. Cold-map
-  /// models verify deferred section checksums on first access; block-cached
-  /// models read the two rows through the cache. Either path throws
+  /// models verify deferred section checksums on first access and throw
   /// CorruptionError on a bad file, which the serving layer converts into a
   /// backend error.
   double Query(VertexId s, VertexId t) const {
     RNE_DCHECK(s < rows_ && t < rows_);
     if (mapping_ != nullptr) mapping_->EnsureAllVerifiedOrThrow();
-    if (cache_ != nullptr) return QueryCold(s, t);
     return QuantizedL1Kernel(RowPtr(s), RowPtr(t), steps_.data(), dim_) *
            scale_;
   }
 
   size_t NumVertices() const { return rows_; }
   size_t dim() const { return dim_; }
-  /// Serving footprint: |V| x d bytes + 1 step per dimension. For
-  /// block-cached models the resident footprint is the cache, not this.
+  /// Serving footprint: |V| x d bytes + 1 step per dimension.
   size_t IndexBytes() const {
     return rows_ * dim_ * sizeof(uint8_t) + steps_.size() * sizeof(float);
   }
 
   /// True when the code matrix is a view into an mmap'd file.
   bool IsMapped() const { return mapping_ != nullptr; }
-  /// True when rows are served through the block cache.
-  bool IsBlockCached() const { return cache_ != nullptr; }
-  /// The block cache behind a kBlockCache load (nullptr otherwise).
-  const BlockCache* block_cache() const { return cache_.get(); }
   /// Completes any deferred (cold-map) section verification.
   Status VerifyMapped() const {
     return mapping_ == nullptr ? Status::Ok() : mapping_->EnsureAllVerified();
   }
 
-  /// kSectioned (default) writes the v2 envelope with the code matrix in an
-  /// aligned lazy-verify section; kLegacyV1 writes the flat v1 payload.
-  Status Save(const std::string& path,
-              SaveFormat format = SaveFormat::kSectioned) const;
-  /// Heap load; reads v1 and v2 files.
-  static StatusOr<QuantizedRne> Load(const std::string& path);
-  /// Mode-controlled load. kMmap/kMmapCold serve codes zero-copy from a
-  /// mapping; kBlockCache serves them through a bounded pread cache (v2
-  /// files only; resident cost = block_bytes * block_count). v1 files fall
-  /// back to a heap load for every non-heap mode.
+  /// Saves the code matrix in an aligned lazy-verify section.
+  Status Save(const std::string& path) const;
+  /// Loads a model. kHeap reads the codes into owned storage; kMmap /
+  /// kMmapCold serve them zero-copy from a read-only mapping.
   static StatusOr<QuantizedRne> Load(const std::string& path,
-                                     const LoadOptions& options);
+                                     LoadMode mode = LoadMode::kHeap);
 
  private:
   QuantizedRne() = default;
@@ -85,9 +66,7 @@ class QuantizedRne {
   const uint8_t* RowPtr(VertexId v) const {
     return (codes_view_ != nullptr ? codes_view_ : codes_.data()) + v * dim_;
   }
-  double QueryCold(VertexId s, VertexId t) const;
   Status ParseMeta(BinaryReader& r, const std::string& path);
-  Status CheckConsistent(const std::string& path) const;
 
   size_t rows_ = 0;
   size_t dim_ = 0;
@@ -96,8 +75,6 @@ class QuantizedRne {
   std::vector<uint8_t> codes_;       // row-major |V| x d (heap loads)
   const uint8_t* codes_view_ = nullptr;  // mmap loads: view into mapping_
   std::shared_ptr<const MappedEnvelope> mapping_;
-  std::shared_ptr<BlockCache> cache_;    // kBlockCache loads
-  uint64_t codes_file_offset_ = 0;       // section offset for cache reads
 };
 
 }  // namespace rne

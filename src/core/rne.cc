@@ -159,26 +159,19 @@ void Rne::RefineOnline(const std::vector<DistanceSample>& samples,
   }
 }
 
-Status Rne::Save(const std::string& path, SaveFormat format) const {
+Status Rne::Save(const std::string& path) const {
   BinaryWriter w(path, kRneMagic);
   if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
-  if (format == SaveFormat::kSectioned) {
-    // The matrices live in aligned sections so an mmap load can serve rows
-    // zero-copy; lazy-verify lets cold maps defer their CRC to first use.
-    w.AddSection(kSecRneVertexEmb, vertex_emb_.raw(),
-                 vertex_emb_.MemoryBytes(), kSectionFlagLazyVerify);
-    w.AddSection(kSecRneNodeEmb, node_emb_.raw(), node_emb_.MemoryBytes(),
-                 kSectionFlagLazyVerify);
-  }
+  // The matrices live in aligned sections so an mmap load can serve rows
+  // zero-copy; lazy-verify lets cold maps defer their CRC to first use.
+  w.AddSection(kSecRneVertexEmb, vertex_emb_.raw(), vertex_emb_.MemoryBytes(),
+               kSectionFlagLazyVerify);
+  w.AddSection(kSecRneNodeEmb, node_emb_.raw(), node_emb_.MemoryBytes(),
+               kSectionFlagLazyVerify);
   w.WritePod(p_);
   w.WritePod(scale_);
-  if (format == SaveFormat::kSectioned) {
-    vertex_emb_.WriteMeta(w);
-    node_emb_.WriteMeta(w);
-  } else {
-    vertex_emb_.Write(w);
-    node_emb_.Write(w);
-  }
+  vertex_emb_.WriteMeta(w);
+  node_emb_.WriteMeta(w);
   hierarchy_->WriteTo(w);
   // Optional build-provenance trailer; readers that predate it stop here.
   w.WritePod(build_threads_);
@@ -192,20 +185,14 @@ Status Rne::ParseMeta(BinaryReader& r, const std::string& path,
   if (!r.ReadPod(&p_) || !r.ReadPod(&scale_)) {
     return r.ReadError("corrupt RNE model file " + path);
   }
-  if (r.format_version() >= kFormatVersionV2) {
-    // An absent section means zero bytes (the writer drops empty sections);
-    // ReadMeta cross-checks rows*dim against the extent either way, so a
-    // missing section with a non-empty matrix still fails as corrupt.
-    const SectionInfo* vsec = r.FindSection(kSecRneVertexEmb);
-    const SectionInfo* nsec = r.FindSection(kSecRneNodeEmb);
-    if (!vertex_emb_.ReadMeta(r, vsec == nullptr ? 0 : vsec->size) ||
-        !node_emb_.ReadMeta(r, nsec == nullptr ? 0 : nsec->size)) {
-      return r.ReadError("corrupt RNE model file " + path);
-    }
-  } else if (!vertex_emb_.Read(r) || !node_emb_.Read(r)) {
-    return r.ReadError("corrupt RNE model file " + path);
-  }
-  if (!PartitionHierarchy::ReadFrom(r, hierarchy->get())) {
+  // An absent section means zero bytes (the writer drops empty sections);
+  // ReadMeta cross-checks rows*dim against the extent either way, so a
+  // missing section with a non-empty matrix still fails as corrupt.
+  const SectionInfo* vsec = r.FindSection(kSecRneVertexEmb);
+  const SectionInfo* nsec = r.FindSection(kSecRneNodeEmb);
+  if (!vertex_emb_.ReadMeta(r, vsec == nullptr ? 0 : vsec->size) ||
+      !node_emb_.ReadMeta(r, nsec == nullptr ? 0 : nsec->size) ||
+      !PartitionHierarchy::ReadFrom(r, hierarchy->get())) {
     return r.ReadError("corrupt RNE model file " + path);
   }
   // Build-provenance trailer, absent in files written before it existed.
@@ -225,56 +212,34 @@ Status Rne::CheckConsistent(const std::string& path) const {
   return Status::Ok();
 }
 
-StatusOr<Rne> Rne::Load(const std::string& path) {
-  return Load(path, LoadOptions{});
-}
-
-StatusOr<Rne> Rne::Load(const std::string& path, const LoadOptions& options) {
-  if (options.mode == LoadMode::kMmap ||
-      options.mode == LoadMode::kMmapCold) {
-    return LoadMapped(path, options);
-  }
-  if (options.mode == LoadMode::kBlockCache) {
-    return Status::InvalidArgument(
-        "RNE models do not support block-cache loads (the kNN index needs "
-        "resident rows); use mmap, or QuantizedRne for cold storage");
-  }
+StatusOr<Rne> Rne::Load(const std::string& path, LoadMode mode) {
+  if (mode != LoadMode::kHeap) return LoadMapped(path, mode);
   BinaryReader r(path, kRneMagic);
   if (!r.ok()) return r.status();
   Rne model;
   std::shared_ptr<PartitionHierarchy> hierarchy;
   RNE_RETURN_IF_ERROR(model.ParseMeta(r, path, &hierarchy));
   RNE_RETURN_IF_ERROR(r.Finish());
-  if (r.format_version() >= kFormatVersionV2) {
-    float* vertices = model.vertex_emb_.AllocateOwned(
-        model.vertex_emb_.rows(), model.vertex_emb_.dim());
-    if (model.vertex_emb_.MemoryBytes() > 0) {
-      RNE_RETURN_IF_ERROR(r.ReadSectionInto(kSecRneVertexEmb, vertices,
-                                            model.vertex_emb_.MemoryBytes()));
-    }
-    float* nodes = model.node_emb_.AllocateOwned(model.node_emb_.rows(),
-                                                 model.node_emb_.dim());
-    if (model.node_emb_.MemoryBytes() > 0) {
-      RNE_RETURN_IF_ERROR(r.ReadSectionInto(kSecRneNodeEmb, nodes,
-                                            model.node_emb_.MemoryBytes()));
-    }
+  float* vertices = model.vertex_emb_.AllocateOwned(model.vertex_emb_.rows(),
+                                                    model.vertex_emb_.dim());
+  if (model.vertex_emb_.MemoryBytes() > 0) {
+    RNE_RETURN_IF_ERROR(r.ReadSectionInto(kSecRneVertexEmb, vertices,
+                                          model.vertex_emb_.MemoryBytes()));
+  }
+  float* nodes = model.node_emb_.AllocateOwned(model.node_emb_.rows(),
+                                               model.node_emb_.dim());
+  if (model.node_emb_.MemoryBytes() > 0) {
+    RNE_RETURN_IF_ERROR(r.ReadSectionInto(kSecRneNodeEmb, nodes,
+                                          model.node_emb_.MemoryBytes()));
   }
   model.hierarchy_ = std::move(hierarchy);
   RNE_RETURN_IF_ERROR(model.CheckConsistent(path));
   return model;
 }
 
-StatusOr<Rne> Rne::LoadMapped(const std::string& path,
-                              const LoadOptions& options) {
-  auto opened = MappedEnvelope::Open(path, kRneMagic, options.mode);
-  if (!opened.ok()) {
-    if (opened.status().code() == StatusCode::kFailedPrecondition) {
-      // v1 file: there are no sections to map. Fall back to an eager heap
-      // load so `--mmap` serving of pre-v2 files keeps working.
-      return Load(path, LoadOptions{});
-    }
-    return opened.status();
-  }
+StatusOr<Rne> Rne::LoadMapped(const std::string& path, LoadMode mode) {
+  auto opened = MappedEnvelope::Open(path, kRneMagic, mode);
+  if (!opened.ok()) return opened.status();
   std::shared_ptr<const MappedEnvelope> env = std::move(opened).value();
   BinaryReader r(env->file().data(), env->file().size(), path, kRneMagic);
   if (!r.ok()) return r.status();

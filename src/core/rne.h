@@ -118,20 +118,13 @@ class Rne {
   void RefineOnline(const std::vector<DistanceSample>& samples, size_t epochs,
                     double lr0, uint64_t seed = 17);
 
-  /// Saves the model; kSectioned (default) emits the v2 envelope with the
-  /// embedding matrices in aligned, lazily-verifiable sections so the file
-  /// can be served via mmap. kLegacyV1 emits the flat v1 payload.
-  Status Save(const std::string& path,
-              SaveFormat format = SaveFormat::kSectioned) const;
-  /// Heap load; reads v1 and v2 files.
-  static StatusOr<Rne> Load(const std::string& path);
-  /// Mode-controlled load. kMmap / kMmapCold serve the embedding matrices
-  /// zero-copy from a read-only mapping (v1 files fall back to a heap
-  /// load — there is nothing to map). kBlockCache is not supported for RNE
-  /// models (the kNN index needs resident rows); use QuantizedRne for
-  /// block-cached cold storage.
+  /// Saves the model with the embedding matrices in aligned,
+  /// lazily-verifiable sections so the file can be served via mmap.
+  Status Save(const std::string& path) const;
+  /// Loads a model. kHeap reads the matrices into owned storage; kMmap /
+  /// kMmapCold serve them zero-copy from a read-only mapping.
   static StatusOr<Rne> Load(const std::string& path,
-                            const LoadOptions& options);
+                            LoadMode mode = LoadMode::kHeap);
 
   /// The per-access gate of Query(): completes a cold-mapped model's
   /// deferred verification, throwing CorruptionError if the file is bad.
@@ -152,8 +145,7 @@ class Rne {
 
  private:
   Rne() = default;
-  static StatusOr<Rne> LoadMapped(const std::string& path,
-                                  const LoadOptions& options);
+  static StatusOr<Rne> LoadMapped(const std::string& path, LoadMode mode);
   Status ParseMeta(BinaryReader& r, const std::string& path,
                    std::shared_ptr<PartitionHierarchy>* hierarchy);
   Status CheckConsistent(const std::string& path) const;

@@ -68,9 +68,9 @@ struct BackendContext {
   const Graph* graph = nullptr;
   /// Serialized model path; required by "rne" / "rne-quantized".
   std::string model_path;
-  /// How model-file backends open model_path: heap (default), zero-copy
-  /// mmap / cold mmap, or — "rne-quantized" only — a bounded block cache.
-  LoadOptions load;
+  /// How model-file backends open model_path: heap (default), or zero-copy
+  /// mmap / cold mmap.
+  LoadMode load = LoadMode::kHeap;
   /// Worker count of the serving pool (parallelizes the "rne" kNN-index
   /// build).
   size_t num_workers = 1;

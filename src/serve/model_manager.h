@@ -45,8 +45,8 @@ class ModelManager {
     bool require_same_vertex_count = true;
     /// How Load() opens model files (heap or mmap). Stage-1 verification
     /// checks every section up front, so even kMmapCold snapshots publish
-    /// fully verified; v1 files fall back to a heap load.
-    LoadOptions load;
+    /// fully verified.
+    LoadMode load = LoadMode::kHeap;
   };
 
   ModelManager();

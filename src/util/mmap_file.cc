@@ -101,11 +101,6 @@ StatusOr<std::shared_ptr<const MappedEnvelope>> MappedEnvelope::Open(
     const Status meta = r.Finish();
     if (!meta.ok()) return meta;
   }
-  if (r.format_version() < kFormatVersionV2) {
-    return Status::FailedPrecondition(
-        "v1 envelope has no sections to map; re-save for mmap serving: " +
-        path);
-  }
   auto env = std::shared_ptr<MappedEnvelope>(new MappedEnvelope());
   env->file_ = std::move(file);
   env->path_ = path;

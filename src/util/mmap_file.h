@@ -3,7 +3,7 @@
 // This header is the single audited home for the raw mmap/munmap/madvise
 // syscalls (enforced by the `raw-mmap` lint rule): everything else in the
 // tree works through MmapFile's RAII wrapper or MappedEnvelope's verified
-// view of a v2 index file.
+// view of an index file.
 //
 // MappedEnvelope is the zero-copy load path: it maps an index file, runs
 // the same structural validation as BinaryReader (header, section table,
@@ -66,14 +66,13 @@ class MmapFile {
   uint64_t size_ = 0;
 };
 
-/// A v2 index file served from a read-only mapping, with checksum state.
+/// An index file served from a read-only mapping, with checksum state.
 class MappedEnvelope {
  public:
   /// Maps `path` and validates it exactly as BinaryReader would: header,
   /// section table structure, metadata payload checksum. Section data
   /// checksums are verified now (kMmap) or deferred to first access for
-  /// sections flagged lazy-verify (kMmapCold). Fails with
-  /// Status::FailedPrecondition for v1 files (nothing to map zero-copy).
+  /// sections flagged lazy-verify (kMmapCold).
   static StatusOr<std::shared_ptr<const MappedEnvelope>> Open(
       const std::string& path, uint32_t index_magic, LoadMode mode);
 

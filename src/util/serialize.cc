@@ -19,11 +19,11 @@ namespace {
 
 static_assert(kSectionEntrySize == 32, "on-disk section entry layout");
 
-void EncodeHeader(uint32_t format_version, uint32_t index_magic,
-                  uint64_t payload_size, char out[kEnvelopeHeaderSize]) {
+void EncodeHeader(uint32_t index_magic, uint64_t payload_size,
+                  char out[kEnvelopeHeaderSize]) {
   const uint32_t flags = 0;
   std::memcpy(out + 0, &kEnvelopeMagic, 4);
-  std::memcpy(out + 4, &format_version, 4);
+  std::memcpy(out + 4, &kFormatVersion, 4);
   std::memcpy(out + 8, &index_magic, 4);
   std::memcpy(out + 12, &flags, 4);
   std::memcpy(out + 16, &payload_size, 8);
@@ -88,8 +88,6 @@ const char* LoadModeName(LoadMode mode) {
       return "mmap";
     case LoadMode::kMmapCold:
       return "mmap-cold";
-    case LoadMode::kBlockCache:
-      return "block-cache";
   }
   return "unknown";
 }
@@ -111,7 +109,6 @@ BinaryWriter::~BinaryWriter() {
 }
 
 size_t BinaryWriter::TableBytes() const {
-  if (sections_.empty()) return 0;
   return 4 + sections_.size() * kSectionEntrySize + 4;
 }
 
@@ -136,8 +133,8 @@ void BinaryWriter::AddSection(uint32_t tag, const void* data, uint64_t size,
 void BinaryWriter::ReserveTable() {
   if (table_reserved_) return;
   table_reserved_ = true;
+  if (!ok_) return;
   const size_t n = TableBytes();
-  if (n == 0 || !ok_) return;
   // Placeholder; Finish() seeks back and writes the real table.
   const std::vector<char> zeros(n, 0);
   out_.write(zeros.data(), static_cast<std::streamsize>(n));
@@ -226,31 +223,27 @@ Status BinaryWriter::Finish() {
     s.crc = crc;
     pos = s.offset + s.size;
   }
-  // Patch the section table (v2 only), then the real header.
-  const uint32_t format_version =
-      sections_.empty() ? kFormatVersionV1 : kFormatVersionV2;
-  if (!sections_.empty()) {
-    std::vector<char> table(4 + sections_.size() * kSectionEntrySize);
-    const uint32_t count = static_cast<uint32_t>(sections_.size());
-    std::memcpy(table.data(), &count, 4);
-    char* entry = table.data() + 4;
-    for (const PendingSection& s : sections_) {
-      const uint32_t reserved = 0;
-      std::memcpy(entry + 0, &s.tag, 4);
-      std::memcpy(entry + 4, &s.flags, 4);
-      std::memcpy(entry + 8, &s.offset, 8);
-      std::memcpy(entry + 16, &s.size, 8);
-      std::memcpy(entry + 24, &s.crc, 4);
-      std::memcpy(entry + 28, &reserved, 4);
-      entry += kSectionEntrySize;
-    }
-    const uint32_t table_crc = Crc32c(table.data(), table.size());
-    out_.seekp(static_cast<std::streamoff>(kEnvelopeHeaderSize));
-    out_.write(table.data(), static_cast<std::streamsize>(table.size()));
-    out_.write(reinterpret_cast<const char*>(&table_crc), 4);
+  // Patch the section table (possibly empty), then the real header.
+  std::vector<char> table(4 + sections_.size() * kSectionEntrySize);
+  const uint32_t count = static_cast<uint32_t>(sections_.size());
+  std::memcpy(table.data(), &count, 4);
+  char* entry = table.data() + 4;
+  for (const PendingSection& s : sections_) {
+    const uint32_t reserved = 0;
+    std::memcpy(entry + 0, &s.tag, 4);
+    std::memcpy(entry + 4, &s.flags, 4);
+    std::memcpy(entry + 8, &s.offset, 8);
+    std::memcpy(entry + 16, &s.size, 8);
+    std::memcpy(entry + 24, &s.crc, 4);
+    std::memcpy(entry + 28, &reserved, 4);
+    entry += kSectionEntrySize;
   }
+  const uint32_t table_crc = Crc32c(table.data(), table.size());
+  out_.seekp(static_cast<std::streamoff>(kEnvelopeHeaderSize));
+  out_.write(table.data(), static_cast<std::streamsize>(table.size()));
+  out_.write(reinterpret_cast<const char*>(&table_crc), 4);
   char header[kEnvelopeHeaderSize];
-  EncodeHeader(format_version, index_magic_, payload_bytes_, header);
+  EncodeHeader(index_magic_, payload_bytes_, header);
   out_.seekp(0);
   out_.write(header, kEnvelopeHeaderSize);
   out_.flush();
@@ -370,10 +363,11 @@ void BinaryReader::Open(uint64_t file_size, uint32_t index_magic) {
     status_ = Status::Corruption("header checksum mismatch in " + path_);
     return;
   }
-  if (info_.format_version == 0 || info_.format_version > kFormatVersion) {
-    status_ = Status::Corruption("unsupported format version " +
-                                 std::to_string(info_.format_version) +
-                                 " in " + path_);
+  if (info_.format_version != kFormatVersion) {
+    status_ = Status::Corruption(
+        "unsupported format version " + std::to_string(info_.format_version) +
+        " in " + path_ + " (this build reads version " +
+        std::to_string(kFormatVersion) + "; re-save the index)");
     return;
   }
   if (index_magic != 0 && info_.index_magic != index_magic) {
@@ -383,21 +377,12 @@ void BinaryReader::Open(uint64_t file_size, uint32_t index_magic) {
         IndexKindName(index_magic));
     return;
   }
-  if (info_.format_version == kFormatVersionV1) {
-    if (info_.payload_size !=
-        file_size - kEnvelopeHeaderSize - kEnvelopeTrailerSize) {
-      status_ = Status::Corruption("payload size mismatch (truncated?) in " +
-                                   path_);
-      return;
-    }
-  } else {
-    if (!ParseSectionTable(file_size)) return;
-  }
+  if (!ParseSectionTable(file_size)) return;
   remaining_ = info_.payload_size;
 }
 
 bool BinaryReader::ParseSectionTable(uint64_t file_size) {
-  // Structural validation of the v2 layout happens here, before any payload
+  // Structural validation of the layout happens here, before any payload
   // or section byte is consumed: the section table checksum, monotone
   // aligned extents, and — critically for mmap serving — that the file ends
   // exactly at the last section's end, so no later access can run off a

@@ -1,36 +1,32 @@
 // Binary (de)serialization with a crash-safe, corruption-resistant envelope.
 //
-// Every persisted index file is wrapped in a versioned envelope:
+// Every persisted index file is wrapped in one versioned envelope layout:
 //
 //   offset  0  uint32  envelope magic "RNEV" (shared by all index kinds)
-//   offset  4  uint32  format version (1 or 2; decoding is gated)
+//   offset  4  uint32  format version (2; any other value is rejected)
 //   offset  8  uint32  index-kind magic (which Load may parse the payload)
 //   offset 12  uint32  flags (reserved, 0)
-//   offset 16  uint64  payload size in bytes (v2: metadata payload only)
+//   offset 16  uint64  metadata payload size in bytes
 //   offset 24  uint32  CRC32C of header bytes [0, 24)
-//
-// v1 (legacy, still readable):
-//   offset 28  payload: little-endian PODs, length-prefixed vectors/strings
-//   tail       uint32  CRC32C of the payload
-//
-// v2 (sectioned, mmap-friendly):
-//   offset 28  uint32  section count
+//   offset 28  uint32  section count (0 for index kinds without sections)
 //   offset 32  count × 32-byte section entries:
 //                {u32 tag, u32 flags, u64 offset, u64 size, u32 crc, u32 0}
 //   ...        uint32  CRC32C of the section table (count + entries)
-//   ...        metadata payload (`payload size` bytes, same wire format)
+//   ...        metadata payload (`payload size` bytes): little-endian PODs,
+//              length-prefixed vectors/strings
 //   ...        uint32  CRC32C of the metadata payload
 //   ...        per section, in table order: zero padding up to the entry's
 //              aligned `offset`, then `size` raw data bytes
 //
-// Each v2 section entry's CRC covers the padding bytes *and* the data, and
-// the reader requires the file to end exactly at the last section's end, so
-// every byte of a v2 file is covered by some checksum and any truncation is
-// structurally detectable before a single section byte is touched — this is
-// what makes the layout safe to serve via mmap (no SIGBUS on a short file,
-// no silently corrupt gap bytes). Section data starts on an aligned offset
-// (kSectionAlignment or a caller-chosen larger power of two) so matrices
-// can be addressed in place with naturally aligned rows.
+// Each section entry's CRC covers the padding bytes *and* the data, and the
+// reader requires the file to end exactly at the last section's end (or the
+// payload CRC when there are no sections), so every byte of a file is
+// covered by some checksum and any truncation is structurally detectable
+// before a single section byte is touched — this is what makes the layout
+// safe to serve via mmap (no SIGBUS on a short file, no silently corrupt gap
+// bytes). Section data starts on an aligned offset (kSectionAlignment or a
+// caller-chosen larger power of two) so matrices can be addressed in place
+// with naturally aligned rows.
 //
 // Saves are atomic: BinaryWriter streams into `<path>.tmp`, patches the
 // header, fsyncs, then rename(2)s over `path` — a reader never observes a
@@ -55,21 +51,16 @@ namespace rne {
 
 /// First four bytes of every envelope file ("RNEV" little-endian).
 inline constexpr uint32_t kEnvelopeMagic = 0x56454e52;
-/// Envelope format versions. v1 is the flat streamed payload; v2 adds the
-/// aligned section table for zero-copy mmap serving. Readers accept both;
-/// writers emit v2 exactly when at least one section was declared.
-inline constexpr uint32_t kFormatVersionV1 = 1;
-inline constexpr uint32_t kFormatVersionV2 = 2;
-/// Highest envelope format version this build can decode.
-inline constexpr uint32_t kFormatVersion = kFormatVersionV2;
+/// The one envelope format version this build writes and reads.
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr size_t kEnvelopeHeaderSize = 28;
 inline constexpr size_t kEnvelopeTrailerSize = 4;
-/// Minimum (and default) alignment of v2 section data offsets.
+/// Minimum (and default) alignment of section data offsets.
 inline constexpr uint64_t kSectionAlignment = 64;
 /// Largest alignment a section may request; bounds the pad run a reader
 /// will accept between consecutive sections.
 inline constexpr uint64_t kMaxSectionAlignment = 1ull << 20;
-/// On-disk size of one v2 section-table entry.
+/// On-disk size of one section-table entry.
 inline constexpr size_t kSectionEntrySize = 32;
 
 // Registered index-kind magics (the third header field). Keep unique.
@@ -81,7 +72,7 @@ inline constexpr uint32_t kAltMagic = 0x524e414c;        // "RNAL" ALT index
 inline constexpr uint32_t kGTreeMagic = 0x524e4754;      // "RNGT" G-tree index
 inline constexpr uint32_t kHierarchyMagic = 0x524e4548;  // "RNEH" partition
 
-// Registered v2 section tags. Unique across index kinds so a section can be
+// Registered section tags. Unique across index kinds so a section can be
 // identified without knowing which loader wrote it.
 inline constexpr uint32_t kSecRneVertexEmb = 0x01;
 inline constexpr uint32_t kSecRneNodeEmb = 0x02;
@@ -99,8 +90,7 @@ const char* IndexKindName(uint32_t magic);
 
 /// How a loader materializes an index file.
 enum class LoadMode {
-  /// Deserialize everything into owned heap storage (default; only mode
-  /// that can read v1 files' large arrays).
+  /// Deserialize everything into owned heap storage (default).
   kHeap,
   /// mmap the file read-only; large sections are served zero-copy from the
   /// mapping. All section checksums are verified at open.
@@ -108,28 +98,11 @@ enum class LoadMode {
   /// mmap the file read-only; sections flagged lazy-verify have their
   /// checksum deferred to first access (open is O(metadata)).
   kMmapCold,
-  /// Serve large sections through a bounded pread-backed BlockCache instead
-  /// of mapping them; resident set is capped at the cache size. Only
-  /// supported by index kinds that opt in (currently QuantizedRne).
-  kBlockCache,
 };
 
 const char* LoadModeName(LoadMode mode);
 
-/// Which envelope layout Save() emits. kSectioned (v2) is the default for
-/// index kinds with large flat arrays; kLegacyV1 exists so compatibility
-/// tests (and downgrades) can still produce v1 files.
-enum class SaveFormat { kSectioned, kLegacyV1 };
-
-/// Options threaded through index Load() entry points.
-struct LoadOptions {
-  LoadMode mode = LoadMode::kHeap;
-  /// Block size and capacity for LoadMode::kBlockCache.
-  uint64_t block_bytes = 64 * 1024;
-  uint64_t block_count = 64;
-};
-
-/// One v2 section as parsed from the table. `pad_start` is derived at open
+/// One section as parsed from the table. `pad_start` is derived at open
 /// time (the file offset where this section's zero padding — and its CRC'd
 /// region — begins).
 struct SectionInfo {
@@ -147,12 +120,12 @@ struct EnvelopeInfo {
   uint32_t index_magic = 0;
   uint32_t flags = 0;
   uint64_t payload_size = 0;
-  /// v2 only; empty for v1 files.
+  /// Section table entries; empty for sectionless index kinds.
   std::vector<SectionInfo> sections;
 };
 
 /// Validates the envelope of `path` — header fields, file size, header,
-/// payload and (v2) every section checksum — without deserializing the
+/// payload and every section checksum — without deserializing the
 /// payload. Accepts any index-kind magic; returns its metadata on success.
 StatusOr<EnvelopeInfo> InspectEnvelope(const std::string& path);
 
@@ -161,8 +134,8 @@ StatusOr<EnvelopeInfo> InspectEnvelope(const std::string& path);
 /// writer is destroyed without a successful Finish(), the temp file is
 /// removed and `path` is untouched.
 ///
-/// Declaring one or more sections (AddSection) switches the file to the v2
-/// sectioned layout; with no sections the output is byte-identical to v1.
+/// A writer that declares no sections (AddSection) emits an empty section
+/// table (count = 0) followed by the payload.
 class BinaryWriter {
  public:
   /// Opens `<path>.tmp` for writing and reserves the envelope header.
@@ -174,7 +147,7 @@ class BinaryWriter {
 
   bool ok() const { return ok_; }
 
-  /// Declares a v2 section. Must be called before the first payload write
+  /// Declares a section. Must be called before the first payload write
   /// (the section table sits between the header and the payload, so its
   /// size must be final by then). `data` is not copied and must stay alive
   /// until Finish(), which streams it after the metadata payload.
@@ -204,10 +177,10 @@ class BinaryWriter {
   void WriteLengthPrefixed(const void* data, uint64_t count,
                            size_t elem_size);
 
-  /// Seals the envelope (patches header, appends payload CRC, streams any
-  /// declared sections), fsyncs and atomically renames the temp file into
-  /// place. On any failure the target path is left untouched and the temp
-  /// file is cleaned up.
+  /// Seals the envelope (appends payload CRC, streams any declared sections,
+  /// patches the section table and header), fsyncs and atomically renames
+  /// the temp file into place. On any failure the target path is left
+  /// untouched and the temp file is cleaned up.
   Status Finish();
 
  private:
@@ -243,8 +216,8 @@ class BinaryWriter {
   bool injected_fault_ = false;  // leave the partial temp file, like a kill
 };
 
-/// Streaming binary reader; validates the envelope header (and, for v2, the
-/// section table structure) on open and the payload checksum in Finish().
+/// Streaming binary reader; validates the envelope header and the section
+/// table structure on open and the payload checksum in Finish().
 /// Section *data* checksums are verified by ReadSectionInto /
 /// VerifyAllSections, not by Finish().
 class BinaryReader {
@@ -263,17 +236,13 @@ class BinaryReader {
   /// Payload bytes not yet consumed.
   uint64_t remaining() const { return remaining_; }
 
-  /// Envelope format version of the open file (0 if open failed). Loaders
-  /// gate any future payload-layout changes on this.
-  uint32_t format_version() const { return info_.format_version; }
-
   /// Envelope metadata parsed from the header (zeroed if open failed).
   const EnvelopeInfo& info() const { return info_; }
 
-  /// v2 section entries in table order (empty for v1 files).
+  /// Section entries in table order.
   const std::vector<SectionInfo>& sections() const { return info_.sections; }
 
-  /// Table entry for `tag`, or nullptr if absent (or a v1 file).
+  /// Table entry for `tag`, or nullptr if absent.
   const SectionInfo* FindSection(uint32_t tag) const;
 
   template <typename T>
@@ -300,8 +269,8 @@ class BinaryReader {
   [[nodiscard]] bool ReadString(std::string* s);
 
   /// Drains any unread payload and verifies the payload CRC trailer. Call
-  /// after the last Read; Status::Corruption on checksum mismatch. For v2
-  /// files this verifies the metadata payload only.
+  /// after the last Read; Status::Corruption on checksum mismatch. Only the
+  /// metadata payload is verified; section data is not.
   Status Finish();
 
   /// Reads section `tag`'s data into `dst` (which must hold exactly
@@ -310,7 +279,7 @@ class BinaryReader {
   Status ReadSectionInto(uint32_t tag, void* dst, uint64_t size);
 
   /// Verifies every section's checksum without retaining the data. Call
-  /// after Finish(). No-op for v1 files.
+  /// after Finish(). No-op for sectionless files.
   Status VerifyAllSections();
 
   /// The reader's error status if a Read failed, else Corruption(context).

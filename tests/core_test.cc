@@ -61,14 +61,22 @@ TEST(EmbeddingMatrixTest, SerializationRoundTrip) {
   m.RandomInit(rng, 1.0);
   const std::string path =
       (std::filesystem::temp_directory_path() / "rne_emb_test.bin").string();
+  constexpr uint32_t kTag = 0x10;
   {
     BinaryWriter w(path, 42);
-    m.Write(w);
+    w.AddSection(kTag, m.raw(), m.MemoryBytes());
+    m.WriteMeta(w);
     ASSERT_TRUE(w.Finish().ok());
   }
   BinaryReader r(path, 42);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const SectionInfo* sec = r.FindSection(kTag);
+  ASSERT_NE(sec, nullptr);
   EmbeddingMatrix m2;
-  ASSERT_TRUE(m2.Read(r));
+  ASSERT_TRUE(m2.ReadMeta(r, sec->size));
+  ASSERT_TRUE(r.Finish().ok());
+  float* data = m2.AllocateOwned(m2.rows(), m2.dim());
+  ASSERT_TRUE(r.ReadSectionInto(kTag, data, m2.MemoryBytes()).ok());
   ASSERT_EQ(m2.rows(), m.rows());
   ASSERT_EQ(m2.dim(), m.dim());
   for (size_t i = 0; i < m.rows(); ++i) {

@@ -343,11 +343,10 @@ TEST_F(DifferentialTest, CachedAnswersAreBitIdenticalPerBackend) {
 
 // ------------------------------------------------- mmap vs heap parity
 //
-// The zero-copy load paths (kMmap, kMmapCold, and for the quantized model
-// kBlockCache) must serve *bit-identical* answers to the heap loader: same
-// file, same doubles, compared with memcmp — never EXPECT_NEAR. Any
-// difference means the sectioned layout and the eager deserializer disagree
-// about the matrix bytes.
+// The zero-copy load paths (kMmap, kMmapCold) must serve *bit-identical*
+// answers to the heap loader: same file, same doubles, compared with memcmp
+// — never EXPECT_NEAR. Any difference means the mapped view and the eager
+// deserializer disagree about the matrix bytes.
 
 void ExpectBitIdentical(double want, double got, const char* mode,
                         VertexId s, VertexId t) {
@@ -356,20 +355,14 @@ void ExpectBitIdentical(double want, double got, const char* mode,
       << " served=" << got;
 }
 
-LoadOptions WithMode(LoadMode mode) {
-  LoadOptions options;
-  options.mode = mode;
-  return options;
-}
-
 TEST_F(DifferentialTest, MmapServedRneBitIdenticalToHeap) {
   auto heap = Rne::Load(*model_path_);
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
   ASSERT_FALSE(heap.value().IsMapped());
-  auto mapped = Rne::Load(*model_path_, WithMode(LoadMode::kMmap));
+  auto mapped = Rne::Load(*model_path_, LoadMode::kMmap);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped.value().IsMapped());
-  auto cold = Rne::Load(*model_path_, WithMode(LoadMode::kMmapCold));
+  auto cold = Rne::Load(*model_path_, LoadMode::kMmapCold);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_TRUE(cold.value().IsMapped());
 
@@ -396,17 +389,11 @@ TEST_F(DifferentialTest, MmapServedRneBitIdenticalToHeap) {
 TEST_F(DifferentialTest, MmapServedQuantizedBitIdenticalToHeap) {
   auto heap = QuantizedRne::Load(*quant_path_);
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  auto mapped = QuantizedRne::Load(*quant_path_, WithMode(LoadMode::kMmap));
+  auto mapped = QuantizedRne::Load(*quant_path_, LoadMode::kMmap);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped.value().IsMapped());
-  auto cold = QuantizedRne::Load(*quant_path_, WithMode(LoadMode::kMmapCold));
+  auto cold = QuantizedRne::Load(*quant_path_, LoadMode::kMmapCold);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  LoadOptions blocks = WithMode(LoadMode::kBlockCache);
-  blocks.block_bytes = 1024;
-  blocks.block_count = 8;
-  auto cached = QuantizedRne::Load(*quant_path_, blocks);
-  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-  EXPECT_TRUE(cached.value().IsBlockCached());
 
   Rng rng(FuzzSeed() + 11);
   const size_t n = graph_->NumVertices();
@@ -416,8 +403,6 @@ TEST_F(DifferentialTest, MmapServedQuantizedBitIdenticalToHeap) {
     const double reference = heap.value().Query(s, t);
     ExpectBitIdentical(reference, mapped.value().Query(s, t), "mmap", s, t);
     ExpectBitIdentical(reference, cold.value().Query(s, t), "cold", s, t);
-    ExpectBitIdentical(reference, cached.value().Query(s, t), "blockcache",
-                       s, t);
   }
 }
 
@@ -431,10 +416,10 @@ TEST_F(DifferentialTest, MmapServedGTreeBitIdenticalToHeap) {
 
   auto heap = GTree::Load(path, *graph_);
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  auto mapped = GTree::Load(path, *graph_, WithMode(LoadMode::kMmap));
+  auto mapped = GTree::Load(path, *graph_, LoadMode::kMmap);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped.value().IsMapped());
-  auto cold = GTree::Load(path, *graph_, WithMode(LoadMode::kMmapCold));
+  auto cold = GTree::Load(path, *graph_, LoadMode::kMmapCold);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
   Rng rng(FuzzSeed() + 12);
@@ -464,7 +449,7 @@ TEST_F(DifferentialTest, MmapBackendsServeBitIdenticalAnswers) {
       ctx.num_workers = 1;
       ctx.model_path =
           std::string(name) == "rne-quantized" ? *quant_path_ : *model_path_;
-      ctx.load = WithMode(mode);
+      ctx.load = mode;
       auto served = MakeBackend(name, ctx);
       ASSERT_TRUE(served.ok()) << served.status().ToString();
       for (int i = 0; i < 120; ++i) {

@@ -9,6 +9,7 @@
 // NotFound/Corruption, never a loadable-but-wrong file.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
@@ -59,13 +60,14 @@ class FaultInjectionTest : public ::testing::TestWithParam<IndexKindParam> {
 
   /// True when the heap loader AND (if the kind has one) the cold-map
   /// loader both reject `path`. The cold path defers lazy-section CRCs to
-  /// the VerifyMapped() step inside load_cold, so a flip inside a
+  /// the VerifyMapped() step inside load_mapped, so a flip inside a
   /// lazily-mapped section must still surface as a non-OK Status here —
   /// never a crash or a silently-wrong index.
   bool EveryLoaderRejects(const std::string& path) {
     if (Load(path).ok()) return false;
-    const auto& cold = GetParam().load_cold;
-    return cold == nullptr || !cold(path, *graph_).ok();
+    const auto& mapped = GetParam().load_mapped;
+    return mapped == nullptr ||
+           !mapped(path, *graph_, LoadMode::kMmapCold).ok();
   }
 
   static Graph* graph_;
@@ -120,13 +122,17 @@ TEST_P(FaultInjectionTest, EveryBitFlipIsRejected) {
 
 TEST_P(FaultInjectionTest, CorruptLengthFieldNeverTriggersHugeAllocation) {
   // Overwrite each plausible 8-byte length prefix position in the first
-  // payload bytes with an absurd value; Load must fail fast.
-  for (uint64_t offset = 0; offset < 64 && kEnvelopeHeaderSize + offset + 8 <=
-                                               good_bytes_.size();
-       offset += 8) {
+  // metadata-payload bytes (after the section table) with an absurd value;
+  // Load must fail fast.
+  uint32_t count = 0;
+  std::memcpy(&count, good_bytes_.data() + kEnvelopeHeaderSize, 4);
+  const uint64_t payload_start =
+      kEnvelopeHeaderSize + 4 + uint64_t{count} * kSectionEntrySize + 4;
+  for (uint64_t offset = 0; offset < 64; offset += 8) {
+    if (payload_start + offset + 8 > good_bytes_.size()) break;
     std::vector<uint8_t> bytes = good_bytes_;
     for (int i = 0; i < 8; ++i) {
-      bytes[kEnvelopeHeaderSize + offset + i] = 0x7F;
+      bytes[payload_start + offset + i] = 0x7F;
     }
     ASSERT_TRUE(fault::WriteFileBytes(mutated_path_, bytes).ok());
     const Status st = Load(mutated_path_);

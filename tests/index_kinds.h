@@ -1,8 +1,8 @@
 // Shared catalogue of persistable index kinds for persistence/robustness
 // tests: each entry knows how to build-and-save a small index of its kind
-// and how to load one, reporting only the Status. Used by the parameterized
-// envelope sweep (persistence_test.cc) and the corruption harness
-// (fault_injection_test.cc).
+// and how to load one, reporting only the Status. Covers all seven index
+// kinds. Used by the parameterized envelope sweep (persistence_test.cc), the
+// corruption harness (fault_injection_test.cc) and the fuzz seed generator.
 #ifndef RNE_TESTS_INDEX_KINDS_H_
 #define RNE_TESTS_INDEX_KINDS_H_
 
@@ -17,6 +17,7 @@
 #include "core/quantized.h"
 #include "core/rne.h"
 #include "graph/graph.h"
+#include "partition/hierarchy.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -28,11 +29,13 @@ struct IndexKindParam {
   uint32_t magic;
   std::function<Status(const Graph&, const std::string&)> build_and_save;
   std::function<Status(const std::string&, const Graph&)> load;
-  /// Cold-map load (LoadMode::kMmapCold) followed by full lazy-section
-  /// verification, collapsed to one Status: either the open-time structural
-  /// checks or the deferred checksum pass must reject a corrupt file —
-  /// never crash. Null for kinds without a zero-copy load path.
-  std::function<Status(const std::string&, const Graph&)> load_cold;
+  /// Zero-copy load in the given mode (kMmap or kMmapCold) followed by full
+  /// lazy-section verification, collapsed to one Status: either the
+  /// open-time structural checks or the deferred checksum pass must reject
+  /// a corrupt file — never crash. Null for kinds without a zero-copy load
+  /// path.
+  std::function<Status(const std::string&, const Graph&, LoadMode)>
+      load_mapped;
 };
 
 inline RneConfig SmallRneConfig() {
@@ -44,12 +47,6 @@ inline RneConfig SmallRneConfig() {
   return config;
 }
 
-inline LoadOptions ColdLoadOptions() {
-  LoadOptions options;
-  options.mode = LoadMode::kMmapCold;
-  return options;
-}
-
 inline std::vector<IndexKindParam> AllIndexKinds() {
   return {
       {"Rne", kRneMagic,
@@ -59,8 +56,8 @@ inline std::vector<IndexKindParam> AllIndexKinds() {
        [](const std::string& path, const Graph&) {
          return Rne::Load(path).status();
        },
-       [](const std::string& path, const Graph&) {
-         auto model = Rne::Load(path, ColdLoadOptions());
+       [](const std::string& path, const Graph&, LoadMode mode) {
+         auto model = Rne::Load(path, mode);
          if (!model.ok()) return model.status();
          return model.value().VerifyMapped();
        }},
@@ -71,8 +68,8 @@ inline std::vector<IndexKindParam> AllIndexKinds() {
        [](const std::string& path, const Graph&) {
          return QuantizedRne::Load(path).status();
        },
-       [](const std::string& path, const Graph&) {
-         auto model = QuantizedRne::Load(path, ColdLoadOptions());
+       [](const std::string& path, const Graph&, LoadMode mode) {
+         auto model = QuantizedRne::Load(path, mode);
          if (!model.ok()) return model.status();
          return model.value().VerifyMapped();
        }},
@@ -111,11 +108,21 @@ inline std::vector<IndexKindParam> AllIndexKinds() {
        [](const std::string& path, const Graph& g) {
          return GTree::Load(path, g).status();
        },
-       [](const std::string& path, const Graph& g) {
-         auto tree = GTree::Load(path, g, ColdLoadOptions());
+       [](const std::string& path, const Graph& g, LoadMode mode) {
+         auto tree = GTree::Load(path, g, mode);
          if (!tree.ok()) return tree.status();
          return tree.value().VerifyMapped();
        }},
+      {"PartitionHierarchy", kHierarchyMagic,
+       [](const Graph& g, const std::string& path) {
+         HierarchyOptions options;
+         options.leaf_threshold = 8;
+         return PartitionHierarchy::Build(g, options).Save(path);
+       },
+       [](const std::string& path, const Graph&) {
+         return PartitionHierarchy::Load(path).status();
+       },
+       nullptr},
   };
 }
 

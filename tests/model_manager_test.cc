@@ -193,7 +193,7 @@ TEST(ModelManagerTest, MmapReloadNeverServesStaleRows) {
   ASSERT_TRUE(model_a.Save(path).ok());
 
   ModelManager::Options options;
-  options.load.mode = LoadMode::kMmapCold;  // worst case: deferred CRCs
+  options.load = LoadMode::kMmapCold;  // worst case: deferred CRCs
   ModelManager manager(options);
   ASSERT_TRUE(manager.Load(path).ok());
   const auto snapshot_a = manager.Current();
@@ -252,7 +252,7 @@ TEST(ModelManagerTest, ReloadOfMmapModelInvalidatesResultCache) {
   ASSERT_TRUE(model_a.Save(path).ok());
 
   ModelManager::Options manager_options;
-  manager_options.load.mode = LoadMode::kMmap;
+  manager_options.load = LoadMode::kMmap;
   ModelManager manager(manager_options);
   ASSERT_TRUE(manager.Load(path).ok());
 

@@ -10,6 +10,8 @@
 #include <fstream>
 #include <functional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/dijkstra.h"
@@ -181,13 +183,14 @@ TEST_F(RneApiTest, QueryKnnHandlesSmallTargetSets) {
   EXPECT_TRUE(model_->QueryKnn(0, two, 0).empty());
 }
 
-// ------------------------------------------- envelope sweep, all 5 kinds
+// ------------------------------------------- envelope sweep, all 7 kinds
 //
 // Each index kind provides a builder (construct a small index on the given
 // graph and Save it) and a loader (Load and report the Status). The sweep
 // then exercises the shared envelope guarantees: clean round-trip, rejection
-// of legacy unversioned files, of files holding a different index kind, of
-// zero-length files, and NotFound for missing paths.
+// of legacy unversioned files, of any format version but the current one,
+// of files holding a different index kind, of zero-length files, and
+// NotFound for missing paths.
 
 class EnvelopeSweepTest : public ::testing::TestWithParam<IndexKindParam> {
  protected:
@@ -254,29 +257,73 @@ TEST_P(EnvelopeSweepTest, ZeroLengthFileRejected) {
 TEST_P(EnvelopeSweepTest, MissingFileIsNotFound) {
   const Status st = GetParam().load(Path("_does_not_exist.bin"), *graph_);
   EXPECT_EQ(st.code(), StatusCode::kNotFound) << st.ToString();
-  if (GetParam().load_cold != nullptr) {
-    EXPECT_EQ(
-        GetParam().load_cold(Path("_does_not_exist.bin"), *graph_).code(),
-        StatusCode::kNotFound);
+  if (GetParam().load_mapped != nullptr) {
+    EXPECT_EQ(GetParam()
+                  .load_mapped(Path("_does_not_exist.bin"), *graph_,
+                               LoadMode::kMmapCold)
+                  .code(),
+              StatusCode::kNotFound);
   }
 }
 
 TEST_P(EnvelopeSweepTest, ColdMapRoundTripLoadsAndVerifies) {
-  if (GetParam().load_cold == nullptr) {
+  if (GetParam().load_mapped == nullptr) {
     GTEST_SKIP() << GetParam().name << " has no zero-copy load path";
   }
   const std::string path = Path("_cold.bin");
   ASSERT_TRUE(GetParam().build_and_save(*graph_, path).ok());
-  const Status st = GetParam().load_cold(path, *graph_);
+  const Status st =
+      GetParam().load_mapped(path, *graph_, LoadMode::kMmapCold);
   EXPECT_TRUE(st.ok()) << st.ToString();
   std::filesystem::remove(path);
+}
+
+TEST_P(EnvelopeSweepTest, OtherFormatVersionsRejected) {
+  // Only version 2 is readable. A file whose version field says 1 (the old
+  // flat layout) or 3 (a newer build) is rejected by every entry point as
+  // Corruption naming the version — with a valid header CRC, so it is the
+  // version gate and not the checksum that fires.
+  const std::string good = Path("_version_good.bin");
+  const std::string bad = Path("_version_bad.bin");
+  ASSERT_TRUE(GetParam().build_and_save(*graph_, good).ok());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(fault::ReadFileBytes(good, &bytes).ok());
+  for (const uint32_t version : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "version " << version);
+    std::memcpy(bytes.data() + 4, &version, 4);
+    const uint32_t header_crc = Crc32c(bytes.data(), 24);
+    std::memcpy(bytes.data() + 24, &header_crc, 4);
+    ASSERT_TRUE(fault::WriteFileBytes(bad, bytes).ok());
+    const Status opened =
+        MappedEnvelope::Open(bad, GetParam().magic, LoadMode::kMmap).status();
+    std::vector<std::pair<std::string, Status>> results = {
+        {"heap load", GetParam().load(bad, *graph_)},
+        {"InspectEnvelope", InspectEnvelope(bad).status()},
+        {"MappedEnvelope::Open", opened},
+    };
+    if (GetParam().load_mapped != nullptr) {
+      for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMmapCold}) {
+        results.emplace_back(LoadModeName(mode),
+                             GetParam().load_mapped(bad, *graph_, mode));
+      }
+    }
+    const std::string named =
+        "unsupported format version " + std::to_string(version);
+    for (const auto& [entry, st] : results) {
+      SCOPED_TRACE(entry);
+      EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+      EXPECT_NE(st.message().find(named), std::string::npos) << st.ToString();
+    }
+  }
+  std::filesystem::remove(good);
+  std::filesystem::remove(bad);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllIndexKinds, EnvelopeSweepTest,
                          ::testing::ValuesIn(AllIndexKinds()),
                          [](const auto& info) { return info.param.name; });
 
-// ------------------------------------------ v2 sectioned-layout contracts
+// --------------------------------------------- sectioned-layout contracts
 
 class V2LayoutTest : public ::testing::Test {
  protected:
@@ -299,7 +346,7 @@ std::string* V2LayoutTest::path_ = nullptr;
 TEST_F(V2LayoutTest, SectionsAreAlignedUniqueAndTileTheFileTail) {
   const auto info = InspectEnvelope(*path_);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info.value().format_version, kFormatVersionV2);
+  EXPECT_EQ(info.value().format_version, kFormatVersion);
   ASSERT_FALSE(info.value().sections.empty());
   const uint64_t file_size = std::filesystem::file_size(*path_);
   uint64_t prev_end = 0;
@@ -331,13 +378,12 @@ TEST_F(V2LayoutTest, ColdMapDefersLazySectionCorruptionToVerify) {
 
   // Heap and eager-mmap loads check every section up front: rejected.
   EXPECT_EQ(Rne::Load(bad).status().code(), StatusCode::kCorruption);
-  LoadOptions eager;
-  eager.mode = LoadMode::kMmap;
-  EXPECT_EQ(Rne::Load(bad, eager).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(Rne::Load(bad, LoadMode::kMmap).status().code(),
+            StatusCode::kCorruption);
 
   // The cold map opens fine (metadata is intact), then the deferred check
   // reports Corruption — and keeps reporting it (sticky), never crashing.
-  auto cold = Rne::Load(bad, ColdLoadOptions());
+  auto cold = Rne::Load(bad, LoadMode::kMmapCold);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_TRUE(cold.value().IsMapped());
   EXPECT_EQ(cold.value().VerifyMapped().code(), StatusCode::kCorruption);
@@ -368,7 +414,7 @@ TEST_F(V2LayoutTest, ColdMapDefersGTreeMatrixCorruptionToVerify) {
 
   EXPECT_EQ(GTree::Load(bad, *graph_).status().code(),
             StatusCode::kCorruption);
-  auto cold = GTree::Load(bad, *graph_, ColdLoadOptions());
+  auto cold = GTree::Load(bad, *graph_, LoadMode::kMmapCold);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_EQ(cold.value().VerifyMapped().code(), StatusCode::kCorruption);
   EXPECT_THROW(cold.value().Distance(0, 5), CorruptionError);
@@ -376,7 +422,7 @@ TEST_F(V2LayoutTest, ColdMapDefersGTreeMatrixCorruptionToVerify) {
   std::filesystem::remove(bad);
 }
 
-// Rewrites the v2 section table of `src` through `mutate` (applied to the
+// Rewrites the section table of `src` through `mutate` (applied to the
 // whole file image), re-seals the table CRC so structural validation — not
 // the checksum — is what rejects the file, and writes the result to `dst`.
 void PatchTableCopy(const std::string& src, const std::string& dst,
@@ -411,7 +457,7 @@ TEST_F(V2LayoutTest, ZeroSizeSectionEntryRejected) {
   EXPECT_NE(st.ToString().find("zero-size section"), std::string::npos)
       << st.ToString();
   EXPECT_EQ(Rne::Load(bad).status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(Rne::Load(bad, ColdLoadOptions()).status().code(),
+  EXPECT_EQ(Rne::Load(bad, LoadMode::kMmapCold).status().code(),
             StatusCode::kCorruption);
   std::filesystem::remove(bad);
 }
@@ -450,7 +496,7 @@ TEST_F(V2LayoutTest, SectionOffsetOverlappingHeaderRejected) {
   EXPECT_NE(st.ToString().find("extent out of bounds"), std::string::npos)
       << st.ToString();
   EXPECT_EQ(Rne::Load(bad).status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(Rne::Load(bad, ColdLoadOptions()).status().code(),
+  EXPECT_EQ(Rne::Load(bad, LoadMode::kMmapCold).status().code(),
             StatusCode::kCorruption);
   std::filesystem::remove(bad);
 }
@@ -462,7 +508,7 @@ TEST_F(V2LayoutTest, MappedAnswersSurviveFileReplacement) {
   const std::string path = TempPath("rne_v2_replace.bin");
   const Rne original = Rne::Build(*graph_, SmallRneConfig());
   ASSERT_TRUE(original.Save(path).ok());
-  auto mapped = Rne::Load(path, ColdLoadOptions());
+  auto mapped = Rne::Load(path, LoadMode::kMmapCold);
   ASSERT_TRUE(mapped.ok());
   const double before = mapped.value().Query(1, 17);
 

@@ -1,7 +1,7 @@
 // Cross-cutting property tests: metric-space invariants of the served RNE
 // model, estimator sanity under degenerate inputs, disconnected-graph
 // behaviour of every method, loader robustness against malformed files, and
-// envelope-format properties (v1 compatibility, v2 section-table fuzz).
+// envelope-format properties (section-table fuzz, sectionless layout).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -225,62 +225,6 @@ std::string PropTempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-TEST(EnvelopeCompatTest, LegacyV1SaveLoadsWithIdenticalModel) {
-  // A downgraded (v1) save must round-trip through the heap loader into a
-  // bit-identical model, and a zero-copy load request on it must quietly
-  // fall back to the heap path: v1 has no sections to map.
-  const Graph g = MakeGridNetwork(8, 8);
-  RneConfig config;
-  config.dim = 8;
-  config.train.level_samples = 500;
-  config.train.vertex_samples = 2000;
-  config.fine_tune = false;
-  const Rne model = Rne::Build(g, config);
-  const std::string v1 = PropTempPath("rne_compat_v1.bin");
-  const std::string v2 = PropTempPath("rne_compat_v2.bin");
-  ASSERT_TRUE(model.Save(v1, SaveFormat::kLegacyV1).ok());
-  ASSERT_TRUE(model.Save(v2).ok());
-
-  const auto v1_info = InspectEnvelope(v1);
-  ASSERT_TRUE(v1_info.ok()) << v1_info.status().ToString();
-  EXPECT_EQ(v1_info.value().format_version, kFormatVersionV1);
-  EXPECT_TRUE(v1_info.value().sections.empty());
-  const auto v2_info = InspectEnvelope(v2);
-  ASSERT_TRUE(v2_info.ok());
-  EXPECT_EQ(v2_info.value().format_version, kFormatVersionV2);
-  EXPECT_FALSE(v2_info.value().sections.empty());
-
-  auto legacy = Rne::Load(v1);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  auto sectioned = Rne::Load(v2);
-  ASSERT_TRUE(sectioned.ok());
-  LoadOptions mmap_options;
-  mmap_options.mode = LoadMode::kMmap;
-  auto fallback = Rne::Load(v1, mmap_options);
-  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  EXPECT_FALSE(fallback.value().IsMapped()) << "v1 cannot be served mapped";
-
-  for (VertexId s = 0; s < g.NumVertices(); s += 5) {
-    for (VertexId t = 1; t < g.NumVertices(); t += 7) {
-      const double want = model.Query(s, t);
-      for (const Rne* loaded :
-           {&legacy.value(), &sectioned.value(), &fallback.value()}) {
-        const double got = loaded->Query(s, t);
-        ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
-            << "s=" << s << " t=" << t;
-      }
-    }
-  }
-  // A v1 file is byte-for-byte what the pre-section writer produced: the
-  // envelope header says version 1 and the trailer is the payload CRC, so
-  // older readers (which reject unknown versions) stay compatible.
-  EXPECT_EQ(v1_info.value().payload_size + kEnvelopeHeaderSize +
-                kEnvelopeTrailerSize,
-            std::filesystem::file_size(v1));
-  std::filesystem::remove(v1);
-  std::filesystem::remove(v2);
-}
-
 TEST(EnvelopeFuzzTest, SectionTableRoundTripsRandomSizesAndAlignments) {
   // Property: any set of sections (random count, sizes, alignments, flags)
   // written through BinaryWriter::AddSection is read back bit-identically
@@ -317,7 +261,7 @@ TEST(EnvelopeFuzzTest, SectionTableRoundTripsRandomSizesAndAlignments) {
     // Streaming reader: structure, payload, then every section.
     BinaryReader r(path, kHierarchyMagic);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r.format_version(), kFormatVersionV2);
+    EXPECT_EQ(r.info().format_version, kFormatVersion);
     ASSERT_EQ(r.sections().size(), num_sections);
     std::vector<uint32_t> meta;
     ASSERT_TRUE(r.ReadVector(&meta));
@@ -352,9 +296,10 @@ TEST(EnvelopeFuzzTest, SectionTableRoundTripsRandomSizesAndAlignments) {
   std::filesystem::remove(path);
 }
 
-TEST(EnvelopeFuzzTest, SectionlessWriterStillEmitsV1) {
-  // With no AddSection call the writer's output must remain the v1 layout,
-  // so index kinds without big flat arrays are untouched by the migration.
+TEST(EnvelopeFuzzTest, SectionlessWriterEmitsV2WithEmptyTable) {
+  // With no AddSection call the writer still emits the one envelope
+  // layout: an empty section table (count = 0) and its CRC in front of the
+  // payload, and nothing after the payload CRC.
   const std::string path = PropTempPath("rne_sectionless.bin");
   {
     BinaryWriter w(path, kHierarchyMagic);
@@ -363,16 +308,20 @@ TEST(EnvelopeFuzzTest, SectionlessWriterStillEmitsV1) {
   }
   const auto info = InspectEnvelope(path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info.value().format_version, kFormatVersionV1);
+  EXPECT_EQ(info.value().format_version, 2u);
   EXPECT_TRUE(info.value().sections.empty());
+  EXPECT_EQ(info.value().payload_size, sizeof(uint64_t));
   EXPECT_EQ(std::filesystem::file_size(path),
-            kEnvelopeHeaderSize + sizeof(uint64_t) + kEnvelopeTrailerSize);
-  // And a v1 file is FailedPrecondition for the mapper — the loaders use
-  // that signal to fall back to the heap path.
-  EXPECT_EQ(
-      MappedEnvelope::Open(path, kHierarchyMagic, LoadMode::kMmap).status()
-          .code(),
-      StatusCode::kFailedPrecondition);
+            kEnvelopeHeaderSize + 4 + 4 + sizeof(uint64_t) +
+                kEnvelopeTrailerSize);
+  // The mapper accepts it like any other file; it just has no sections.
+  for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMmapCold}) {
+    auto env = MappedEnvelope::Open(path, kHierarchyMagic, mode);
+    ASSERT_TRUE(env.ok()) << LoadModeName(mode) << ": "
+                          << env.status().ToString();
+    EXPECT_TRUE(env.value()->info().sections.empty());
+    EXPECT_TRUE(env.value()->EnsureAllVerified().ok());
+  }
   std::filesystem::remove(path);
 }
 

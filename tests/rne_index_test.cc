@@ -320,9 +320,7 @@ TEST_F(RneIndexTest, CorruptColdMappedModelThrows) {
     f.seekp(static_cast<std::streamoff>(flip_at));
     f.write(&byte, 1);
   }
-  LoadOptions options;
-  options.mode = LoadMode::kMmapCold;
-  auto cold = Rne::Load(path, options);
+  auto cold = Rne::Load(path, LoadMode::kMmapCold);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   const RneIndex index(&cold.value());
   EXPECT_THROW(index.Knn(5, 10), CorruptionError);

@@ -1,5 +1,6 @@
 // Unit tests for the util substrate: Status/StatusOr, Rng, Histogram,
-// TableWriter, binary serialization, ThreadPool, and stats helpers.
+// TableWriter, binary serialization, the MmapFile wrapper, ThreadPool, and
+// stats helpers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "util/crc32c.h"
 #include "util/fault_injection.h"
 #include "util/histogram.h"
+#include "util/mmap_file.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/stats.h"
@@ -193,6 +195,10 @@ TEST(TableWriterTest, FmtHelpers) {
 
 // ------------------------------------------------------------- serialize
 
+/// Where the payload of a file without sections starts: the header, then
+/// an empty section table (count = 0) and its CRC.
+constexpr size_t kSectionlessPayloadStart = kEnvelopeHeaderSize + 4 + 4;
+
 TEST(SerializeTest, PodVectorStringRoundTrip) {
   const std::string path = TempPath("rne_serialize_test.bin");
   {
@@ -284,7 +290,8 @@ TEST(SerializeTest, PayloadBitFlipFailsChecksum) {
   }
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(fault::ReadFileBytes(path, &bytes).ok());
-  bytes[kEnvelopeHeaderSize + 12] ^= 0x10;  // flip a bit inside element [1]
+  // Skip the 8-byte length prefix and element [0]: flip a bit inside [1].
+  bytes[kSectionlessPayloadStart + 12] ^= 0x10;
   ASSERT_TRUE(fault::WriteFileBytes(path, bytes).ok());
   BinaryReader r(path, 7);
   ASSERT_TRUE(r.ok());
@@ -303,7 +310,7 @@ TEST(SerializeTest, CorruptVectorLengthFailsWithoutHugeAllocation) {
   }
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(fault::ReadFileBytes(path, &bytes).ok());
-  bytes[kEnvelopeHeaderSize + 5] = 0xFF;  // length field becomes ~2^45
+  bytes[kSectionlessPayloadStart + 5] = 0xFF;  // length becomes ~2^45
   ASSERT_TRUE(fault::WriteFileBytes(path, bytes).ok());
   fault::Reset();
   BinaryReader r(path, 7);
@@ -340,11 +347,41 @@ TEST(SerializeTest, InspectEnvelopeReportsMetadata) {
   auto info = InspectEnvelope(path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info.value().index_magic, kRneMagic);
-  // A writer with no registered sections emits the v1 layout (see
-  // EnvelopeFuzzTest.SectionlessWriterStillEmitsV1).
-  EXPECT_EQ(info.value().format_version, kFormatVersionV1);
+  // A writer with no registered sections still emits version 2, with an
+  // empty section table (see
+  // EnvelopeFuzzTest.SectionlessWriterEmitsV2WithEmptyTable).
+  EXPECT_EQ(info.value().format_version, 2u);
+  EXPECT_TRUE(info.value().sections.empty());
   EXPECT_EQ(info.value().payload_size, 8u);
   std::filesystem::remove(path);
+}
+
+// --------------------------------------------------------------- MmapFile
+
+TEST(MmapFileTest, MapsWholeFileReadOnly) {
+  const std::string path = TempPath("rne_mmap_basic.bin");
+  std::vector<uint8_t> pattern(1000);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<uint8_t>((i * 131 + 7) & 0xFF);
+  }
+  ASSERT_TRUE(fault::WriteFileBytes(path, pattern).ok());
+  auto file = MmapFile::Map(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file.value()->size(), 1000u);
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(file.value()->data()[i], pattern[i]) << i;
+  }
+  // Advice is best-effort; all variants must be safe to issue.
+  file.value()->Advise(MmapFile::Advice::kRandom);
+  file.value()->AdviseRange(128, 512, MmapFile::Advice::kWillNeed);
+  file.value()->AdviseRange(0, 1000, MmapFile::Advice::kDontNeed);
+  EXPECT_EQ(file.value()->data()[999], pattern[999]);  // still readable
+  std::filesystem::remove(path);
+}
+
+TEST(MmapFileTest, MissingFileIsNotFound) {
+  EXPECT_EQ(MmapFile::Map(TempPath("rne_mmap_missing.bin")).status().code(),
+            StatusCode::kNotFound);
 }
 
 // ----------------------------------------------------------------- crc32c

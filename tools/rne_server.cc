@@ -10,10 +10,9 @@
 //              [--cache 65536] [--cache-shards 16]
 //              [--mmap | --mmap-cold]
 //
-// --mmap serves model files zero-copy from a read-only mapping (v2
-// envelopes; v1 files fall back to a heap load). --mmap-cold additionally
-// defers section checksums to first access — ModelManager re-verifies at
-// load/RELOAD time, so published models are always checked.
+// --mmap serves model files zero-copy from a read-only mapping. --mmap-cold
+// additionally defers section checksums to first access — ModelManager
+// re-verifies at load/RELOAD time, so published models are always checked.
 //
 // The line protocol (QUERY/KNN/STATS/METRICS/RELOAD) lives in
 // serve/server_loop.h; this binary only parses flags, builds the engine,
@@ -130,9 +129,9 @@ int Main(int argc, char** argv) {
   ctx.model_path = args.Get("model", "");
   ctx.seed = seed;
   if (args.Has("mmap-cold")) {
-    ctx.load.mode = LoadMode::kMmapCold;
+    ctx.load = LoadMode::kMmapCold;
   } else if (args.Has("mmap")) {
-    ctx.load.mode = LoadMode::kMmap;
+    ctx.load = LoadMode::kMmap;
   }
   if (args.Has("gr")) {
     auto loaded = LoadDimacs(args.Get("gr", ""), args.Get("co", ""));

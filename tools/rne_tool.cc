@@ -11,8 +11,8 @@
 //   rne_tool verify   city.rne [--deep]
 //
 // eval/query/knn accept --mmap (serve the model zero-copy from a read-only
-// mapping) or --mmap-cold (defer section checksums to first access); v1
-// files fall back to a heap load. verify lists the v2 section table.
+// mapping) or --mmap-cold (defer section checksums to first access).
+// verify lists the section table.
 //
 // Serving commands (query/knn) degrade gracefully: when the model file is
 // missing or corrupt and --gr is given, they log the load failure and answer
@@ -52,14 +52,10 @@ StatusOr<Graph> LoadGraphArg(const ArgParser& args) {
   return LoadDimacs(gr, args.Get("co", ""));
 }
 
-LoadOptions LoadOptionsFromArgs(const ArgParser& args) {
-  LoadOptions load;
-  if (args.Has("mmap-cold")) {
-    load.mode = LoadMode::kMmapCold;
-  } else if (args.Has("mmap")) {
-    load.mode = LoadMode::kMmap;
-  }
-  return load;
+LoadMode LoadModeFromArgs(const ArgParser& args) {
+  if (args.Has("mmap-cold")) return LoadMode::kMmapCold;
+  if (args.Has("mmap")) return LoadMode::kMmap;
+  return LoadMode::kHeap;
 }
 
 /// Loads the model under the --mmap/--mmap-cold flags. A cold map defers
@@ -69,7 +65,7 @@ LoadOptions LoadOptionsFromArgs(const ArgParser& args) {
 /// eager load failure (ModelManager does the same before publishing).
 StatusOr<Rne> LoadModelArg(const ArgParser& args) {
   auto model =
-      Rne::Load(args.Get("model", "model.rne"), LoadOptionsFromArgs(args));
+      Rne::Load(args.Get("model", "model.rne"), LoadModeFromArgs(args));
   if (!model.ok()) return model;
   if (const Status st = model.value().VerifyMapped(); !st.ok()) return st;
   return model;
