@@ -13,8 +13,8 @@
 //
 // A brownout leg injects a 100% error rate into the learned primary,
 // reports the throughput dip while the exact fallback carries traffic, and
-// measures the time from clearing the fault to regaining 90% of healthy
-// throughput with the breaker re-closed.
+// measures the time from clearing the fault to the first 20 ms window back
+// at 90% of healthy throughput.
 //
 // Socket legs (in-process net::TcpServer on an ephemeral loopback port)
 // measure the epoll front end with the same Zipf-skewed generator:
@@ -239,18 +239,15 @@ SweepPoint RunOpenLoop(const Rne& model, const Graph& g, size_t threads,
 
 /// Brownout leg: drive a closed loop, inject a 100% error rate into the
 /// learned primary mid-run, then disarm and measure how long the engine
-/// takes to climb back to 90% of its healthy throughput with the primary's
-/// breaker closed again. During the fault the exact fallback keeps serving
-/// (throughput dips, it does not zero) — that dip and the recovery time are
-/// the resilience layer's headline numbers.
+/// takes to climb back to 90% of its healthy throughput, in 20 ms windows.
+/// During the fault every request fails on the primary and falls down the
+/// chain to the exact fallback (throughput dips, it does not zero) — that
+/// dip and the recovery time are the fallback chain's headline numbers.
 struct BrownoutReport {
   double healthy_qps = 0.0;
   double faulted_qps = 0.0;
   double recovered_qps = 0.0;
   double recovery_ms = -1.0;  // disarm -> recovered; -1 = never recovered
-  uint64_t breaker_trips = 0;
-  bool breaker_reclosed = false;
-  uint64_t fell_back_breaker = 0;
   uint64_t retries = 0;
 };
 
@@ -260,10 +257,6 @@ BrownoutReport RunBrownout(const Rne& model, const Graph& g, size_t threads,
   serve::EngineOptions options;
   options.num_threads = threads;
   options.queue_capacity = queue_capacity;
-  // Fast probe cadence so recovery fits a short bench run; production keeps
-  // the (longer) defaults.
-  options.breaker.initial_backoff = std::chrono::milliseconds(20);
-  options.breaker.max_backoff = std::chrono::milliseconds(200);
   auto engine = std::make_unique<serve::QueryEngine>(options);
   engine->AddReadyBackend(serve::MakeSharedModelBackend(model));
   serve::BackendContext ctx;
@@ -290,12 +283,6 @@ BrownoutReport RunBrownout(const Rne& model, const Graph& g, size_t threads,
     return static_cast<double>(engine->Metrics().served - before) /
            timer.ElapsedSeconds();
   };
-  const auto rne_breaker_closed = [&] {
-    for (const auto& h : engine->Health()) {
-      if (h.name == "rne") return h.breaker == serve::BreakerState::kClosed;
-    }
-    return false;
-  };
 
   BrownoutReport report;
   const double phase = seconds / 3.0;
@@ -308,7 +295,7 @@ BrownoutReport RunBrownout(const Rne& model, const Graph& g, size_t threads,
   Timer recovery;
   while (recovery.ElapsedSeconds() < std::max(phase * 4.0, 2.0)) {
     const double window_qps = measure_qps(0.02);
-    if (rne_breaker_closed() && window_qps >= 0.9 * report.healthy_qps) {
+    if (window_qps >= 0.9 * report.healthy_qps) {
       report.recovery_ms = recovery.ElapsedSeconds() * 1000.0;
       break;
     }
@@ -317,13 +304,7 @@ BrownoutReport RunBrownout(const Rne& model, const Graph& g, size_t threads,
   stop.store(true);
   for (auto& t : clients) t.join();
 
-  report.breaker_reclosed = rne_breaker_closed();
-  for (const auto& h : engine->Health()) {
-    if (h.name == "rne") report.breaker_trips = h.breaker_trips;
-  }
-  const serve::MetricsSnapshot metrics = engine->Metrics();
-  report.fell_back_breaker = metrics.fell_back_breaker;
-  report.retries = metrics.retries;
+  report.retries = engine->Metrics().retries;
   return report;
 }
 
@@ -348,11 +329,9 @@ struct SocketServer {
 /// result cache.
 std::unique_ptr<SocketServer> StartSocketServer(
     const Graph& g, const Rne* model, size_t threads, size_t queue_capacity,
-    size_t batch, size_t cache_entries,
-    const serve::EngineOptions* engine_override = nullptr) {
+    size_t batch, size_t cache_entries) {
   auto s = std::make_unique<SocketServer>();
   serve::EngineOptions options;
-  if (engine_override != nullptr) options = *engine_override;
   options.num_threads = threads;
   options.queue_capacity = queue_capacity;
   s->engine = std::make_unique<serve::QueryEngine>(options);
@@ -584,11 +563,8 @@ SocketBrownoutReport RunSocketBrownout(const Graph& g, const Rne& model,
                                        size_t batch, double zipf_s,
                                        size_t pipeline, double seconds) {
   SocketBrownoutReport report;
-  serve::EngineOptions engine_options;
-  engine_options.breaker.initial_backoff = std::chrono::milliseconds(20);
-  engine_options.breaker.max_backoff = std::chrono::milliseconds(200);
-  auto server = StartSocketServer(g, &model, threads, queue_capacity, batch,
-                                  0, &engine_options);
+  auto server =
+      StartSocketServer(g, &model, threads, queue_capacity, batch, 0);
   if (server == nullptr) return report;
   net::BlockingClient client;
   if (!client.Connect("127.0.0.1", server->port(),
@@ -1059,11 +1035,10 @@ int Main(int argc, char** argv) {
     ran_brownout = true;
     std::printf(
         "brownout: healthy %.0f q/s -> faulted %.0f q/s -> recovered %.0f "
-        "q/s; recovery %.0f ms, breaker trips %llu, re-closed %s\n",
+        "q/s; recovery %.0f ms, retries %llu\n",
         brownout.healthy_qps, brownout.faulted_qps, brownout.recovered_qps,
         brownout.recovery_ms,
-        static_cast<unsigned long long>(brownout.breaker_trips),
-        brownout.breaker_reclosed ? "yes" : "no");
+        static_cast<unsigned long long>(brownout.retries));
     std::fflush(stdout);
   }
 
@@ -1126,13 +1101,9 @@ int Main(int argc, char** argv) {
         buf, sizeof(buf),
         "  \"brownout\": {\"healthy_qps\": %.1f, \"faulted_qps\": %.1f, "
         "\"recovered_qps\": %.1f, \"recovery_ms\": %.1f, "
-        "\"breaker_trips\": %llu, \"breaker_reclosed\": %s, "
-        "\"fell_back_breaker\": %llu, \"retries\": %llu},\n",
+        "\"retries\": %llu},\n",
         brownout.healthy_qps, brownout.faulted_qps, brownout.recovered_qps,
         brownout.recovery_ms,
-        static_cast<unsigned long long>(brownout.breaker_trips),
-        brownout.breaker_reclosed ? "true" : "false",
-        static_cast<unsigned long long>(brownout.fell_back_breaker),
         static_cast<unsigned long long>(brownout.retries));
     json += buf;
   }

@@ -17,11 +17,6 @@ obs::LatencyStat* BackendLatencyStat(const std::string& name) {
                                                    ".latency_ns");
 }
 
-obs::Gauge* BackendBreakerGauge(const std::string& name) {
-  return obs::MetricsRegistry::Global().GetGauge("serve.breaker." + name +
-                                                 ".state");
-}
-
 }  // namespace
 
 std::string MetricsSnapshot::ToJson() const {
@@ -30,7 +25,7 @@ std::string MetricsSnapshot::ToJson() const {
       buf, sizeof(buf),
       "{\"served\": %llu, \"rejected\": %llu, \"failed\": %llu, "
       "\"fell_back_load\": %llu, \"fell_back_deadline\": %llu, "
-      "\"fell_back_breaker\": %llu, \"shed\": %llu, \"retries\": %llu, "
+      "\"fell_back_breaker\": %llu, \"retries\": %llu, "
       "\"fast_fails\": %llu, "
       "\"qps\": %.1f, \"uptime_seconds\": %.3f, \"latency_ns\": "
       "{\"p50\": %.0f, \"p95\": %.0f, \"p99\": %.0f, \"mean\": %.0f, "
@@ -41,7 +36,6 @@ std::string MetricsSnapshot::ToJson() const {
       static_cast<unsigned long long>(fell_back_load),
       static_cast<unsigned long long>(fell_back_deadline),
       static_cast<unsigned long long>(fell_back_breaker),
-      static_cast<unsigned long long>(shed),
       static_cast<unsigned long long>(retries),
       static_cast<unsigned long long>(fast_fails), qps, uptime_seconds,
       p50_ns, p95_ns, p99_ns, mean_ns, static_cast<long long>(max_ns));
@@ -54,14 +48,7 @@ QueryEngine::QueryEngine(const EngineOptions& options, ThreadPool* pool)
                       ? std::make_unique<ThreadPool>(options.num_threads)
                       : nullptr),
       pool_(pool == nullptr ? owned_pool_.get() : pool),
-      start_(Clock::now()) {
-  if (options_.shedder.enabled) {
-    ShedderOptions shed = options_.shedder;
-    shed.max_limit = std::min(shed.max_limit, options_.queue_capacity);
-    shed.min_limit = std::min(shed.min_limit, shed.max_limit);
-    shedder_ = std::make_unique<AimdLoadShedder>(shed);
-  }
-}
+      start_(Clock::now()) {}
 
 QueryEngine::~QueryEngine() {
   std::vector<std::thread> loaders;
@@ -78,8 +65,6 @@ std::unique_ptr<QueryEngine::BackendSlot> QueryEngine::MakeSlot(
   slot->name = name;
   slot->fault_point = "serve.backend." + name;
   slot->latency = BackendLatencyStat(name);
-  slot->breaker = std::make_unique<CircuitBreaker>(options_.breaker);
-  slot->breaker_gauge = BackendBreakerGauge(name);
   return slot;
 }
 
@@ -139,31 +124,6 @@ size_t QueryEngine::num_backends() const {
   return chain_.size();
 }
 
-std::vector<BackendHealth> QueryEngine::Health() const {
-  std::vector<BackendHealth> out;
-  MutexLock lock(&chain_mu_);
-  out.reserve(chain_.size());
-  for (const auto& slot : chain_) {
-    BackendHealth health;
-    health.name = slot->name;
-    switch (slot->state) {
-      case SlotState::kLoading:
-        health.load_state = "loading";
-        break;
-      case SlotState::kReady:
-        health.load_state = "ready";
-        break;
-      case SlotState::kFailed:
-        health.load_state = "failed";
-        break;
-    }
-    health.breaker = slot->breaker->state();
-    health.breaker_trips = slot->breaker->trips();
-    out.push_back(std::move(health));
-  }
-  return out;
-}
-
 QueryEngine::BackendSlot* QueryEngine::ChooseBackend(
     RequestKind kind, Clock::time_point deadline, size_t start,
     FallbackFlags* flags, size_t* index) {
@@ -194,14 +154,6 @@ QueryEngine::BackendSlot* QueryEngine::ChooseBackend(
       continue;
     }
     if (kind == RequestKind::kKnn && !slot.backend->SupportsKnn()) continue;
-    // Breaker check comes last so a half-open probe slot is never consumed
-    // by a backend this request cannot use anyway. Lock order is always
-    // chain_mu_ -> breaker mu_; breakers never reach back into the chain.
-    if (!slot.breaker->Allow(Clock::now())) {
-      flags->any = true;
-      flags->breaker = true;
-      continue;
-    }
     *index = i;
     return &slot;
   }
@@ -214,29 +166,7 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
                                Clock::time_point deadline_default) {
   LatencyHistogram local_latency;
   uint64_t served = 0, failed = 0, fb_load = 0, fb_deadline = 0;
-  uint64_t fb_breaker = 0, retries = 0, fast_fails = 0;
-  if (shedder_ != nullptr) {
-    // Admission-to-execution wait for this chunk — the shedder's pressure
-    // signal. One sample per chunk keeps the cost off the per-request path.
-    const Clock::time_point chunk_start = Clock::now();
-    shedder_->RecordQueueWait(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(chunk_start -
-                                                             admitted)
-            .count(),
-        chunk_start);
-  }
-  // Outcome reporting shared by every dispatch result. The breaker contract
-  // requires an outcome for every Allow() (a consumed half-open probe must
-  // be resolved), and the gauge mirrors the post-outcome state.
-  const auto record_outcome = [](BackendSlot* slot, bool ok) {
-    const Clock::time_point now = Clock::now();
-    if (ok) {
-      slot->breaker->RecordSuccess(now);
-    } else {
-      slot->breaker->RecordFailure(now);
-    }
-    slot->breaker_gauge->Set(static_cast<double>(slot->breaker->state()));
-  };
+  uint64_t retries = 0, fast_fails = 0;
   for (size_t i = 0; i < requests.size(); ++i) {
     const Request& request = requests[i];
     Clock::time_point deadline = deadline_default;
@@ -281,9 +211,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
         if (n > 0 && (request.s >= n || (needs_t && request.t >= n))) {
           response.status = Status::InvalidArgument(
               "vertex id out of range [0, " + std::to_string(n) + ")");
-          // Client error, not backend health: report success so a consumed
-          // half-open probe is released instead of wedging the breaker.
-          record_outcome(slot, true);
           break;
         }
         bool attempt_ok = false;
@@ -341,11 +268,9 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
               std::string("backend '") + backend->Name() +
               "' threw a non-standard exception");
         }
-        record_outcome(slot, attempt_ok);
         if (attempt_ok) {
           if (flags.load) ++fb_load;
           if (flags.deadline) ++fb_deadline;
-          if (flags.breaker) ++fb_breaker;
           break;
         }
         // Retry down the chain while deadline budget remains; the last
@@ -375,7 +300,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
   failed_.Add(failed);
   fell_back_load_.Add(fb_load);
   fell_back_deadline_.Add(fb_deadline);
-  fell_back_breaker_.Add(fb_breaker);
   retries_.Add(retries);
   fast_fails_.Add(fast_fails);
   // Process-global aggregates (across all engines) for the METRICS verb.
@@ -383,7 +307,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
   RNE_COUNTER_ADD("serve.failed", failed);
   RNE_COUNTER_ADD("serve.fallback_load", fb_load);
   RNE_COUNTER_ADD("serve.fallback_deadline", fb_deadline);
-  RNE_COUNTER_ADD("serve.fallback_breaker", fb_breaker);
   RNE_COUNTER_ADD("serve.retries", retries);
   RNE_COUNTER_ADD("serve.fast_fails", fast_fails);
   RNE_HIST_RECORD_MERGE("serve.latency_ns", local_latency);
@@ -404,19 +327,6 @@ Status QueryEngine::QueryBatch(std::span<const Request> requests,
           "admission queue full: " + std::to_string(outstanding_) + " + " +
           std::to_string(requests.size()) + " > capacity " +
           std::to_string(options_.queue_capacity));
-    }
-    if (shedder_ != nullptr) {
-      // Adaptive limit under the hard capacity: shed before the queue-wait
-      // p95 degrades into deadline misses.
-      const size_t limit = shedder_->CurrentLimit(admitted);
-      if (outstanding_ + requests.size() > limit) {
-        shed_.Add(requests.size());
-        RNE_COUNTER_ADD("serve.shed", requests.size());
-        return Status::Unavailable(
-            "load shed: " + std::to_string(outstanding_) + " + " +
-            std::to_string(requests.size()) + " > adaptive limit " +
-            std::to_string(limit));
-      }
     }
     outstanding_ += requests.size();
   }
@@ -480,8 +390,6 @@ MetricsSnapshot QueryEngine::Metrics() const {
   snapshot.failed = failed_.Value();
   snapshot.fell_back_load = fell_back_load_.Value();
   snapshot.fell_back_deadline = fell_back_deadline_.Value();
-  snapshot.fell_back_breaker = fell_back_breaker_.Value();
-  snapshot.shed = shed_.Value();
   snapshot.retries = retries_.Value();
   snapshot.fast_fails = fast_fails_.Value();
   snapshot.qps =

@@ -15,14 +15,11 @@
 //    exact Dijkstra), and a backend that failed to load is skipped
 //    immediately. A request that cannot be answered at all reports
 //    DeadlineExceeded/Unavailable rather than blocking forever.
-//  * Resilience (DESIGN.md §12) — a circuit breaker per backend slot trips
-//    on consecutive failures or windowed error rate and takes the backend
-//    out of the chain until a jittered-backoff probe succeeds; failed
-//    attempts retry down the chain while deadline budget remains; a request
-//    whose deadline expired while queued fails fast without touching any
-//    backend; optional AIMD load shedding keeps the admitted depth at a
-//    level the queue-wait p95 can sustain.
-//  * Metrics — served/rejected/failed/fallback/shed/retry counters plus a
+//  * Fallback on failure (DESIGN.md §12) — a dispatch that throws or hits
+//    an injected fault retries down the chain while deadline budget
+//    remains; a request whose deadline expired while queued fails fast
+//    without touching any backend.
+//  * Metrics — served/rejected/failed/fallback/retry counters plus a
 //    merged per-batch latency histogram (p50/p95/p99 over
 //    admission-to-completion nanoseconds) and QPS since start, exported as
 //    a JSON-able snapshot.
@@ -39,7 +36,6 @@
 
 #include "obs/metrics.h"
 #include "serve/backend.h"
-#include "serve/resilience.h"
 #include "util/annotations.h"
 #include "util/histogram.h"
 #include "util/thread_pool.h"
@@ -58,12 +54,6 @@ struct EngineOptions {
   size_t batch_chunk = 32;
   /// Deadline for requests that do not carry their own (0 = none).
   std::chrono::microseconds default_deadline{0};
-  /// Per-backend circuit breaker configuration (enabled by default; set
-  /// breaker.enabled = false for the pre-resilience dispatch behaviour).
-  BreakerOptions breaker;
-  /// Adaptive load shedding (disabled by default; shedder.max_limit is
-  /// clamped to queue_capacity when enabled).
-  ShedderOptions shedder;
 };
 
 enum class RequestKind { kDistance, kKnn };
@@ -85,7 +75,8 @@ struct Response {
   /// Name of the backend that answered (empty on failure).
   std::string backend;
   bool exact = false;
-  /// True when a non-primary backend answered (load failure or deadline).
+  /// True when a non-primary backend answered (load failure, deadline or a
+  /// failed dispatch).
   bool fell_back = false;
   /// True when the answer came from a ResultCache hit, not a backend call.
   bool cached = false;
@@ -99,8 +90,8 @@ struct MetricsSnapshot {
   uint64_t failed = 0;     // per-request errors (bad ids, no backend)
   uint64_t fell_back_load = 0;      // served past a failed/absent backend
   uint64_t fell_back_deadline = 0;  // served past a still-loading backend
-  uint64_t fell_back_breaker = 0;   // served past an open-breaker backend
-  uint64_t shed = 0;        // requests shed by the AIMD admission limit
+  // Always 0; kept because servebench/run.py and servebench/trace.cc read it.
+  uint64_t fell_back_breaker = 0;
   uint64_t retries = 0;     // failed attempts retried down the chain
   uint64_t fast_fails = 0;  // deadline expired while queued; not dispatched
   double qps = 0.0;        // served / uptime
@@ -110,17 +101,6 @@ struct MetricsSnapshot {
   int64_t max_ns = 0;
 
   std::string ToJson() const;
-};
-
-/// Health of one fallback-chain slot, for the chaos harness, the brownout
-/// bench, and operator tooling.
-struct BackendHealth {
-  std::string name;
-  /// kLoading/kReady/kFailed mirrored as a string ("loading", "ready",
-  /// "failed").
-  std::string load_state;
-  BreakerState breaker = BreakerState::kClosed;
-  uint64_t breaker_trips = 0;
 };
 
 class QueryEngine {
@@ -163,9 +143,6 @@ class QueryEngine {
 
   MetricsSnapshot Metrics() const;
 
-  /// Per-slot load state and breaker health, in chain order.
-  std::vector<BackendHealth> Health() const;
-
   ThreadPool& pool() { return *pool_; }
   size_t num_backends() const;
 
@@ -183,12 +160,6 @@ class QueryEngine {
     /// Registry histogram "serve.backend.<name>.latency_ns" (backend-call
     /// time only, excluding queue wait). Resolved once at AddBackend.
     obs::LatencyStat* latency = nullptr;
-    /// Per-backend health model; consulted before every dispatch and fed
-    /// every outcome. Never null.
-    std::unique_ptr<CircuitBreaker> breaker;
-    /// Registry gauge "serve.breaker.<name>.state" (0 closed, 1 half-open,
-    /// 2 open). Resolved once at Add time.
-    obs::Gauge* breaker_gauge = nullptr;
   };
 
   using Clock = std::chrono::steady_clock;
@@ -203,7 +174,6 @@ class QueryEngine {
     bool any = false;       // a non-primary consideration happened
     bool deadline = false;  // skipped a still-loading backend at deadline
     bool load = false;      // skipped a failed-to-load backend
-    bool breaker = false;   // skipped an open-breaker backend
   };
   /// Picks the first servable slot at index >= `start` per the fallback
   /// policy; blocks on loading slots until `deadline`. Returns nullptr when
@@ -241,13 +211,8 @@ class QueryEngine {
   obs::Counter failed_;
   obs::Counter fell_back_load_;
   obs::Counter fell_back_deadline_;
-  obs::Counter fell_back_breaker_;
-  obs::Counter shed_;
   obs::Counter retries_;
   obs::Counter fast_fails_;
-
-  /// Null unless options.shedder.enabled; internally thread-safe.
-  std::unique_ptr<AimdLoadShedder> shedder_;
 
   Mutex admission_mu_;
   size_t outstanding_ RNE_GUARDED_BY(admission_mu_) = 0;

@@ -5,10 +5,14 @@
 //
 //   rne_server --model city.rne --gr net.gr [--co net.co]
 //              [--backends rne,dijkstra] [--threads 4] [--queue 4096]
-//              [--deadline-us 0] [--batch 64] [--shed]
+//              [--deadline-us 0] [--batch 64]
 //              [--listen <port>] [--max-conns 1024] [--idle-timeout-ms 0]
 //              [--cache 65536] [--cache-shards 16]
 //              [--mmap | --mmap-cold]
+//
+// --backends is the fallback chain, primary first: a request skips a
+// backend that failed to load, is still loading at its deadline, or fails
+// at dispatch, and is answered by the next one.
 //
 // --mmap serves model files zero-copy from a read-only mapping. --mmap-cold
 // additionally defers section checksums to first access — ModelManager
@@ -93,14 +97,13 @@ std::vector<std::string> SplitCommas(const std::string& csv) {
 }
 
 int Main(int argc, char** argv) {
-  auto parsed =
-      ArgParser::Parse(argc, argv, 1, {"shed", "mmap", "mmap-cold"});
+  auto parsed = ArgParser::Parse(argc, argv, 1, {"mmap", "mmap-cold"});
   if (!parsed.ok()) return Fail(parsed.status().ToString());
   const ArgParser& args = parsed.value();
   const Status known = args.RequireKnown(
       {"model", "gr", "co", "backends", "threads", "queue", "deadline-us",
-       "batch", "seed", "shed", "listen", "max-conns", "idle-timeout-ms",
-       "cache", "cache-shards", "mmap", "mmap-cold"});
+       "batch", "seed", "listen", "max-conns", "idle-timeout-ms", "cache",
+       "cache-shards", "mmap", "mmap-cold"});
   if (!known.ok()) return Fail(known.ToString());
   FlagReader flags(args);
   EngineOptions options;
@@ -108,7 +111,6 @@ int Main(int argc, char** argv) {
   options.queue_capacity = static_cast<size_t>(flags.Int("queue", 4096));
   options.default_deadline =
       std::chrono::microseconds(flags.Int("deadline-us", 0));
-  options.shedder.enabled = args.Has("shed");
   ServerLoopOptions loop_options;
   loop_options.batch = static_cast<size_t>(flags.Int("batch", 64));
   const auto seed = static_cast<uint64_t>(flags.Int("seed", 1));
