@@ -3,7 +3,8 @@
 // (Dijkstra / bidirectional / A*), training throughput at several thread
 // counts, exact training-label throughput, the end-to-end RNE query (the
 // "60-150 ns" headline numbers of the paper's abstract), and the RneIndex
-// kNN and range searches.
+// kNN and range searches, and the serving front end's per-request costs:
+// a result-cache miss and a protocol line parse.
 //
 // Unless --benchmark_out is given, results are written to
 // bench_results/perf_kernels.json (machine-readable; the JSON context block
@@ -33,6 +34,8 @@
 #include "graph/generators.h"
 #include "obs/metrics.h"
 #include "serve/query_engine.h"
+#include "serve/result_cache.h"
+#include "serve/server_loop.h"
 #include "util/rng.h"
 
 namespace rne {
@@ -455,6 +458,62 @@ void BM_ServeQueryObs(benchmark::State& state) {
                           static_cast<int64_t>(requests.size()));
 }
 BENCHMARK(BM_ServeQueryObs)->Arg(0)->Arg(1)->UseRealTime();
+
+// Result-cache miss path, the cost a uniform QUERY stream pays per request:
+// batches of 64 uniform (s, t) keys over 4096^2, each looked up (a miss in
+// all but ~0.4% of cases) and then inserted, against one shared cache of
+// 65,536 entries in 16 shards. At 2 threads both run on the same cache at
+// once, as two reactors do. Time is per request.
+void BM_ResultCacheMissPath(benchmark::State& state) {
+  static serve::ResultCache* cache = [] {
+    serve::ResultCacheOptions options;
+    options.capacity = 65536;
+    options.num_shards = 16;
+    return new serve::ResultCache(options);
+  }();
+  constexpr size_t kBatch = 64;
+  Rng rng(31 + static_cast<uint64_t>(state.thread_index()));
+  std::vector<serve::Request> requests(kBatch);
+  std::vector<serve::Response> responses(kBatch);
+  serve::Response answer;
+  answer.distance = 1234.5;
+  answer.backend = "rne";
+  for (auto _ : state) {
+    for (auto& r : requests) {
+      r.kind = serve::RequestKind::kDistance;
+      r.s = static_cast<VertexId>(rng.UniformIndex(4096));
+      r.t = static_cast<VertexId>(rng.UniformIndex(4096));
+    }
+    const uint64_t generation = cache->generation();
+    benchmark::DoNotOptimize(cache->LookupBatch(requests, responses));
+    for (auto& response : responses) {
+      if (!response.cached) response = answer;
+    }
+    cache->InsertBatch(requests, responses, generation);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBatch));
+}
+BENCHMARK(BM_ResultCacheMissPath)->Threads(1)->Threads(2)->UseRealTime();
+
+// One protocol line parsed by ParseRequestLine: uniform QUERY lines over
+// 4096 vertices, as the reactor sees them.
+void BM_ParseRequestLine(benchmark::State& state) {
+  Rng rng(37);
+  std::vector<std::string> lines(256);
+  for (auto& line : lines) {
+    line = "QUERY " + std::to_string(rng.UniformIndex(4096)) + " " +
+           std::to_string(rng.UniformIndex(4096));
+  }
+  serve::ParsedLine parsed;
+  size_t i = 0;
+  for (auto _ : state) {
+    serve::ParseRequestLine(lines[i++ & 255], &parsed);
+    benchmark::DoNotOptimize(parsed.request.t);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ParseRequestLine);
 
 // SGD training throughput on a 64x64 road network at several thread counts
 // (items/s = samples/s). Samples are materialized once; each iteration

@@ -6,13 +6,16 @@
 // separate reads, oversized unterminated tails, interleaved verbs. A small
 // max_line_bytes and batch keep the oversize and batching machinery in
 // constant rotation, and Finish() runs at end of stream so the
-// partial-line-drop accounting is on the fuzzed path too.
+// partial-line-drop accounting is on the fuzzed path too. A 4-entry,
+// 2-shard ResultCache sits in front of the engine, so repeated queries
+// drive its batch lookups, inserts, refreshes and evictions.
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "graph/generators.h"
 #include "serve/query_engine.h"
+#include "serve/result_cache.h"
 #include "serve/server_loop.h"
 
 #include "fuzz_target.h"
@@ -42,9 +45,14 @@ QueryEngine& FuzzEngine() {
 }
 
 void DriveStream(const uint8_t* data, size_t size) {
+  ResultCacheOptions cache_options;
+  cache_options.capacity = 4;
+  cache_options.num_shards = 2;
+  ResultCache cache(cache_options);
   ServerLoopOptions options;
   options.batch = 3;           // exercise batching + order-preserving flushes
   options.max_line_bytes = 200;  // reachable oversize limit
+  options.cache = &cache;
   LineProtocolHandler handler(FuzzEngine(), options);
   std::string out;
   size_t pos = 0;

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <utility>
+
+#include "util/annotations.h"
 
 namespace rne::serve {
 namespace {
 
 /// splitmix64 finalizer — a fast, well-mixed stateless hash (the same
-/// construction resilience.cc and fault_injection.cc use for seeding).
+/// construction util/fault_injection.cc uses for seeding).
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -19,6 +23,173 @@ size_t RoundUpPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
+}
+
+/// Empty index cell, and the end of a recency list.
+constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+struct Key {
+  uint64_t generation = 0;
+  uint32_t kind = 0;  // RequestKind as int
+  VertexId s = 0;
+  uint64_t tk = 0;  // t for distance, k for kNN
+
+  bool operator==(const Key& other) const = default;
+};
+
+Key MakeKey(const Request& request, uint64_t generation) {
+  Key key;
+  key.generation = generation;
+  key.kind = static_cast<uint32_t>(request.kind);
+  key.s = request.s;
+  key.tk = request.kind == RequestKind::kDistance
+               ? static_cast<uint64_t>(request.t)
+               : static_cast<uint64_t>(request.k);
+  return key;
+}
+
+/// The low bits pick the shard, the high 32 the home cell in its index.
+uint64_t HashKey(const Key& key) {
+  const uint64_t h =
+      Mix64(key.generation ^ (static_cast<uint64_t>(key.kind) << 62));
+  return Mix64(h ^ (static_cast<uint64_t>(key.s) << 32) ^ key.tk);
+}
+
+uint32_t HighHash(uint64_t hash) { return static_cast<uint32_t>(hash >> 32); }
+
+/// One cached answer plus its key and links: the cached slice of a
+/// Response (everything deterministic about the answer; latency and
+/// fallback flags are per-serving-moment).
+struct Slot {
+  Key key;
+  double distance = 0.0;
+  std::vector<std::pair<VertexId, double>> knn;
+  std::string backend;
+  uint32_t prev = kNone;  // toward the most recently used
+  uint32_t next = kNone;  // toward the least recently used
+  uint32_t hash_hi = 0;   // HighHash(key): home cell, re-probe on delete
+  bool exact = false;
+};
+// With the shard's index (8-16 bytes per entry at load <= 0.5), an entry
+// stays within 128 bytes.
+static_assert(sizeof(Slot) <= 112);
+
+/// Scratch for one batch: each request's hash, and the request indices
+/// grouped by shard (batch order within a shard). Thread-local, so a warm
+/// thread allocates nothing per batch.
+struct BatchPlan {
+  std::vector<uint64_t> hash;
+  std::vector<size_t> order;
+  std::vector<size_t> begin;  // shard i's run is order[begin[i], begin[i+1])
+};
+
+bool Storable(const Response& response, bool cache_fallback) {
+  return response.status.ok() && (cache_fallback || !response.fell_back);
+}
+
+}  // namespace
+
+struct alignas(64) ResultCache::Shard {
+  explicit Shard(size_t capacity)
+      : slots(capacity), index(RoundUpPow2(2 * capacity), kNone) {}
+
+  /// Slot id holding `key`, or kNone.
+  uint32_t Find(const Key& key, uint32_t hash_hi) const RNE_REQUIRES(mu) {
+    const size_t mask = index.size() - 1;
+    size_t cell = hash_hi & mask;
+    while (index[cell] != kNone) {
+      const Slot& slot = slots[index[cell]];
+      if (slot.hash_hi == hash_hi && slot.key == key) return index[cell];
+      cell = (cell + 1) & mask;
+    }
+    return kNone;
+  }
+
+  /// Enters slot `id` (not yet indexed) at the first free cell from home.
+  void IndexInsert(uint32_t id) RNE_REQUIRES(mu) {
+    const size_t mask = index.size() - 1;
+    size_t cell = slots[id].hash_hi & mask;
+    while (index[cell] != kNone) cell = (cell + 1) & mask;
+    index[cell] = id;
+  }
+
+  /// Removes slot `id` from the index by backward-shift deletion, so no
+  /// tombstones ever lengthen a probe.
+  void IndexErase(uint32_t id) RNE_REQUIRES(mu) {
+    const size_t mask = index.size() - 1;
+    size_t hole = slots[id].hash_hi & mask;
+    while (index[hole] != id) hole = (hole + 1) & mask;
+    size_t cell = (hole + 1) & mask;
+    while (index[cell] != kNone) {
+      // The entry at `cell` may fill the hole only if its home does not lie
+      // cyclically in (hole, cell].
+      const size_t home = slots[index[cell]].hash_hi & mask;
+      if (((cell - home) & mask) >= ((cell - hole) & mask)) {
+        index[hole] = index[cell];
+        hole = cell;
+      }
+      cell = (cell + 1) & mask;
+    }
+    index[hole] = kNone;
+  }
+
+  void Unlink(uint32_t id) RNE_REQUIRES(mu) {
+    const Slot& slot = slots[id];
+    (slot.prev == kNone ? head : slots[slot.prev].next) = slot.next;
+    (slot.next == kNone ? tail : slots[slot.next].prev) = slot.prev;
+  }
+
+  void PushFront(uint32_t id) RNE_REQUIRES(mu) {
+    slots[id].prev = kNone;
+    slots[id].next = head;
+    (head == kNone ? tail : slots[head].prev) = id;
+    head = id;
+  }
+
+  void Touch(uint32_t id) RNE_REQUIRES(mu) {
+    if (head == id) return;
+    Unlink(id);
+    PushFront(id);
+  }
+
+  mutable Mutex mu;
+  /// Sized once; slots [0, size) are live.
+  std::vector<Slot> slots RNE_GUARDED_BY(mu);
+  /// Open-addressed slot ids, kNone = empty; at least twice `slots`.
+  std::vector<uint32_t> index RNE_GUARDED_BY(mu);
+  uint32_t size RNE_GUARDED_BY(mu) = 0;
+  uint32_t head RNE_GUARDED_BY(mu) = kNone;  // most recently used
+  uint32_t tail RNE_GUARDED_BY(mu) = kNone;  // eviction victim
+  uint64_t hits RNE_GUARDED_BY(mu) = 0;
+  uint64_t misses RNE_GUARDED_BY(mu) = 0;
+  uint64_t insertions RNE_GUARDED_BY(mu) = 0;
+  uint64_t evictions RNE_GUARDED_BY(mu) = 0;
+};
+
+namespace {
+
+/// Hashes every request once and groups the indices by shard with a stable
+/// counting sort.
+BatchPlan& PlanBatch(std::span<const Request> requests, uint64_t generation,
+                     size_t num_shards) {
+  thread_local BatchPlan plan;
+  const size_t mask = num_shards - 1;
+  plan.hash.resize(requests.size());
+  plan.order.resize(requests.size());
+  plan.begin.assign(num_shards + 1, 0);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    plan.hash[i] = HashKey(MakeKey(requests[i], generation));
+    ++plan.begin[(plan.hash[i] & mask) + 1];
+  }
+  for (size_t i = 0; i < num_shards; ++i) plan.begin[i + 1] += plan.begin[i];
+  // Fill each shard's run from its start; `begin` then holds the run ends,
+  // which shift back into starts below.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    plan.order[plan.begin[plan.hash[i] & mask]++] = i;
+  }
+  for (size_t i = num_shards; i > 0; --i) plan.begin[i] = plan.begin[i - 1];
+  plan.begin[0] = 0;
+  return plan;
 }
 
 }  // namespace
@@ -41,109 +212,126 @@ std::string CacheStats::ToJson() const {
   return buf;
 }
 
-size_t ResultCache::KeyHash::operator()(const Key& key) const {
-  uint64_t h = Mix64(key.generation ^ (static_cast<uint64_t>(key.kind) << 62));
-  h = Mix64(h ^ (static_cast<uint64_t>(key.s) << 32) ^ key.tk);
-  return static_cast<size_t>(h);
-}
-
 ResultCache::ResultCache(const ResultCacheOptions& options)
     : cache_fallback_(options.cache_fallback) {
   const size_t shards = RoundUpPow2(std::max<size_t>(1, options.num_shards));
   capacity_ = std::max<size_t>(1, options.capacity);
-  per_shard_capacity_ = std::max<size_t>(1, capacity_ / shards);
+  // Slot ids are uint32_t with kNone reserved.
+  const size_t per_shard =
+      std::min(std::max<size_t>(1, capacity_ / shards), size_t{1} << 31);
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(per_shard));
   }
 }
 
-ResultCache::Key ResultCache::MakeKey(const Request& request,
-                                      uint64_t generation) {
-  Key key;
-  key.generation = generation;
-  key.kind = static_cast<uint32_t>(request.kind);
-  key.s = request.s;
-  key.tk = request.kind == RequestKind::kDistance
-               ? static_cast<uint64_t>(request.t)
-               : static_cast<uint64_t>(request.k);
-  return key;
-}
+ResultCache::~ResultCache() = default;
 
-ResultCache::Shard& ResultCache::ShardFor(const Key& key) {
-  // shards_.size() is a power of two, so the mask keeps every hash bit fair.
-  return *shards_[KeyHash()(key) & (shards_.size() - 1)];
-}
-
-bool ResultCache::Lookup(const Request& request, Response* out) {
-  const Key key = MakeKey(request, generation());
-  Shard& shard = ShardFor(key);
-  {
+size_t ResultCache::LookupBatch(std::span<const Request> requests,
+                                std::span<Response> out) {
+  const uint64_t generation = this->generation();
+  const BatchPlan& plan = PlanBatch(requests, generation, shards_.size());
+  size_t hits = 0;
+  for (size_t sh = 0; sh < shards_.size(); ++sh) {
+    const size_t first = plan.begin[sh];
+    const size_t last = plan.begin[sh + 1];
+    if (first == last) continue;
+    Shard& shard = *shards_[sh];
     MutexLock lock(&shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      // Refresh recency: move the entry to the front of the shard's list.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      const Value& value = it->second->second;
-      out->status = Status::Ok();
-      out->distance = value.distance;
-      out->knn = value.knn;
-      out->backend = value.backend;
-      out->exact = value.exact;
-      out->fell_back = false;
-      out->cached = true;
-      out->latency_ns = 0;
-      hits_.Add(1);
-      RNE_COUNTER_ADD("serve.cache.hits", 1);
-      return true;
+    // After an Invalidate() the batch's keys are retired: all miss.
+    const bool live = this->generation() == generation;
+    size_t shard_hits = 0;
+    for (size_t j = first; j < last; ++j) {
+      const size_t i = plan.order[j];
+      const Key key = MakeKey(requests[i], generation);
+      const uint32_t hash_hi = HighHash(plan.hash[i]);
+      const uint32_t id = live ? shard.Find(key, hash_hi) : kNone;
+      Response& response = out[i];
+      if (id == kNone) {
+        response.cached = false;
+        continue;
+      }
+      shard.Touch(id);
+      const Slot& slot = shard.slots[id];
+      response.status = Status::Ok();
+      response.distance = slot.distance;
+      response.knn = slot.knn;
+      response.backend = slot.backend;
+      response.exact = slot.exact;
+      response.fell_back = false;
+      response.cached = true;
+      response.latency_ns = 0;
+      ++shard_hits;
     }
+    shard.hits += shard_hits;
+    shard.misses += (last - first) - shard_hits;
+    hits += shard_hits;
   }
-  misses_.Add(1);
-  RNE_COUNTER_ADD("serve.cache.misses", 1);
-  return false;
+  if (hits > 0) RNE_COUNTER_ADD("serve.cache.hits", hits);
+  if (hits < requests.size()) {
+    RNE_COUNTER_ADD("serve.cache.misses", requests.size() - hits);
+  }
+  return hits;
 }
 
-void ResultCache::Insert(const Request& request, const Response& response,
-                         uint64_t generation) {
-  if (!response.status.ok()) return;
-  if (response.fell_back && !cache_fallback_) return;
+void ResultCache::InsertBatch(std::span<const Request> requests,
+                              std::span<const Response> responses,
+                              uint64_t generation) {
   // Keying by the caller's generation is what keeps a stale answer
   // unreachable; skipping it here only avoids storing a dead entry.
   if (generation != this->generation()) return;
-  const Key key = MakeKey(request, generation);
-  Shard& shard = ShardFor(key);
-  int64_t delta = 0;
+  const BatchPlan& plan = PlanBatch(requests, generation, shards_.size());
+  uint64_t inserted = 0;
   uint64_t evicted = 0;
-  {
+  int64_t delta = 0;
+  for (size_t sh = 0; sh < shards_.size(); ++sh) {
+    const size_t first = plan.begin[sh];
+    const size_t last = plan.begin[sh + 1];
+    if (first == last) continue;
+    Shard& shard = *shards_[sh];
     MutexLock lock(&shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      // Refresh an existing entry in place (a concurrent miss on the same
-      // key raced us here); value content is identical by construction.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else {
-      if (shard.lru.size() >= per_shard_capacity_) {
-        shard.map.erase(shard.lru.back().first);
-        shard.lru.pop_back();
-        ++evicted;
-        --delta;
+    // Checked under the lock: Invalidate() bumps the generation before it
+    // resets this shard, so an answer either lands before the reset (and
+    // is wiped) or sees the bump here (and is dropped).
+    if (this->generation() != generation) continue;
+    for (size_t j = first; j < last; ++j) {
+      const size_t i = plan.order[j];
+      const Response& response = responses[i];
+      if (!Storable(response, cache_fallback_)) continue;
+      ++inserted;
+      ++shard.insertions;
+      const Key key = MakeKey(requests[i], generation);
+      const uint32_t hash_hi = HighHash(plan.hash[i]);
+      uint32_t id = shard.Find(key, hash_hi);
+      if (id != kNone) {
+        // Refresh an existing entry in place (a concurrent miss on the same
+        // key raced us here); value content is identical by construction.
+        shard.Touch(id);
+        continue;
       }
-      Value value;
-      value.distance = response.distance;
-      value.knn = response.knn;
-      value.backend = response.backend;
-      value.exact = response.exact;
-      shard.lru.emplace_front(key, std::move(value));
-      shard.map.emplace(key, shard.lru.begin());
-      ++delta;
+      if (shard.size < shard.slots.size()) {
+        id = shard.size++;
+        ++delta;
+      } else {
+        id = shard.tail;
+        shard.IndexErase(id);
+        shard.Unlink(id);
+        ++shard.evictions;
+        ++evicted;
+      }
+      Slot& slot = shard.slots[id];
+      slot.key = key;
+      slot.hash_hi = hash_hi;
+      slot.distance = response.distance;
+      slot.knn.assign(response.knn.begin(), response.knn.end());
+      slot.backend = response.backend;
+      slot.exact = response.exact;
+      shard.IndexInsert(id);
+      shard.PushFront(id);
     }
   }
-  insertions_.Add(1);
-  RNE_COUNTER_ADD("serve.cache.insertions", 1);
-  if (evicted > 0) {
-    evictions_.Add(evicted);
-    RNE_COUNTER_ADD("serve.cache.evictions", evicted);
-  }
+  if (inserted > 0) RNE_COUNTER_ADD("serve.cache.insertions", inserted);
+  if (evicted > 0) RNE_COUNTER_ADD("serve.cache.evictions", evicted);
   if (delta != 0) {
     const int64_t entries =
         entries_.fetch_add(delta, std::memory_order_relaxed) + delta;
@@ -153,15 +341,17 @@ void ResultCache::Insert(const Request& request, const Response& response,
 
 void ResultCache::Invalidate() {
   // The bump alone retires every live entry (their keys can no longer be
-  // produced by MakeKey); the eager clear just releases the memory now
-  // instead of one eviction at a time.
+  // produced); the reset frees the slots for reuse now instead of one
+  // eviction at a time. Slot vectors keep their capacity.
   generation_.fetch_add(1, std::memory_order_acq_rel);
   int64_t removed = 0;
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    removed += static_cast<int64_t>(shard->lru.size());
-    shard->map.clear();
-    shard->lru.clear();
+    removed += shard->size;
+    shard->size = 0;
+    shard->head = kNone;
+    shard->tail = kNone;
+    std::fill(shard->index.begin(), shard->index.end(), kNone);
   }
   invalidations_.Add(1);
   RNE_COUNTER_ADD("serve.cache.invalidations", 1);
@@ -172,14 +362,16 @@ void ResultCache::Invalidate() {
 
 CacheStats ResultCache::Stats() const {
   CacheStats stats;
-  stats.hits = hits_.Value();
-  stats.misses = misses_.Value();
-  stats.insertions = insertions_.Value();
-  stats.evictions = evictions_.Value();
+  for (const auto& shard : shards_) {
+    MutexLock lock(&shard->mu);
+    stats.hits += shard->hits;
+    stats.misses += shard->misses;
+    stats.insertions += shard->insertions;
+    stats.evictions += shard->evictions;
+    stats.entries += shard->size;
+  }
   stats.invalidations = invalidations_.Value();
   stats.generation = generation_.load(std::memory_order_acquire);
-  stats.entries =
-      static_cast<size_t>(std::max<int64_t>(0, entries_.load()));
   stats.capacity = capacity_;
   stats.shards = shards_.size();
   const double looked_up = static_cast<double>(stats.hits + stats.misses);
@@ -195,31 +387,43 @@ Status CachedEngine::QueryBatch(std::span<const Request> requests,
   // this generation, so if a RELOAD invalidates while the engine computes
   // them on the old model, they land under a retired key.
   const uint64_t generation = cache_->generation();
-  out->clear();
   out->resize(requests.size());
-  std::vector<Request> misses;
-  std::vector<size_t> miss_index;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (!cache_->Lookup(requests[i], &(*out)[i])) {
-      misses.push_back(requests[i]);
-      miss_index.push_back(i);
-    }
+  const size_t hits = cache_->LookupBatch(requests, *out);
+  if (hits == requests.size()) return Status::Ok();
+  if (hits == 0) {
+    const Status admitted = engine_->QueryBatch(requests, out);
+    if (admitted.ok()) cache_->InsertBatch(requests, *out, generation);
+    return admitted;
   }
-  if (misses.empty()) return Status::Ok();
-  std::vector<Response> miss_out;
-  const Status admitted = engine_->QueryBatch(misses, &miss_out);
+  // Mixed batch: the misses go to the engine as one smaller batch, through
+  // per-thread scratch so a warm thread allocates nothing here.
+  struct Misses {
+    std::vector<Request> requests;
+    std::vector<size_t> index;
+    std::vector<Response> responses;
+  };
+  thread_local Misses misses;
+  misses.requests.clear();
+  misses.index.clear();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if ((*out)[i].cached) continue;
+    misses.requests.push_back(requests[i]);
+    misses.index.push_back(i);
+  }
+  const Status admitted =
+      engine_->QueryBatch(misses.requests, &misses.responses);
   if (!admitted.ok()) {
-    if (miss_index.size() == requests.size()) return admitted;
     // Partial service: the hits already answered, so reject only the
     // misses (per-response) instead of failing the whole batch.
-    for (const size_t i : miss_index) {
+    for (const size_t i : misses.index) {
+      (*out)[i] = Response();
       (*out)[i].status = admitted;
     }
     return Status::Ok();
   }
-  for (size_t m = 0; m < miss_index.size(); ++m) {
-    cache_->Insert(misses[m], miss_out[m], generation);
-    (*out)[miss_index[m]] = std::move(miss_out[m]);
+  cache_->InsertBatch(misses.requests, misses.responses, generation);
+  for (size_t m = 0; m < misses.index.size(); ++m) {
+    (*out)[misses.index[m]] = std::move(misses.responses[m]);
   }
   return Status::Ok();
 }

@@ -3,24 +3,37 @@
 // QueryEngine (DESIGN.md §13).
 //
 // Road-network query streams are heavily skewed, so a small cache absorbs
-// most of the offered load. Design:
+// most of the offered load; on a uniform stream it almost only misses, so
+// a miss must cost tens of nanoseconds, not a heap round trip. Design:
 //
-//   * Shards — a power-of-two number of independent LRU maps, each behind
-//     its own annotated rne::Mutex; a key's shard is picked from its hash,
-//     so concurrent serving threads contend only when they hit the same
-//     shard.
+//   * Shards — a power-of-two number of independent exact-LRU tables, each
+//     behind its own annotated rne::Mutex; a key's shard is picked from its
+//     hash, so concurrent serving threads contend only when they hit the
+//     same shard.
+//   * Flat slots — each shard allocates its slot array once, at
+//     construction (capacity x slot bytes). Recency is an intrusive doubly
+//     linked list of uint32_t slot ids; keys are found through an
+//     open-addressed uint32_t index (linear probing, backward-shift
+//     deletion, load <= 0.5). Storing a distance allocates nothing; a kNN
+//     list lives in the slot's vector, whose capacity is reused when the
+//     slot is overwritten.
+//   * Batches — LookupBatch / InsertBatch hash every key once and take each
+//     shard's lock once per batch, handling that shard's requests in batch
+//     order, so the result equals one-at-a-time calls. Lookup and Insert
+//     are one-element batches.
 //   * Key — (generation, kind, s, t|k). `generation` is a cache-wide
 //     atomic bumped by Invalidate(): after a ModelManager hot swap every
-//     pre-swap entry becomes unreachable in O(1), so a RELOAD can never
-//     serve a stale distance. Invalidate() also eagerly clears the shards
-//     to release memory.
+//     pre-swap entry becomes unreachable, so a RELOAD can never serve a
+//     stale distance. The batch re-checks it under each shard lock, and
+//     Invalidate() also resets every shard's index and list.
 //   * Values — the answer exactly as the engine produced it (distance or
 //     kNN list, answering backend, exactness), so a cache hit is
 //     bit-identical to the uncached answer (pinned by the differential
 //     harness).
-//   * Metrics — hit/miss/insert/evict/invalidation counters plus an
-//     occupancy gauge, mirrored into the global registry under
-//     "serve.cache.*".
+//   * Metrics — hits, misses, insertions, evictions and size are plain
+//     integers in each shard, under its lock; Stats() sums them. Each batch
+//     mirrors its totals into the global registry under "serve.cache.*"
+//     once.
 //
 // CachedEngine composes a ResultCache in front of a QueryEngine: hits are
 // answered locally, misses go to the engine as one (smaller) batch, and OK
@@ -32,17 +45,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "serve/query_engine.h"
-#include "util/annotations.h"
 
 namespace rne::serve {
 
@@ -76,26 +85,44 @@ struct CacheStats {
 class ResultCache {
  public:
   explicit ResultCache(const ResultCacheOptions& options = {});
+  ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// On hit, fills `*out` with the cached answer (status OK, cached=true)
-  /// and refreshes the entry's LRU position. Thread-safe.
-  bool Lookup(const Request& request, Response* out);
+  /// Looks up every request under one generation. Sets out[i].cached to
+  /// whether request i hit; a hit also fills out[i] with the cached answer
+  /// (status OK, fell_back false, latency 0) and refreshes the entry's LRU
+  /// position, while a miss leaves the rest of out[i] untouched. Returns
+  /// the number of hits. `out` has one element per request. Thread-safe.
+  size_t LookupBatch(std::span<const Request> requests,
+                     std::span<Response> out);
 
-  /// Stores an OK response computed under cache generation `generation`
-  /// (read before the engine call that produced it), evicting the
-  /// least-recently-used entry of the key's shard at capacity. An answer
-  /// whose generation was retired by Invalidate() meanwhile is dropped: it
-  /// may come from the pre-swap model. Failed responses are never stored;
-  /// fallback responses only when options.cache_fallback. Thread-safe.
+  /// Stores responses[i] for requests[i], computed under cache generation
+  /// `generation` (read before the engine call that produced them),
+  /// evicting the least-recently-used entry of the key's shard at
+  /// capacity. Answers whose generation was retired by Invalidate()
+  /// meanwhile are dropped: they may come from the pre-swap model. Failed
+  /// responses are never stored; fallback responses only when
+  /// options.cache_fallback. Re-inserting a present key refreshes its LRU
+  /// position and keeps the stored value. Thread-safe.
+  void InsertBatch(std::span<const Request> requests,
+                   std::span<const Response> responses, uint64_t generation);
+
+  /// One-element LookupBatch: true on a hit.
+  bool Lookup(const Request& request, Response* out) {
+    return LookupBatch({&request, 1}, {out, 1}) == 1;
+  }
+
+  /// One-element InsertBatch.
   void Insert(const Request& request, const Response& response,
-              uint64_t generation);
+              uint64_t generation) {
+    InsertBatch({&request, 1}, {&response, 1}, generation);
+  }
 
-  /// O(1) wholesale invalidation: bumps the generation (pre-bump keys can
-  /// no longer match) and eagerly clears every shard. Called on ModelManager
-  /// hot swap. Thread-safe.
+  /// Wholesale invalidation: bumps the generation (pre-bump keys can no
+  /// longer match) and resets every shard's index and recency list. Called
+  /// on ModelManager hot swap. Thread-safe.
   void Invalidate();
 
   CacheStats Stats() const;
@@ -107,52 +134,15 @@ class ResultCache {
   size_t capacity() const { return capacity_; }
 
  private:
-  struct Key {
-    uint64_t generation = 0;
-    uint32_t kind = 0;  // RequestKind as int
-    VertexId s = 0;
-    uint64_t tk = 0;  // t for distance, k for kNN
-
-    bool operator==(const Key& other) const = default;
-  };
-
-  struct KeyHash {
-    size_t operator()(const Key& key) const;
-  };
-
-  /// The cached slice of a Response (everything deterministic about the
-  /// answer; latency and fallback flags are per-serving-moment).
-  struct Value {
-    double distance = 0.0;
-    std::vector<std::pair<VertexId, double>> knn;
-    std::string backend;
-    bool exact = false;
-  };
-
-  using LruList = std::list<std::pair<Key, Value>>;
-
-  struct alignas(64) Shard {
-    mutable Mutex mu;
-    /// Front = most recently used.
-    LruList lru RNE_GUARDED_BY(mu);
-    std::unordered_map<Key, LruList::iterator, KeyHash> map
-        RNE_GUARDED_BY(mu);
-  };
-
-  static Key MakeKey(const Request& request, uint64_t generation);
-  Shard& ShardFor(const Key& key);
+  struct Shard;  // result_cache.cc
 
   size_t capacity_ = 0;
-  size_t per_shard_capacity_ = 0;
   const bool cache_fallback_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> generation_{0};
-
-  obs::Counter hits_;
-  obs::Counter misses_;
-  obs::Counter insertions_;
-  obs::Counter evictions_;
   obs::Counter invalidations_;
+  /// Entry total behind the serve.cache.entries gauge, moved once per batch
+  /// that changes it (Stats() sums the shards instead).
   std::atomic<int64_t> entries_{0};
 };
 

@@ -5,8 +5,8 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -47,7 +47,89 @@ void PrintResponse(const Request& request, const Response& response,
   out->push_back('\n');
 }
 
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+size_t SkipSpace(std::string_view line, size_t pos) {
+  while (pos < line.size() && IsSpace(line[pos])) ++pos;
+  return pos;
+}
+
+/// The next run of non-space characters from `*pos` (empty at the end).
+std::string_view NextToken(std::string_view line, size_t* pos) {
+  const size_t start = SkipSpace(line, *pos);
+  size_t end = start;
+  while (end < line.size() && !IsSpace(line[end])) ++end;
+  *pos = end;
+  return line.substr(start, end - start);
+}
+
+/// Reads a non-negative decimal at `*pos` as `istream >> long long` would
+/// accept it: spaces, an optional sign, digits up to the first non-digit.
+/// A negative value other than zero counts as a failure here, since every
+/// protocol field rejects it.
+bool ReadCount(std::string_view line, size_t* pos, uint64_t* value) {
+  const char* p = line.data() + SkipSpace(line, *pos);
+  const char* const end = line.data() + line.size();
+  bool negative = false;
+  if (p != end && (*p == '+' || *p == '-')) {
+    negative = *p == '-';
+    ++p;
+  }
+  uint64_t v = 0;
+  const auto [next, ec] = std::from_chars(p, end, v);
+  if (ec != std::errc()) return false;
+  if (v > static_cast<uint64_t>(std::numeric_limits<long long>::max())) {
+    return false;
+  }
+  if (negative && v != 0) return false;
+  *pos = static_cast<size_t>(next - line.data());
+  *value = v;
+  return true;
+}
+
 }  // namespace
+
+void ParseRequestLine(std::string_view line, ParsedLine* out) {
+  using Kind = ParsedLine::Kind;
+  // Ids are parsed into a wider type and range-checked before the narrowing
+  // cast: without the check, "QUERY 4294967296 0" would silently alias
+  // vertex 0 (found by the protocol fuzzer).
+  constexpr uint64_t kMaxId = std::numeric_limits<VertexId>::max();
+  size_t pos = 0;
+  out->verb = NextToken(line, &pos);
+  out->argument = {};
+  out->request = Request();
+  uint64_t s = 0;
+  uint64_t second = 0;
+  if (out->verb == "QUERY") {
+    out->request.kind = RequestKind::kDistance;
+    out->kind = Kind::kUsageError;
+    if (!ReadCount(line, &pos, &s) || !ReadCount(line, &pos, &second)) return;
+    if (s > kMaxId || second > kMaxId) return;
+    out->kind = Kind::kRequest;
+    out->request.s = static_cast<VertexId>(s);
+    out->request.t = static_cast<VertexId>(second);
+  } else if (out->verb == "KNN") {
+    out->request.kind = RequestKind::kKnn;
+    out->kind = Kind::kUsageError;
+    if (!ReadCount(line, &pos, &s) || !ReadCount(line, &pos, &second)) return;
+    if (s > kMaxId) return;
+    out->kind = Kind::kRequest;
+    out->request.s = static_cast<VertexId>(s);
+    out->request.k = static_cast<size_t>(second);
+  } else if (out->verb.empty()) {
+    out->kind = Kind::kBlank;
+  } else if (out->verb == "STATS") {
+    out->kind = Kind::kStats;
+  } else if (out->verb == "METRICS") {
+    out->kind = Kind::kMetrics;
+  } else if (out->verb == "RELOAD") {
+    out->kind = Kind::kReload;
+    out->argument = NextToken(line, &pos);
+  } else {
+    out->kind = Kind::kUnknownVerb;
+  }
+}
 
 void AppendDistance(double value, std::string* out) {
   // Sign, DBL_MAX's 309 integer digits, the point and two decimals: every
@@ -68,8 +150,7 @@ LineProtocolHandler::LineProtocolHandler(QueryEngine& engine,
 
 void LineProtocolHandler::Flush(std::string* out) {
   if (pending_.empty()) return;
-  std::vector<Response> responses;
-  const Status admitted = cached_.QueryBatch(pending_, &responses);
+  const Status admitted = cached_.QueryBatch(pending_, &responses_);
   if (!admitted.ok()) {
     for (size_t i = 0; i < pending_.size(); ++i) {
       out->append("ERR ");
@@ -78,7 +159,7 @@ void LineProtocolHandler::Flush(std::string* out) {
     }
   } else {
     for (size_t i = 0; i < pending_.size(); ++i) {
-      PrintResponse(pending_[i], responses[i], out);
+      PrintResponse(pending_[i], responses_[i], out);
     }
   }
   pending_.clear();
@@ -124,93 +205,76 @@ void LineProtocolHandler::AppendStats(std::string* out) {
 }
 
 void LineProtocolHandler::HandleLine(std::string_view line, std::string* out) {
-  std::istringstream parser{std::string(line)};
-  std::string verb;
-  parser >> verb;
-  if (verb.empty()) return;
+  using Kind = ParsedLine::Kind;
+  ParsedLine parsed;
+  ParseRequestLine(line, &parsed);
+  if (parsed.kind == Kind::kBlank) return;
   ++lines_;
-  if (verb == "STATS") {
-    Flush(out);
-    AppendStats(out);
+  if (parsed.kind == Kind::kRequest) {
+    pending_.push_back(parsed.request);
+    const size_t batch = options_.batch == 0 ? 1 : options_.batch;
+    if (pending_.size() >= batch) Flush(out);
     return;
   }
-  if (verb == "METRICS") {
-    Flush(out);
-    out->append("METRICS ");
-    out->append(obs::MetricsRegistry::Global().ToJson());
+  // Every other line answers at once: flush first to keep answers in
+  // request order.
+  Flush(out);
+  switch (parsed.kind) {
+    case Kind::kUsageError:
+      if (parsed.request.kind == RequestKind::kDistance) {
+        out->append("ERR INVALID_ARGUMENT: usage: QUERY <s> <t>\n");
+      } else {
+        out->append("ERR INVALID_ARGUMENT: usage: KNN <s> <k>\n");
+      }
+      return;
+    case Kind::kStats:
+      AppendStats(out);
+      return;
+    case Kind::kMetrics:
+      out->append("METRICS ");
+      out->append(obs::MetricsRegistry::Global().ToJson());
+      out->push_back('\n');
+      return;
+    case Kind::kReload:
+      // The flush above also means no buffered request can straddle the
+      // swap ambiguously (each in-flight query still pins its snapshot;
+      // ordering here is for the protocol transcript).
+      Reload(parsed.argument, out);
+      return;
+    default:
+      out->append("ERR INVALID_ARGUMENT: unknown verb '");
+      out->append(parsed.verb);
+      out->append("'\n");
+      return;
+  }
+}
+
+void LineProtocolHandler::Reload(std::string_view path, std::string* out) {
+  if (options_.model_manager == nullptr) {
+    out->append(
+        "ERR FAILED_PRECONDITION: no model manager attached "
+        "(start rne_server with --model)\n");
+    return;
+  }
+  ModelManager& manager = *options_.model_manager;
+  const Status swapped =
+      path.empty() ? manager.Reload() : manager.Load(std::string(path));
+  if (!swapped.ok()) {
+    out->append("ERR ");
+    out->append(swapped.ToString());
     out->push_back('\n');
     return;
   }
-  if (verb == "RELOAD") {
-    // Flush first so answers stay ordered AND no buffered request can
-    // straddle the swap ambiguously (each in-flight query still pins its
-    // snapshot; ordering here is for the protocol transcript).
-    Flush(out);
-    if (options_.model_manager == nullptr) {
-      out->append(
-          "ERR FAILED_PRECONDITION: no model manager attached "
-          "(start rne_server with --model)\n");
-      return;
-    }
-    std::string path;
-    parser >> path;
-    const Status swapped = path.empty() ? options_.model_manager->Reload()
-                                        : options_.model_manager->Load(path);
-    if (swapped.ok()) {
-      // The publish listener wired at startup already invalidated the
-      // cache; repeating it here keeps handlers correct even when the
-      // manager was attached without the listener (tests, embedders).
-      if (options_.cache != nullptr) options_.cache->Invalidate();
-      const auto snapshot = options_.model_manager->Current();
-      out->append("RELOAD OK version=");
-      out->append(std::to_string(snapshot->version));
-      out->append(" vertices=");
-      out->append(std::to_string(snapshot->model->NumVertices()));
-      out->push_back('\n');
-    } else {
-      out->append("ERR ");
-      out->append(swapped.ToString());
-      out->push_back('\n');
-    }
-    return;
-  }
-  // Ids are parsed into a wider type and range-checked before the narrowing
-  // cast: without the check, "QUERY 4294967296 0" would silently alias
-  // vertex 0 (found by the protocol fuzzer).
-  constexpr long long kMaxId = std::numeric_limits<VertexId>::max();
-  Request request;
-  if (verb == "QUERY") {
-    long long s = -1, t = -1;
-    parser >> s >> t;
-    if (parser.fail() || s < 0 || t < 0 || s > kMaxId || t > kMaxId) {
-      Flush(out);  // keep answers in request order
-      out->append("ERR INVALID_ARGUMENT: usage: QUERY <s> <t>\n");
-      return;
-    }
-    request.kind = RequestKind::kDistance;
-    request.s = static_cast<VertexId>(s);
-    request.t = static_cast<VertexId>(t);
-  } else if (verb == "KNN") {
-    long long s = -1, k = -1;
-    parser >> s >> k;
-    if (parser.fail() || s < 0 || k < 0 || s > kMaxId) {
-      Flush(out);
-      out->append("ERR INVALID_ARGUMENT: usage: KNN <s> <k>\n");
-      return;
-    }
-    request.kind = RequestKind::kKnn;
-    request.s = static_cast<VertexId>(s);
-    request.k = static_cast<size_t>(k);
-  } else {
-    Flush(out);
-    out->append("ERR INVALID_ARGUMENT: unknown verb '");
-    out->append(verb);
-    out->append("'\n");
-    return;
-  }
-  pending_.push_back(request);
-  const size_t batch = options_.batch == 0 ? 1 : options_.batch;
-  if (pending_.size() >= batch) Flush(out);
+  // The publish listener wired at startup already invalidated the cache;
+  // repeating it here keeps handlers correct even when the manager was
+  // attached without the listener (tests, embedders).
+  if (options_.cache != nullptr) options_.cache->Invalidate();
+  const auto snapshot = manager.Current();
+  out->append("RELOAD OK version=");
+  out->append(std::to_string(snapshot->version));
+  out->append(" vertices=");
+  out->append(std::to_string(snapshot->model->NumVertices()));
+  out->push_back('\n');
 }
 
 bool LineProtocolHandler::Consume(std::string_view bytes, std::string* out) {

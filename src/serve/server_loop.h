@@ -67,6 +67,43 @@ struct ServerLoopOptions {
   size_t max_line_bytes = 64 * 1024;
 };
 
+/// One protocol line as LineProtocolHandler reads it. The views point into
+/// the parsed line.
+struct ParsedLine {
+  enum class Kind {
+    /// Empty or whitespace only: ignored, not counted.
+    kBlank,
+    /// QUERY or KNN with valid arguments, in `request`.
+    kRequest,
+    /// QUERY or KNN with missing, malformed or out-of-range arguments;
+    /// `request.kind` says which verb.
+    kUsageError,
+    kStats,
+    kMetrics,
+    /// `argument` is the path, empty for none.
+    kReload,
+    /// `verb` holds the token as written.
+    kUnknownVerb,
+  };
+  Kind kind = Kind::kBlank;
+  /// The first token.
+  std::string_view verb;
+  /// RELOAD's path token.
+  std::string_view argument;
+  Request request;
+};
+
+/// Parses one protocol line (no trailing newline) without allocating, with
+/// the verdicts of `std::istringstream >> std::string >> long long` in the
+/// C locale:
+///   * tokens are separated by the C isspace set; verbs are case-sensitive;
+///   * a number is decimal with an optional '+' or '-' and ends at the
+///     first non-digit, so "QUERY 1 2x" reads t = 2, while "QUERY 1x 2"
+///     fails at 'x'; text after the last token needed is ignored;
+///   * overflow of long long, a negative value ("-0" is 0), or an id above
+///     VertexId's range is a usage error; k has no upper bound.
+void ParseRequestLine(std::string_view line, ParsedLine* out);
+
 /// One protocol conversation: feed it lines, collect output bytes. Not
 /// thread-safe — each connection (or stream) owns its handler and calls it
 /// from one thread at a time.
@@ -119,11 +156,14 @@ class LineProtocolHandler {
 
  private:
   void AppendStats(std::string* out);
+  void Reload(std::string_view path, std::string* out);
 
   QueryEngine& engine_;
   const ServerLoopOptions options_;
   CachedEngine cached_;
   std::vector<Request> pending_;
+  /// Flush()'s answers, reused across flushes.
+  std::vector<Response> responses_;
   /// Bytes received by Consume() but not yet terminated by '\n'.
   std::string buffer_;
   size_t lines_ = 0;

@@ -3,15 +3,21 @@
 // (run under TSan in CI), generation-bump invalidation, and the hot-swap
 // contract — after a ModelManager publish a RELOAD can never serve a stale
 // cached distance, pinned here by poisoning the cache and watching the swap
-// flush it.
+// flush it. A reference-model differential replays a seeded random call
+// sequence against the std::list + std::unordered_map cache the flat shards
+// replaced.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <future>
+#include <list>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/rne.h"
@@ -267,6 +273,301 @@ TEST(CachedEngineRaceTest, AnswerComputedAcrossAnInvalidateIsNotCached) {
   EXPECT_FALSE(cache.Lookup(probe, &out))
       << "a pre-swap answer must be unreachable after Invalidate()";
   EXPECT_EQ(cache.Stats().entries, 0u);
+}
+
+// The node-based cache the flat shards replaced, kept as the oracle: same
+// hash, shard choice, per-shard capacity, refresh-keeps-value and counting
+// rules, one call at a time. Single-threaded, so no locks.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const ResultCacheOptions& options)
+      : cache_fallback_(options.cache_fallback) {
+    size_t shards = 1;
+    while (shards < std::max<size_t>(1, options.num_shards)) shards <<= 1;
+    capacity_ = std::max<size_t>(1, options.capacity);
+    per_shard_capacity_ = std::max<size_t>(1, capacity_ / shards);
+    shards_.resize(shards);
+  }
+
+  bool Lookup(const Request& request, Response* out) {
+    const Key key = MakeKey(request, generation_);
+    Shard& shard = ShardFor(key);
+    auto it = shard.map.find(key);
+    if (it == shard.map.end()) {
+      ++misses_;
+      return false;
+    }
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    const Value& value = it->second->second;
+    out->status = Status::Ok();
+    out->distance = value.distance;
+    out->knn = value.knn;
+    out->backend = value.backend;
+    out->exact = value.exact;
+    out->fell_back = false;
+    out->cached = true;
+    out->latency_ns = 0;
+    ++hits_;
+    return true;
+  }
+
+  void Insert(const Request& request, const Response& response,
+              uint64_t generation) {
+    if (!response.status.ok()) return;
+    if (response.fell_back && !cache_fallback_) return;
+    if (generation != generation_) return;
+    const Key key = MakeKey(request, generation);
+    Shard& shard = ShardFor(key);
+    auto it = shard.map.find(key);
+    if (it != shard.map.end()) {
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    } else {
+      if (shard.lru.size() >= per_shard_capacity_) {
+        shard.map.erase(shard.lru.back().first);
+        shard.lru.pop_back();
+        ++evictions_;
+        --entries_;
+      }
+      Value value;
+      value.distance = response.distance;
+      value.knn = response.knn;
+      value.backend = response.backend;
+      value.exact = response.exact;
+      shard.lru.emplace_front(key, std::move(value));
+      shard.map.emplace(key, shard.lru.begin());
+      ++entries_;
+    }
+    ++insertions_;
+  }
+
+  void Invalidate() {
+    ++generation_;
+    for (Shard& shard : shards_) {
+      entries_ -= shard.lru.size();
+      shard.map.clear();
+      shard.lru.clear();
+    }
+    ++invalidations_;
+  }
+
+  CacheStats Stats() const {
+    CacheStats stats;
+    stats.hits = hits_;
+    stats.misses = misses_;
+    stats.insertions = insertions_;
+    stats.evictions = evictions_;
+    stats.invalidations = invalidations_;
+    stats.generation = generation_;
+    stats.entries = entries_;
+    stats.capacity = capacity_;
+    stats.shards = shards_.size();
+    const double looked_up = static_cast<double>(hits_ + misses_);
+    stats.hit_rate =
+        looked_up > 0.0 ? static_cast<double>(hits_) / looked_up : 0.0;
+    return stats;
+  }
+
+  uint64_t generation() const { return generation_; }
+
+ private:
+  struct Key {
+    uint64_t generation = 0;
+    uint32_t kind = 0;
+    VertexId s = 0;
+    uint64_t tk = 0;
+    bool operator==(const Key& other) const = default;
+  };
+  static uint64_t Mix64(uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+  struct KeyHash {
+    size_t operator()(const Key& key) const {
+      uint64_t h =
+          Mix64(key.generation ^ (static_cast<uint64_t>(key.kind) << 62));
+      h = Mix64(h ^ (static_cast<uint64_t>(key.s) << 32) ^ key.tk);
+      return static_cast<size_t>(h);
+    }
+  };
+  struct Value {
+    double distance = 0.0;
+    std::vector<std::pair<VertexId, double>> knn;
+    std::string backend;
+    bool exact = false;
+  };
+  using LruList = std::list<std::pair<Key, Value>>;
+  struct Shard {
+    LruList lru;
+    std::unordered_map<Key, LruList::iterator, KeyHash> map;
+  };
+
+  static Key MakeKey(const Request& request, uint64_t generation) {
+    Key key;
+    key.generation = generation;
+    key.kind = static_cast<uint32_t>(request.kind);
+    key.s = request.s;
+    key.tk = request.kind == RequestKind::kDistance
+                 ? static_cast<uint64_t>(request.t)
+                 : static_cast<uint64_t>(request.k);
+    return key;
+  }
+  Shard& ShardFor(const Key& key) {
+    return shards_[KeyHash()(key) & (shards_.size() - 1)];
+  }
+
+  const bool cache_fallback_;
+  size_t capacity_ = 0;
+  size_t per_shard_capacity_ = 0;
+  std::vector<Shard> shards_;
+  uint64_t generation_ = 0;
+  uint64_t hits_ = 0, misses_ = 0, insertions_ = 0, evictions_ = 0;
+  uint64_t invalidations_ = 0;
+  size_t entries_ = 0;
+};
+
+void ExpectSameStats(const CacheStats& got, const CacheStats& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.insertions, want.insertions);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.invalidations, want.invalidations);
+  EXPECT_EQ(got.generation, want.generation);
+  EXPECT_EQ(got.entries, want.entries);
+  EXPECT_EQ(got.capacity, want.capacity);
+  EXPECT_EQ(got.shards, want.shards);
+  EXPECT_EQ(got.hit_rate, want.hit_rate);
+}
+
+// A key space small enough that batches repeat keys and shards overflow.
+Request RandomRequest(Rng& rng) {
+  const auto s = static_cast<VertexId>(rng.UniformIndex(3));
+  if (rng.UniformIndex(3) == 0) return Knn(s, rng.UniformIndex(3));
+  return Dist(s, static_cast<VertexId>(rng.UniformIndex(3)));
+}
+
+// Values differ per insert, so a refresh that overwrote the stored answer
+// (instead of keeping it) would show; some responses fail or fell back.
+Response RandomResponse(const Request& request, Rng& rng) {
+  Response response;
+  const size_t outcome = rng.UniformIndex(10);
+  if (outcome == 0) {
+    response.status = Status::DeadlineExceeded("late");
+    return response;
+  }
+  response.fell_back = outcome == 1;
+  response.distance = rng.UniformReal(0, 100);
+  if (request.kind == RequestKind::kKnn) {
+    for (size_t i = 0; i < request.k; ++i) {
+      const auto v = static_cast<VertexId>(rng.UniformIndex(50));
+      response.knn.emplace_back(v, rng.UniformReal(0, 100));
+    }
+  }
+  response.backend = rng.UniformIndex(2) == 0 ? "rne" : "dijkstra";
+  response.exact = rng.UniformIndex(2) == 0;
+  response.latency_ns = 7;
+  return response;
+}
+
+// Runs `calls` random LookupBatch / InsertBatch / Invalidate calls against
+// both caches and compares every answer and every Stats().
+void RunDifferential(const ResultCacheOptions& options, uint64_t seed,
+                     int calls) {
+  ResultCache cache(options);
+  ReferenceCache reference(options);
+  Rng rng(seed);
+  std::vector<Request> requests;
+  std::vector<Response> responses;
+  std::vector<Response> got;
+  std::vector<Response> want;
+  Response sentinel;
+  sentinel.distance = -1.0;
+  for (int call = 0; call < calls; ++call) {
+    SCOPED_TRACE(testing::Message() << "call " << call);
+    const size_t op = rng.UniformIndex(20);
+    if (op == 0) {
+      cache.Invalidate();
+      reference.Invalidate();
+      ExpectSameStats(cache.Stats(), reference.Stats());
+      continue;
+    }
+    requests.resize(1 + rng.UniformIndex(8));
+    for (Request& request : requests) request = RandomRequest(rng);
+    if (op < 10) {
+      got.assign(requests.size(), sentinel);
+      want.assign(requests.size(), sentinel);
+      size_t want_hits = 0;
+      for (size_t i = 0; i < requests.size(); ++i) {
+        if (reference.Lookup(requests[i], &want[i])) ++want_hits;
+      }
+      ASSERT_EQ(cache.LookupBatch(requests, got), want_hits);
+      for (size_t i = 0; i < requests.size(); ++i) {
+        ASSERT_EQ(got[i].cached, want[i].cached) << "request " << i;
+        if (!want[i].cached) continue;
+        EXPECT_TRUE(got[i].status.ok());
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].distance),
+                  std::bit_cast<uint64_t>(want[i].distance));
+        EXPECT_EQ(got[i].knn, want[i].knn);
+        EXPECT_EQ(got[i].backend, want[i].backend);
+        EXPECT_EQ(got[i].exact, want[i].exact);
+        EXPECT_FALSE(got[i].fell_back);
+        EXPECT_EQ(got[i].latency_ns, 0);
+      }
+    } else {
+      responses.clear();
+      for (const Request& request : requests) {
+        responses.push_back(RandomResponse(request, rng));
+      }
+      // Now and then an answer computed before the last Invalidate().
+      uint64_t generation = cache.generation();
+      if (generation > 0 && rng.UniformIndex(10) == 0) --generation;
+      cache.InsertBatch(requests, responses, generation);
+      for (size_t i = 0; i < requests.size(); ++i) {
+        reference.Insert(requests[i], responses[i], generation);
+      }
+    }
+    ExpectSameStats(cache.Stats(), reference.Stats());
+    if (testing::Test::HasFailure()) return;
+  }
+  // The sequence exercised hits and evictions, not just misses.
+  EXPECT_GT(reference.Stats().hits, 0u);
+  EXPECT_GT(reference.Stats().evictions, 0u);
+}
+
+TEST(ResultCacheDifferentialTest, MatchesTheNodeBasedReferenceCache) {
+  // Capacities 1, 3 and 7 over 1 and 4 shards, with and without
+  // cache_fallback: 12 configurations x 10k calls.
+  const size_t capacities[] = {1, 3, 7};
+  for (int config = 0; config < 12; ++config) {
+    SCOPED_TRACE(testing::Message() << "config " << config);
+    ResultCacheOptions options;
+    options.capacity = capacities[config % 3];
+    options.num_shards = config % 6 < 3 ? 1 : 4;
+    options.cache_fallback = config >= 6;
+    RunDifferential(options, 2024 + static_cast<uint64_t>(config), 10000);
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(ResultCacheDifferentialTest, KnnSlotReusedForADistanceHoldsNoList) {
+  // Capacity 1: the distance entry overwrites the slot the kNN list lived
+  // in, and a hit on it must not carry the old list.
+  ResultCacheOptions options;
+  options.capacity = 1;
+  options.num_shards = 1;
+  ResultCache cache(options);
+  Response knn = OkDistance(0.0);
+  knn.knn = {{1, 0.5}, {2, 1.5}, {3, 2.5}};
+  cache.Insert(Knn(1, 3), knn, cache.generation());
+  cache.Insert(Dist(1, 2), OkDistance(9.0), cache.generation());
+  Response out;
+  out.knn = {{7, 7.0}};
+  ASSERT_TRUE(cache.Lookup(Dist(1, 2), &out));
+  EXPECT_EQ(out.distance, 9.0);
+  EXPECT_TRUE(out.knn.empty());
+  EXPECT_FALSE(cache.Lookup(Knn(1, 3), &out));
+  EXPECT_EQ(cache.Stats().evictions, 1u);
 }
 
 class CachedEngineTest : public ::testing::Test {

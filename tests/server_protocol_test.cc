@@ -2,7 +2,9 @@
 // stringstreams against a real engine (exact Dijkstra backend on a small
 // generator graph). Covers malformed lines, boundary kNN parameters (k=0,
 // k > |V|), out-of-range vertex ids, answer ordering around parse errors,
-// and the STATS / METRICS response shapes.
+// and the STATS / METRICS response shapes. A parser differential holds
+// ParseRequestLine to the istringstream parsing it replaced, over seeded
+// edge-token lines and every protocol fuzz input.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +13,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -446,6 +451,230 @@ TEST(AppendDistanceTest, MatchesPrintfFixedTwoDecimals) {
     }
   }
   EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+}
+
+// The istringstream parsing HandleLine used before ParseRequestLine, kept as
+// the oracle; it owns its strings where ParsedLine holds views.
+struct OracleLine {
+  ParsedLine::Kind kind = ParsedLine::Kind::kBlank;
+  std::string verb;
+  std::string argument;
+  Request request;
+};
+
+OracleLine OracleParse(std::string_view line) {
+  using Kind = ParsedLine::Kind;
+  OracleLine result;
+  std::istringstream parser{std::string(line)};
+  std::string verb;
+  parser >> verb;
+  result.verb = verb;
+  if (verb.empty()) return result;
+  if (verb == "STATS") {
+    result.kind = Kind::kStats;
+    return result;
+  }
+  if (verb == "METRICS") {
+    result.kind = Kind::kMetrics;
+    return result;
+  }
+  if (verb == "RELOAD") {
+    std::string path;
+    parser >> path;
+    result.kind = Kind::kReload;
+    result.argument = path;
+    return result;
+  }
+  constexpr long long kMaxId = std::numeric_limits<VertexId>::max();
+  if (verb == "QUERY") {
+    result.request.kind = RequestKind::kDistance;
+    long long s = -1, t = -1;
+    parser >> s >> t;
+    if (parser.fail() || s < 0 || t < 0 || s > kMaxId || t > kMaxId) {
+      result.kind = Kind::kUsageError;
+      return result;
+    }
+    result.kind = Kind::kRequest;
+    result.request.s = static_cast<VertexId>(s);
+    result.request.t = static_cast<VertexId>(t);
+    return result;
+  }
+  if (verb == "KNN") {
+    result.request.kind = RequestKind::kKnn;
+    long long s = -1, k = -1;
+    parser >> s >> k;
+    if (parser.fail() || s < 0 || k < 0 || s > kMaxId) {
+      result.kind = Kind::kUsageError;
+      return result;
+    }
+    result.kind = Kind::kRequest;
+    result.request.s = static_cast<VertexId>(s);
+    result.request.k = static_cast<size_t>(k);
+    return result;
+  }
+  result.kind = Kind::kUnknownVerb;
+  return result;
+}
+
+std::string Describe(ParsedLine::Kind kind, std::string_view verb,
+                     std::string_view argument, const Request& request) {
+  std::ostringstream out;
+  out << "kind " << static_cast<int>(kind) << " verb '" << verb;
+  out << "' arg '" << argument << "' request ";
+  out << static_cast<int>(request.kind) << " " << request.s;
+  out << " " << request.t << " " << request.k;
+  return out.str();
+}
+
+// Compares one line's verdict and parsed values with the oracle's; returns
+// false (after one failure message) on a mismatch.
+bool SameVerdict(std::string_view line) {
+  const OracleLine want = OracleParse(line);
+  ParsedLine got;
+  ParseRequestLine(line, &got);
+  const std::string got_text =
+      Describe(got.kind, got.verb, got.argument, got.request);
+  const std::string want_text =
+      Describe(want.kind, want.verb, want.argument, want.request);
+  if (got_text == want_text) return true;
+  ADD_FAILURE() << "line '" << line << "': " << got_text << ", oracle "
+                << want_text;
+  return false;
+}
+
+TEST(ParseRequestLineTest, MatchesIstringstreamOnEdgeTokenLines) {
+  // One token per line; the empty line is an empty verb.
+  const std::vector<std::string> verbs = Lines(R"(QUERY
+QUERY
+QUERY
+KNN
+KNN
+STATS
+METRICS
+RELOAD
+query
+knn
+Query
+STATS2
+FROB
+QUERY1
+
+QUER)");
+  std::vector<std::string> numbers = Lines(R"(0
+1
+7
++1
++0
+-0
+-00
+-1
+007
++007
+0000000000000000000000000000042
+4294967295
+4294967296
++4294967295
+9223372036854775807
+9223372036854775808
+18446744073709551615
+18446744073709551616
+-9223372036854775808
+-9223372036854775809
+1x
+x1
++
+-
++-1
+--1
+++1
+-+1
+0x10
+1e3
+12.5
+3,4
+1-2
+1+2
+/tmp/m.rne
+nan)");
+  numbers.push_back(std::string("4\0", 2));
+  numbers.push_back("\xc2\xa0");  // UTF-8 no-break space: not C isspace
+  numbers.push_back(std::string(1, '\xff') + "7");
+  std::vector<std::string> separators = {" ", " ", " ", "  ", ""};
+  for (const char c : std::string(" \t\v\f\r\n")) {
+    separators.emplace_back(1, c);
+  }
+  separators.push_back(" \t ");
+  Rng rng(20261017);
+  size_t compared = 0;
+  for (int i = 0; i < 120000; ++i) {
+    std::string line;
+    if (rng.UniformIndex(4) == 0) {
+      line += separators[rng.UniformIndex(separators.size())];
+    }
+    line += verbs[rng.UniformIndex(verbs.size())];
+    const size_t tokens = rng.UniformIndex(5);
+    for (size_t j = 0; j < tokens; ++j) {
+      // Mostly separated, sometimes glued to the previous token.
+      if (rng.UniformIndex(8) != 0) {
+        line += separators[rng.UniformIndex(separators.size())];
+      }
+      if (rng.UniformIndex(6) == 0) {
+        line += std::to_string(rng.UniformIndex(size_t{1} << 40));
+      } else {
+        line += numbers[rng.UniformIndex(numbers.size())];
+      }
+    }
+    if (rng.UniformIndex(4) == 0) {
+      line += separators[rng.UniformIndex(separators.size())];
+    }
+    if (!SameVerdict(line)) return;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 120000u);
+}
+
+TEST(ParseRequestLineTest, MatchesIstringstreamOnTheProtocolFuzzInputs) {
+  size_t lines = 0;
+  for (const char* sub : {"corpus", "regressions"}) {
+    const std::string dir = std::string(RNE_FUZZ_DIR) + "/" + sub + "/protocol";
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      const std::string bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+      // Framed the way Consume() frames: split at '\n', one '\r' stripped.
+      size_t start = 0;
+      while (start <= bytes.size()) {
+        size_t nl = bytes.find('\n', start);
+        if (nl == std::string::npos) nl = bytes.size();
+        std::string_view line(bytes.data() + start, nl - start);
+        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+        EXPECT_TRUE(SameVerdict(line)) << entry.path();
+        ++lines;
+        start = nl + 1;
+      }
+    }
+  }
+  EXPECT_GT(lines, 20u);
+}
+
+TEST(ParseRequestLineTest, ReadsTheDocumentedForms) {
+  ParsedLine parsed;
+  ParseRequestLine("\tQUERY +7 -0 trailing words", &parsed);
+  ASSERT_EQ(parsed.kind, ParsedLine::Kind::kRequest);
+  EXPECT_EQ(parsed.request.s, 7u);
+  EXPECT_EQ(parsed.request.t, 0u);
+  ParseRequestLine("KNN 3 10x", &parsed);
+  ASSERT_EQ(parsed.kind, ParsedLine::Kind::kRequest);
+  EXPECT_EQ(parsed.request.k, 10u);
+  ParseRequestLine("QUERY 1x 2", &parsed);
+  EXPECT_EQ(parsed.kind, ParsedLine::Kind::kUsageError);
+  ParseRequestLine("QUERY 4294967295 9223372036854775808", &parsed);
+  EXPECT_EQ(parsed.kind, ParsedLine::Kind::kUsageError);
+  ParseRequestLine("RELOAD  /tmp/a.rne extra", &parsed);
+  ASSERT_EQ(parsed.kind, ParsedLine::Kind::kReload);
+  EXPECT_EQ(parsed.argument, "/tmp/a.rne");
+  ParseRequestLine(" \v\f\r", &parsed);
+  EXPECT_EQ(parsed.kind, ParsedLine::Kind::kBlank);
 }
 
 }  // namespace

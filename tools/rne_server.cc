@@ -32,9 +32,12 @@
 // stdin loop runs on the main thread.
 //
 // --cache puts a sharded LRU result cache (serve/result_cache.h) in front
-// of the engine for both front ends; 0 disables it. A successful RELOAD
-// invalidates the cache via the ModelManager publish listener, so a swap
-// never serves a stale distance.
+// of the engine for both front ends; 0 disables it. The cache allocates its
+// slots at start: about 112 bytes per entry (--cache x 104 bytes of slots
+// plus an index of 8-16 bytes per entry), 7.3 MB for the default 65,536;
+// cached kNN lists add their own size. A successful RELOAD invalidates the
+// cache via the ModelManager publish listener, so a swap never serves a
+// stale distance.
 //
 // With --model the "rne" backend is served through a ModelManager, so the
 // RELOAD verb hot-swaps the model without restarting. SIGINT/SIGTERM drain
