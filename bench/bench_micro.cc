@@ -518,6 +518,9 @@ BENCHMARK(BM_ParseRequestLine);
 // SGD training throughput on a 64x64 road network at several thread counts
 // (items/s = samples/s). Samples are materialized once; each iteration
 // re-trains a fresh model on them, so the measured region is pure SGD.
+// `nodes` 0 trains the vertex level only (phases 2-3: node rows frozen);
+// `nodes` 1 uses phase 1's first-step learning rates, nonzero on every
+// level, so parallel runs take the node-delta merge path.
 void BM_TrainThroughput(benchmark::State& state) {
   static const Graph* g = [] {
     RoadNetworkConfig cfg;
@@ -543,8 +546,13 @@ void BM_TrainThroughput(benchmark::State& state) {
     TrainConfig cfg;
     cfg.num_threads = static_cast<size_t>(state.range(0));
     Trainer trainer(*g, *hier, cfg);
-    std::vector<double> lrs(trainer.model().num_levels() + 1, 0.0);
-    lrs[trainer.model().vertex_level()] = cfg.lr0;
+    const uint32_t levels = trainer.model().num_levels();
+    std::vector<double> lrs(levels + 1, 0.0);
+    if (state.range(1) == 0) {
+      lrs[levels] = cfg.lr0;
+    } else {
+      for (uint32_t l = 1; l <= levels; ++l) lrs[l] = cfg.lr0 / l;
+    }
     state.ResumeTiming();
     trainer.TrainOnSamples(*samples, lrs, epochs);
     samples_done += trainer.total_samples_processed();
@@ -552,9 +560,8 @@ void BM_TrainThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(samples_done));
 }
 BENCHMARK(BM_TrainThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(8)
+    ->ArgNames({"threads", "nodes"})
+    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

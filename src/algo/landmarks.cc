@@ -1,7 +1,10 @@
 #include "algo/landmarks.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
 
 #include "algo/dijkstra.h"
 #include "obs/trace.h"
@@ -29,14 +32,35 @@ std::vector<VertexId> SelectLandmarksFarthest(const Graph& g, size_t count,
   landmarks.reserve(count);
   landmarks.push_back(static_cast<VertexId>(rng.UniformIndex(n)));
 
-  DijkstraSearch search(g);
+  // min_dist doubles as the search's tentative-distance array: a search
+  // from the newest landmark relaxes a vertex only while it lowers min_dist,
+  // so it stops at the boundary of the new landmark's Voronoi cell. Every
+  // vertex it does not reach keeps its old (smaller or equal) minimum, and
+  // one it reaches ends at exactly the distance a full search computes:
+  // on the full search's shortest path to such a vertex, every earlier
+  // vertex also lowers its minimum (fl(a + w) is monotone in a), so the
+  // pruned search relaxes the same edges in the same way.
   std::vector<double> min_dist(n, kInfDistance);
+  using Entry = std::pair<double, VertexId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
   while (landmarks.size() < count) {
-    const auto& dist = search.AllDistances(landmarks.back());
+    min_dist[landmarks.back()] = 0.0;
+    queue.push({0.0, landmarks.back()});
+    while (!queue.empty()) {
+      const auto [d, v] = queue.top();
+      queue.pop();
+      if (d > min_dist[v]) continue;
+      for (const Edge& e : g.Neighbors(v)) {
+        const double nd = d + e.weight;
+        if (nd < min_dist[e.to]) {
+          min_dist[e.to] = nd;
+          queue.push({nd, e.to});
+        }
+      }
+    }
     VertexId farthest = kInvalidVertex;
     double best = -1.0;
     for (VertexId v = 0; v < n; ++v) {
-      if (dist[v] < min_dist[v]) min_dist[v] = dist[v];
       // Unreachable vertices are skipped: they would otherwise absorb every
       // remaining pick on disconnected inputs.
       if (min_dist[v] != kInfDistance && min_dist[v] > best) {

@@ -20,8 +20,10 @@ std::vector<VertexId> SelectLandmarksRandom(const Graph& g, size_t count,
 
 /// Farthest-point landmark selection: the first landmark is random; each
 /// subsequent one maximizes the min network distance to those selected.
-/// Cost: `count` single-source shortest-path runs (inherently sequential:
-/// each pick depends on the previous landmark's distances).
+/// Cost: `count` shortest-path searches (inherently sequential: each pick
+/// depends on the previous landmark's distances). Each search after the
+/// first is pruned to the vertices the new landmark is nearest to, and
+/// picks exactly the landmarks full searches would.
 std::vector<VertexId> SelectLandmarksFarthest(const Graph& g, size_t count,
                                               Rng& rng);
 

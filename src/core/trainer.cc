@@ -94,11 +94,14 @@ Trainer::Trainer(const Graph& g, const PartitionHierarchy& hier,
     scr.grad.resize(config_.dim);
     scr.dgrad.resize(config_.dim);
     if (pool_) {
-      scr.node_delta.assign(hier_.num_nodes() * config_.dim, 0.0f);
+      scr.node_view.assign(hier_.num_nodes() * config_.dim, 0.0f);
       scr.is_touched.assign(hier_.num_nodes(), 0);
     }
   }
-  if (pool_) merge_count_.assign(hier_.num_nodes(), 0);
+  if (pool_) {
+    merge_count_.assign(hier_.num_nodes(), 0);
+    merge_sum_.assign(hier_.num_nodes() * config_.dim, 0.0f);
+  }
 }
 
 void Trainer::MaybeInitScale(const std::vector<DistanceSample>& samples) {
@@ -205,20 +208,20 @@ void Trainer::SgdStep(const DistanceSample& sample,
 void Trainer::GlobalOfHogwild(VertexId v, std::span<float> out,
                               const SgdScratch& scr, bool nodes_training) {
   HogwildCopy(model_.VertexLocal(v), out);
+  if (!nodes_training) {
+    // Frozen node rows: their sum along v's path is v's leaf row.
+    AxpyKernel(out, leaf_rows_.Row(hier_.LeafOf(v)), 1.0f);
+    return;
+  }
+  // The worker's own node view: shared rows plus its pending displacement,
+  // so it sees its earlier node updates at once (sequential-style
+  // telescoping) although they reach the shared model only at the next
+  // barrier.
   const size_t dim = config_.dim;
   for (const uint32_t node : hier_.AncestorsOf(v)) {
-    // Shared node rows are frozen between merge barriers, so plain SIMD
-    // adds are safe here.
-    AxpyKernel(out, model_.NodeLocal(node), 1.0f);
-    if (nodes_training) {
-      // Plus this worker's own pending displacement: the worker must see
-      // its earlier node updates immediately (sequential-style telescoping)
-      // even though they reach the shared model only at the next barrier.
-      AxpyKernel(out,
-                 std::span<const float>(scr.node_delta.data() + node * dim,
-                                        dim),
-                 1.0f);
-    }
+    AxpyKernel(out,
+               std::span<const float>(scr.node_view.data() + node * dim, dim),
+               1.0f);
   }
 }
 
@@ -231,23 +234,25 @@ void Trainer::ParallelSgdStep(const DistanceSample& sample,
   double coeff;
   if (!ComputeGradient(sample, scr, &coeff)) return;
 
-  const size_t dim = config_.dim;
-  const uint32_t vertex_level = model_.vertex_level();
-  const auto accumulate_delta = [&](uint32_t node, float alpha) {
-    if (!scr.is_touched[node]) {
-      scr.is_touched[node] = 1;
-      scr.touched.push_back(node);
+  if (nodes_training) {
+    const size_t dim = config_.dim;
+    const auto update_node = [&](uint32_t node, float alpha) {
+      if (!scr.is_touched[node]) {
+        scr.is_touched[node] = 1;
+        scr.touched.push_back(node);
+      }
+      AxpyKernel({scr.node_view.data() + node * dim, dim}, scr.grad, alpha);
+    };
+    for (const uint32_t node : hier_.AncestorsOf(sample.s)) {
+      const double lr = level_lrs[hier_.node(node).level];
+      if (lr != 0.0) update_node(node, -static_cast<float>(lr * coeff));
     }
-    AxpyKernel({scr.node_delta.data() + node * dim, dim}, scr.grad, alpha);
-  };
-  for (const uint32_t node : hier_.AncestorsOf(sample.s)) {
-    const double lr = level_lrs[hier_.node(node).level];
-    if (lr != 0.0) accumulate_delta(node, -static_cast<float>(lr * coeff));
+    for (const uint32_t node : hier_.AncestorsOf(sample.t)) {
+      const double lr = level_lrs[hier_.node(node).level];
+      if (lr != 0.0) update_node(node, static_cast<float>(lr * coeff));
+    }
   }
-  for (const uint32_t node : hier_.AncestorsOf(sample.t)) {
-    const double lr = level_lrs[hier_.node(node).level];
-    if (lr != 0.0) accumulate_delta(node, static_cast<float>(lr * coeff));
-  }
+  const uint32_t vertex_level = model_.vertex_level();
   if (level_lrs[vertex_level] != 0.0) {
     const float alpha = static_cast<float>(level_lrs[vertex_level] * coeff);
     HogwildAxpy(model_.VertexLocal(sample.s), scr.grad, -alpha);
@@ -257,56 +262,83 @@ void Trainer::ParallelSgdStep(const DistanceSample& sample,
 
 void Trainer::MergeNodeDeltas() {
   const size_t dim = config_.dim;
-  // Pass 1: how many workers moved each node this round.
-  for (const SgdScratch& scr : scratch_) {
-    for (const uint32_t node : scr.touched) {
-      if (merge_count_[node]++ == 0) merged_nodes_.push_back(node);
-    }
-  }
-  // Pass 2: fold the AVERAGE displacement into the shared row (see the
-  // header comment for why summing would diverge) and clear the buffers.
+  // Sum each touched node's displacement (view - shared) over the workers
+  // that moved it this round.
   for (SgdScratch& scr : scratch_) {
     for (const uint32_t node : scr.touched) {
-      float* delta = scr.node_delta.data() + node * dim;
-      AxpyKernel(model_.NodeLocal(node), {delta, dim},
-                 1.0f / static_cast<float>(merge_count_[node]));
-      std::fill(delta, delta + dim, 0.0f);
+      float* sum = merge_sum_.data() + node * dim;
+      if (merge_count_[node]++ == 0) {
+        merged_nodes_.push_back(node);
+        std::fill(sum, sum + dim, 0.0f);
+      }
+      const float* view = scr.node_view.data() + node * dim;
+      const std::span<const float> shared = model_.NodeLocal(node);
+      for (size_t i = 0; i < dim; ++i) sum[i] += view[i] - shared[i];
       scr.is_touched[node] = 0;
     }
     scr.touched.clear();
   }
-  for (const uint32_t node : merged_nodes_) merge_count_[node] = 0;
+  // Fold the AVERAGE displacement into the shared row (see the header
+  // comment for why summing would diverge) and reset every worker's view
+  // of the row to it.
+  for (const uint32_t node : merged_nodes_) {
+    const std::span<float> shared = model_.NodeLocal(node);
+    AxpyKernel(shared, {merge_sum_.data() + node * dim, dim},
+               1.0f / static_cast<float>(merge_count_[node]));
+    merge_count_[node] = 0;
+    for (SgdScratch& scr : scratch_) {
+      std::copy(shared.begin(), shared.end(),
+                scr.node_view.begin() + static_cast<long>(node * dim));
+    }
+  }
   merged_nodes_.clear();
 }
 
+void Trainer::ResetNodeViews() {
+  const size_t dim = config_.dim;
+  for (uint32_t node = 0; node < hier_.num_nodes(); ++node) {
+    const std::span<const float> shared = model_.NodeLocal(node);
+    for (SgdScratch& scr : scratch_) {
+      std::copy(shared.begin(), shared.end(),
+                scr.node_view.begin() + static_cast<long>(node * dim));
+    }
+  }
+}
+
 void Trainer::ParallelEpoch(const std::vector<DistanceSample>& samples,
-                            const std::vector<double>& level_lrs) {
+                            const std::vector<double>& level_lrs,
+                            bool nodes_training, bool shuffle_slices) {
   const size_t workers = sgd_threads_;
   const size_t n = shuffle_.size();
-  const size_t chunk = std::max<size_t>(1, config_.sgd_chunk);
-  const uint32_t vertex_level = model_.vertex_level();
-  bool nodes_training = false;
-  for (uint32_t l = 1; l < vertex_level; ++l) {
-    nodes_training |= level_lrs[l] != 0.0;
+  const size_t per = (n + workers - 1) / workers;
+  // Shard w trains slice [w * per, (w + 1) * per) of shuffle_. While node
+  // levels train, each round covers up to `sgd_chunk` samples per shard and
+  // ends at a barrier where the main thread merges the node displacements;
+  // with the node rows frozen there is nothing to merge, so the epoch is
+  // one round.
+  const size_t round =
+      nodes_training ? std::max<size_t>(1, config_.sgd_chunk) : per;
+  std::vector<Rng> slice_rngs;
+  if (shuffle_slices) {
+    for (size_t w = 0; w < workers; ++w) slice_rngs.push_back(rng_.Fork());
   }
-  size_t pos = 0;
-  while (pos < n) {
-    // One round: up to `chunk` samples per worker, then a barrier at which
-    // the main thread folds the upper-level displacements into the model.
-    const size_t round_end = std::min(n, pos + chunk * workers);
-    const size_t per = (round_end - pos + workers - 1) / workers;
+  for (size_t offset = 0; offset < per; offset += round) {
     pool_->ParallelFor(workers, [&](size_t w) {
-      const size_t begin = std::min(round_end, pos + w * per);
-      const size_t end = std::min(round_end, begin + per);
+      const size_t begin = std::min(n, w * per);
+      const size_t end = std::min(n, begin + per);
+      if (shuffle_slices && offset == 0) {
+        slice_rngs[w].Shuffle(
+            std::span<uint32_t>(shuffle_).subspan(begin, end - begin));
+      }
       // Scratch is per pool-worker thread (two shards that land on the same
       // worker run sequentially and may share a slot).
       SgdScratch& scr = scratch_[ThreadPool::CurrentWorkerIndex()];
-      for (size_t k = begin; k < end; ++k) {
+      const size_t stop = std::min(end, begin + offset + round);
+      for (size_t k = begin + offset; k < stop; ++k) {
         ParallelSgdStep(samples[shuffle_[k]], level_lrs, scr, nodes_training);
       }
     });
     if (nodes_training) MergeNodeDeltas();
-    pos = round_end;
   }
 }
 
@@ -318,10 +350,23 @@ void Trainer::TrainOnSamples(const std::vector<DistanceSample>& samples,
   MaybeInitScale(samples);
   shuffle_.resize(samples.size());
   std::iota(shuffle_.begin(), shuffle_.end(), 0);
+  const bool parallel = pool_ && samples.size() >= sgd_threads_ * 2;
+  bool nodes_training = false;
+  for (uint32_t l = 1; l < model_.vertex_level(); ++l) {
+    nodes_training |= level_lrs[l] != 0.0;
+  }
+  // Both are rebuilt on every call because the node rows may have moved
+  // since the last one (node training, or the initial RandomInit). Frozen:
+  // the rows cannot change during the call, so the gather reads their
+  // per-leaf sums. Training: each worker starts from the shared rows.
+  if (parallel && !nodes_training) leaf_rows_ = model_.FlattenNodes();
+  if (parallel && nodes_training) ResetNodeViews();
   std::vector<double> lrs = level_lrs;
   for (size_t epoch = 0; epoch < epochs; ++epoch) {
     const Timer epoch_timer;
-    rng_.Shuffle(shuffle_);
+    // The parallel path shuffles the whole order once per call; later
+    // epochs reshuffle each shard's slice on its worker (ParallelEpoch).
+    if (!parallel || epoch == 0) rng_.Shuffle(shuffle_);
     // Linear decay to lr_final_fraction anneals the SGD noise floor at the
     // tail of each phase.
     const double decay =
@@ -331,8 +376,8 @@ void Trainer::TrainOnSamples(const std::vector<DistanceSample>& samples,
                         static_cast<double>(epoch) /
                         static_cast<double>(epochs - 1);
     for (size_t l = 0; l < lrs.size(); ++l) lrs[l] = level_lrs[l] * decay;
-    if (pool_ && samples.size() >= sgd_threads_ * 2) {
-      ParallelEpoch(samples, lrs);
+    if (parallel) {
+      ParallelEpoch(samples, lrs, nodes_training, epoch > 0);
     } else {
       for (const uint32_t idx : shuffle_) {
         SgdStep(samples[idx], lrs);

@@ -21,19 +21,24 @@
 // by DistanceSampler (Dijkstra), so accuracy is never measured against the
 // labeller.
 //
-// Parallel training (num_threads > 1): each epoch's shuffled sample order is
-// cut into per-worker shards processed Hogwild-style — vertex-local rows are
+// Parallel training (num_threads > 1): each epoch's sample order is cut
+// into per-worker shards processed Hogwild-style — vertex-local rows are
 // updated in place without locks (each sample touches only its two endpoint
 // rows, so concurrent writes to the same row are rare and the occasional
 // lost update is SGD noise), while upper-level node rows — touched by every
 // sample in their subtree and therefore heavily contended — use local SGD:
-// each worker accumulates its node-row updates into a private displacement
-// buffer that it also reads back during its own gathers (so its local
-// trajectory telescopes exactly like sequential SGD), and at chunk barriers
-// (every sgd_chunk samples per worker) the main thread folds the AVERAGE of
-// the workers' displacements into the shared rows. Under TSan the
-// vertex-row accesses go through relaxed std::atomic_ref operations so the
-// build is race-free; release builds use the raw SIMD kernels.
+// each worker trains a private view of the node rows (shared rows plus its
+// own displacement), so its local trajectory telescopes exactly like
+// sequential SGD, and at chunk barriers (every sgd_chunk samples per
+// worker) the main thread folds the AVERAGE of the workers' displacements
+// into the shared rows. When no node level trains (phases 2 and 3) nothing
+// needs merging: the epoch is one pass with no barriers, and a gather reads
+// the vertex row plus one precomputed row per leaf (the sum of the frozen
+// node rows on the leaf's path). The order is shuffled globally once per
+// TrainOnSamples call; later epochs reshuffle each shard's slice on its
+// worker from a stream forked per shard. Under TSan the vertex-row accesses
+// go through relaxed std::atomic_ref operations so the build is race-free;
+// release builds use the raw SIMD kernels.
 #ifndef RNE_CORE_TRAINER_H_
 #define RNE_CORE_TRAINER_H_
 
@@ -156,16 +161,18 @@ class Trainer {
   size_t label_index_bytes() const { return labeller_->IndexBytes(); }
 
  private:
-  /// Per-worker SGD scratch: embedding/gradient staging plus the node-row
-  /// delta buffer for the Hogwild sharded path. Slot 0 doubles as the
-  /// sequential path's scratch.
-  struct SgdScratch {
+  /// Per-worker SGD scratch: embedding/gradient staging plus the node view
+  /// for the Hogwild sharded path. Slot 0 doubles as the sequential path's
+  /// scratch. Cache-line aligned: coeff_* are written on every sample and
+  /// would otherwise share a line with the next slot's vector headers.
+  struct alignas(64) SgdScratch {
     std::vector<float> vs, vt;
     std::vector<float> grad;    // float gradient (SIMD row updates)
     std::vector<double> dgrad;  // general-p gradient staging
-    /// Dense num_nodes x dim delta accumulator for upper-level rows.
-    std::vector<float> node_delta;
-    std::vector<uint32_t> touched;    // node ids with a nonzero delta
+    /// Dense num_nodes x dim node rows as this worker sees them: the shared
+    /// rows plus its own displacement since the last merge.
+    std::vector<float> node_view;
+    std::vector<uint32_t> touched;    // node ids this worker moved
     std::vector<uint8_t> is_touched;  // per-node flag backing `touched`
     /// Observability accumulators (per-epoch mean |dL/d dist| gauge):
     /// two scalar ops per sample, folded across workers at epoch end.
@@ -177,24 +184,30 @@ class Trainer {
   void SgdStep(const DistanceSample& sample,
                const std::vector<double>& level_lrs);
   /// One epoch over shuffle_ sharded across the pool (num_threads > 1).
+  /// `nodes_training` = some node level has a nonzero learning rate;
+  /// `shuffle_slices` = each shard first reshuffles its own slice.
   void ParallelEpoch(const std::vector<DistanceSample>& samples,
-                     const std::vector<double>& level_lrs);
+                     const std::vector<double>& level_lrs, bool nodes_training,
+                     bool shuffle_slices);
   /// Hogwild SGD update running on a pool worker; vertex rows in place,
-  /// node rows into scr.node_delta (the worker's local displacement).
-  /// `nodes_training` = some node level has a nonzero learning rate.
+  /// node rows into the worker's own scr.node_view.
   void ParallelSgdStep(const DistanceSample& sample,
                        const std::vector<double>& level_lrs, SgdScratch& scr,
                        bool nodes_training);
-  /// Averages the workers' node-row displacements into the model (main
-  /// thread, after a barrier) and clears them. Averaging — not summing — is
-  /// what keeps parity with sequential SGD: every worker's local trajectory
-  /// already applies a full-strength correction to the shared row, so
-  /// summing W displacements would correct the same error W times over and
-  /// diverge (local SGD / model averaging).
+  /// Averages the workers' node-row displacements (view - shared) into the
+  /// model (main thread, after a barrier) and resets the views to the new
+  /// shared rows. Averaging — not summing — is what keeps parity with
+  /// sequential SGD: every worker's local trajectory already applies a
+  /// full-strength correction to the shared row, so summing W displacements
+  /// would correct the same error W times over and diverge (local SGD /
+  /// model averaging).
   void MergeNodeDeltas();
+  /// Sets every worker's node view to the shared node rows.
+  void ResetNodeViews();
   /// Global embedding gather that tolerates concurrent vertex-row writers.
-  /// Adds the worker's own pending node displacements on top of the shared
-  /// node rows, so each worker trains against its local model view.
+  /// While nodes train it sums the worker's own node view along v's path,
+  /// so each worker trains against its local model; with nodes frozen it
+  /// adds v's row of leaf_rows_.
   void GlobalOfHogwild(VertexId v, std::span<float> out,
                        const SgdScratch& scr, bool nodes_training);
   /// Computes dist and the float gradient for `sample` into scr; returns
@@ -220,10 +233,14 @@ class Trainer {
   size_t sgd_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;  // created only when sgd_threads_ > 1
   mutable std::vector<SgdScratch> scratch_;  // one slot per SGD worker
-  /// Merge staging: per-node contributing-worker count + the union of
-  /// touched nodes (parallel path only).
+  /// Merge staging: per-node contributing-worker count, summed
+  /// displacement rows and the union of touched nodes (parallel path only).
   std::vector<uint32_t> merge_count_;
+  std::vector<float> merge_sum_;
   std::vector<uint32_t> merged_nodes_;
+  /// Global embedding of every tree node (FlattenNodes), rebuilt by each
+  /// parallel TrainOnSamples call that trains no node level.
+  EmbeddingMatrix leaf_rows_;
 
   std::vector<DistanceSample> validation_;
   std::vector<ProgressPoint> progress_;

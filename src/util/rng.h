@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "util/macros.h"
@@ -56,10 +57,14 @@ class Rng {
 
   /// Fisher-Yates shuffle.
   template <typename T>
-  void Shuffle(std::vector<T>& v) {
+  void Shuffle(std::span<T> v) {
     for (size_t i = v.size(); i > 1; --i) {
       std::swap(v[i - 1], v[UniformIndex(i)]);
     }
+  }
+  template <typename T>
+  void Shuffle(std::vector<T>& v) {
+    Shuffle(std::span<T>(v));
   }
 
   /// Derives an independent child generator (for per-thread streams).

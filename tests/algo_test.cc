@@ -3,7 +3,11 @@
 // sampler. Ground truth comes from Floyd-Warshall on small random graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algo/astar.h"
 #include "algo/bidirectional_dijkstra.h"
@@ -239,6 +243,109 @@ TEST(LandmarksTest, CountClampedToGraphSize) {
   const Graph g = MakeGridNetwork(2, 2);
   Rng rng(22);
   EXPECT_EQ(SelectLandmarksFarthest(g, 100, rng).size(), 4u);
+}
+
+/// The farthest-point selection as it stood before its searches were
+/// pruned: one full Dijkstra search per landmark. The reference for the
+/// differential test below.
+std::vector<VertexId> FullSearchFarthestLandmarks(const Graph& g, size_t count,
+                                                  Rng& rng) {
+  const size_t n = g.NumVertices();
+  count = std::min(count, n);
+  std::vector<VertexId> landmarks;
+  if (count == 0) return landmarks;
+  landmarks.reserve(count);
+  landmarks.push_back(static_cast<VertexId>(rng.UniformIndex(n)));
+  DijkstraSearch search(g);
+  std::vector<double> min_dist(n, kInfDistance);
+  while (landmarks.size() < count) {
+    const auto& dist = search.AllDistances(landmarks.back());
+    VertexId farthest = kInvalidVertex;
+    double best = -1.0;
+    for (VertexId v = 0; v < n; ++v) {
+      if (dist[v] < min_dist[v]) min_dist[v] = dist[v];
+      if (min_dist[v] != kInfDistance && min_dist[v] > best) {
+        best = min_dist[v];
+        farthest = v;
+      }
+    }
+    if (farthest == kInvalidVertex || best == 0.0) break;
+    landmarks.push_back(farthest);
+  }
+  return landmarks;
+}
+
+/// Random graph whose edges never join the two halves of the vertex range.
+Graph TwoHalvesGraph(size_t n, size_t edges, uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder b(n);
+  for (VertexId v = 0; v < n; ++v) {
+    b.SetCoord(v, {rng.UniformReal(0, 100), rng.UniformReal(0, 100)});
+  }
+  const size_t half = n / 2;
+  for (size_t e = 0; e < edges; ++e) {
+    const size_t base = e % 2 == 0 ? 0 : half;
+    const size_t span = e % 2 == 0 ? half : n - half;
+    b.AddEdge(static_cast<VertexId>(base + rng.UniformIndex(span)),
+              static_cast<VertexId>(base + rng.UniformIndex(span)),
+              rng.UniformReal(1.0, 10.0));
+  }
+  return b.Build();
+}
+
+/// rows x cols grid with every edge of weight exactly 1: many vertices tie
+/// for the farthest one, so the pick depends on exact distance equality.
+Graph UnitGrid(size_t rows, size_t cols) {
+  GraphBuilder b(rows * cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      const auto v = static_cast<VertexId>(r * cols + c);
+      b.SetCoord(v, {static_cast<double>(c), static_cast<double>(r)});
+      if (c + 1 < cols) b.AddEdge(v, v + 1, 1.0);
+      if (r + 1 < rows) b.AddEdge(v, static_cast<VertexId>(v + cols), 1.0);
+    }
+  }
+  return b.Build();
+}
+
+TEST(LandmarksTest, PrunedFarthestMatchesFullSearch) {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  const size_t sizes[][2] = {{6, 6}, {10, 14}, {16, 16}, {24, 24}};
+  for (size_t i = 0; i < 4; ++i) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      RoadNetworkConfig cfg;
+      cfg.rows = sizes[i][0];
+      cfg.cols = sizes[i][1];
+      cfg.seed = seed;
+      graphs.emplace_back("road " + std::to_string(cfg.rows) + "x" +
+                              std::to_string(cfg.cols) + " seed " +
+                              std::to_string(seed),
+                          MakeRoadNetwork(cfg));
+    }
+  }
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    graphs.emplace_back("two halves seed " + std::to_string(seed),
+                        TwoHalvesGraph(60 + 20 * seed, 100 + 30 * seed, seed));
+  }
+  for (const size_t side : {1, 2, 5, 9, 16}) {
+    graphs.emplace_back("unit grid " + std::to_string(side),
+                        UnitGrid(side, side + 1));
+  }
+  ASSERT_GE(graphs.size(), 20u);
+  for (const auto& [name, g] : graphs) {
+    for (const size_t count : {size_t{1}, size_t{2}, size_t{8}, size_t{100},
+                               g.NumVertices() + 7}) {
+      for (const uint64_t seed : {11u, 12u}) {
+        Rng ref_rng(seed);
+        Rng rng(seed);
+        const auto expected = FullSearchFarthestLandmarks(g, count, ref_rng);
+        EXPECT_EQ(SelectLandmarksFarthest(g, count, rng), expected)
+            << name << ", count " << count << ", seed " << seed;
+        // Both consume the generator identically.
+        EXPECT_EQ(rng.engine()(), ref_rng.engine()()) << name;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- DistanceSampler

@@ -321,7 +321,8 @@ TEST(TrainerTest, ProgressCurveRecorded) {
 // Hogwild sharded SGD must converge to the same quality as the sequential
 // reference: same seed, same samples, only num_threads differs. The
 // trajectories diverge (update interleaving differs), so compare final
-// validation error, not weights.
+// validation error, not weights. The fine-tune round holds the parallel
+// phase-3 path to the same bound.
 TEST(TrainerTest, ThreadCountInvariance) {
   const Graph g = SmallRoadNetwork();
   const PartitionHierarchy h = SmallHierarchy(g);
@@ -329,17 +330,61 @@ TEST(TrainerTest, ThreadCountInvariance) {
   Rng rng(23);
   const auto val = sampler.RandomPairs(400, rng);
 
+  for (const size_t finetune_rounds : {size_t{0}, size_t{1}}) {
+    const auto train_with = [&](size_t threads) {
+      TrainConfig cfg;
+      cfg.dim = 32;
+      cfg.level_samples = 4000;
+      cfg.vertex_samples = 20000;
+      cfg.finetune_rounds = finetune_rounds;
+      cfg.finetune_samples = 5000;
+      cfg.num_threads = threads;
+      cfg.seed = 13;
+      Trainer trainer(g, h, cfg);
+      trainer.TrainAll();
+      EXPECT_EQ(trainer.sgd_threads(), threads > 1 ? threads : 1);
+      return trainer.MeanRelativeError(val);
+    };
+
+    const double sequential = train_with(1);
+    const double parallel = train_with(4);
+    EXPECT_LT(sequential, 0.15) << finetune_rounds << " fine-tune rounds";
+    EXPECT_LT(parallel, 0.15) << finetune_rounds << " fine-tune rounds";
+    // Within 10% absolute-quality drift of each other (acceptance criterion).
+    EXPECT_NEAR(parallel, sequential, 0.1 * (sequential + 0.01) + 0.02)
+        << finetune_rounds << " fine-tune rounds";
+  }
+}
+
+// Frozen-node training, then node training, then frozen again. The parallel
+// path reads frozen node rows through per-leaf sums; if those were not
+// rebuilt after the node levels trained, the last pass would fit the vertex
+// rows against stale node rows and the error would leave the sequential
+// run's tolerance.
+TEST(TrainerTest, FrozenNodesAfterNodeTrainingMatchSequential) {
+  const Graph g = SmallRoadNetwork();
+  const PartitionHierarchy h = SmallHierarchy(g);
+  DistanceSampler sampler(g);
+  Rng val_rng(29);
+  const auto val = sampler.RandomPairs(400, val_rng);
+
   const auto train_with = [&](size_t threads) {
     TrainConfig cfg;
     cfg.dim = 32;
-    cfg.level_samples = 4000;
-    cfg.vertex_samples = 20000;
-    cfg.finetune_rounds = 0;
     cfg.num_threads = threads;
-    cfg.seed = 13;
+    cfg.seed = 31;
     Trainer trainer(g, h, cfg);
-    trainer.TrainAll();
-    EXPECT_EQ(trainer.sgd_threads(), threads > 1 ? threads : 1);
+    Rng rng(37);
+    const auto samples = trainer.Materialize(
+        RandomVertexPairs(g.NumVertices(), 20000, rng, cfg.source_reuse));
+    const uint32_t levels = trainer.model().num_levels();
+    std::vector<double> frozen(levels + 1, 0.0);
+    frozen[levels] = cfg.lr0;
+    std::vector<double> all(levels + 1, 0.0);
+    for (uint32_t l = 1; l <= levels; ++l) all[l] = cfg.lr0 / l;
+    trainer.TrainOnSamples(samples, frozen, 2);
+    trainer.TrainOnSamples(samples, all, 4);
+    trainer.TrainOnSamples(samples, frozen, 4);
     return trainer.MeanRelativeError(val);
   };
 
@@ -347,7 +392,6 @@ TEST(TrainerTest, ThreadCountInvariance) {
   const double parallel = train_with(4);
   EXPECT_LT(sequential, 0.15);
   EXPECT_LT(parallel, 0.15);
-  // Within 10% absolute-quality drift of each other (acceptance criterion).
   EXPECT_NEAR(parallel, sequential, 0.1 * (sequential + 0.01) + 0.02);
 }
 

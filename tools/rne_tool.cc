@@ -119,18 +119,18 @@ int CmdBuild(const ArgParser& args) {
   if (!st.ok()) return Fail(st.ToString());
   static const char* const kPhaseNames[3] = {"hierarchy", "vertex",
                                              "fine-tune"};
-  std::printf("  partition: %.1fs (%u build thread%s)\n",
-              stats.partition_seconds, model.build_threads(),
+  std::printf("  partition: %.0f ms (%u build thread%s)\n",
+              stats.partition_seconds * 1e3, model.build_threads(),
               model.build_threads() == 1 ? "" : "s");
-  std::printf("  labels: %.2fs (exact label index %.1f MB, freed after "
+  std::printf("  labels: %.0f ms (exact label index %.1f MB, freed after "
               "training)\n",
-              stats.label_seconds,
+              stats.label_seconds * 1e3,
               static_cast<double>(stats.label_index_bytes) / 1048576.0);
   for (int phase = 0; phase < 3; ++phase) {
     if (stats.phase_samples[phase] == 0) continue;
     const double secs = stats.phase_seconds[phase];
-    std::printf("  phase %d (%s): %.1fs, %zu samples (%.0f samples/s)\n",
-                phase + 1, kPhaseNames[phase], secs,
+    std::printf("  phase %d (%s): %.0f ms, %zu samples (%.0f samples/s)\n",
+                phase + 1, kPhaseNames[phase], secs * 1e3,
                 stats.phase_samples[phase],
                 secs > 0.0 ? static_cast<double>(stats.phase_samples[phase]) /
                                  secs
