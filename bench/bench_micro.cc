@@ -3,8 +3,8 @@
 // (Dijkstra / bidirectional / A*), training throughput at several thread
 // counts, exact training-label throughput, the end-to-end RNE query (the
 // "60-150 ns" headline numbers of the paper's abstract), and the RneIndex
-// kNN and range searches, and the serving front end's per-request costs:
-// a result-cache miss and a protocol line parse.
+// kNN and range searches, and the serving path's per-request costs: an
+// engine batch, a result-cache miss and a protocol line parse.
 //
 // Unless --benchmark_out is given, results are written to
 // bench_results/perf_kernels.json (machine-readable; the JSON context block
@@ -33,6 +33,7 @@
 #include "core/trainer.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
+#include "serve/model_manager.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
 #include "serve/server_loop.h"
@@ -422,9 +423,10 @@ BENCHMARK(BM_ObsCounterCost)->Arg(0)->Arg(1);
 
 // Serve-path A/B: batched QueryEngine requests against the resident model
 // backend with observability off (0) vs on (1). Per-item time is the serve
-// latency including admission, chunk fan-out, the sampled per-backend
-// histogram, and per-chunk counter flushes — the serve-p50 side of the
-// <=2% overhead budget.
+// latency including admission, the sampled per-backend histogram, and the
+// per-chunk counter flushes — the serve-p50 side of the <=2% overhead
+// budget. A distance batch runs whole on its caller, so this measures one
+// thread (no pool fan-out).
 void BM_ServeQueryObs(benchmark::State& state) {
   static serve::QueryEngine* engine = [] {
     serve::EngineOptions options;
@@ -438,9 +440,9 @@ void BM_ServeQueryObs(benchmark::State& state) {
   }();
   Rng rng(23);
   const size_t n = BenchModel().NumVertices();
-  // Large enough (32 chunks) that per-query and per-chunk instrumentation
-  // costs dominate the fixed pool-wakeup latency, which on shared machines
-  // is noisier than the 2% budget being measured.
+  // Large enough that per-query instrumentation costs dominate the fixed
+  // per-batch costs (admission, chain resolution), which on shared
+  // machines are noisier than the 2% budget being measured.
   std::vector<serve::Request> requests(1024);
   for (auto& r : requests) {
     r.kind = serve::RequestKind::kDistance;
@@ -458,6 +460,59 @@ void BM_ServeQueryObs(benchmark::State& state) {
                           static_cast<int64_t>(requests.size()));
 }
 BENCHMARK(BM_ServeQueryObs)->Arg(0)->Arg(1)->UseRealTime();
+
+// The engine as rne_server runs it: 64-request distance batches (the
+// default --batch) through QueryEngine::QueryBatch against a ModelManager
+// managed backend with a dijkstra fallback, on an engine with 2 workers.
+// At 2 threads two callers share the engine, as two reactors do.
+// ns_per_req is wall time per request across all callers (1e9 /
+// items_per_second, including the ~50 ns model query), so two callers
+// that do not contend halve it.
+void BM_EngineBatch(benchmark::State& state) {
+  struct Served {
+    serve::ModelManager manager;
+    serve::QueryEngine engine{[] {
+      serve::EngineOptions options;
+      options.num_threads = 2;
+      return options;
+    }()};
+  };
+  static Served* served = [] {
+    auto* s = new Served();
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "bench_engine_batch.rne")
+            .string();
+    if (!BenchModel().Save(path).ok() || !s->manager.Load(path).ok()) {
+      std::abort();
+    }
+    std::filesystem::remove(path);
+    s->engine.AddReadyBackend(s->manager.MakeManagedBackend());
+    serve::BackendContext ctx;
+    ctx.graph = &BenchGraph();
+    s->engine.AddBackend("dijkstra", ctx);
+    if (!s->engine.WaitUntilLoaded().ok()) std::abort();
+    return s;
+  }();
+  constexpr size_t kBatch = 64;
+  Rng rng(41 + static_cast<uint64_t>(state.thread_index()));
+  const size_t n = BenchModel().NumVertices();
+  std::vector<serve::Request> requests(kBatch);
+  for (auto& r : requests) {
+    r.s = static_cast<VertexId>(rng.UniformIndex(n));
+    r.t = static_cast<VertexId>(rng.UniformIndex(n));
+  }
+  std::vector<serve::Response> responses;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        served->engine.QueryBatch(requests, &responses).ok());
+    benchmark::DoNotOptimize(responses.data());
+  }
+  const auto items = static_cast<double>(state.iterations() * kBatch);
+  state.SetItemsProcessed(static_cast<int64_t>(items));
+  state.counters["ns_per_req"] = benchmark::Counter(
+      items * 1e-9, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineBatch)->Threads(1)->Threads(2)->UseRealTime();
 
 // Result-cache miss path, the cost a uniform QUERY stream pays per request:
 // batches of 64 uniform (s, t) keys over 4096^2, each looked up (a miss in

@@ -10,14 +10,15 @@
 // thread owned by the server with its own epoll set and connection map; a
 // reactor owns every connection it was handed, so reads, line parsing and
 // write buffering of one connection never race. A reactor runs its
-// connections' batches through the blocking QueryEngine::QueryBatch
-// (which fans a batch larger than one chunk out onto the engine's pool),
-// so while the pool computes one reactor's batch, another reactor parses,
-// formats and writes. Reactors are threads, not pool tasks: a caller
-// blocked in QueryBatch would otherwise wait on workers parked in reactor
-// loops. Pipelined clients amortize a whole batch per read burst; a
-// half-full batch is flushed as soon as the read side goes dry, so a lone
-// synchronous client never waits on a timer.
+// connections' batches through the blocking QueryEngine::QueryBatch: a
+// batch of learned distance answers runs on the reactor itself, and only a
+// batch with more searches than one engine chunk (kNN requests, or
+// distance requests an exact backend answers) fans out onto the pool,
+// while the other reactors parse, format and write. Reactors are threads, not pool
+// tasks: a caller blocked in QueryBatch would otherwise wait on workers
+// parked in reactor loops. Pipelined clients amortize a whole batch per
+// read burst; a half-full batch is flushed as soon as the read side goes
+// dry, so a lone synchronous client never waits on a timer.
 //
 // Protection against misbehaving clients:
 //   * Slow-client eviction — answers buffer in userspace when the socket's

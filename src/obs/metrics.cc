@@ -25,16 +25,10 @@ void SetEnabled(bool enabled) {
   g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-void LatencyStat::Record(int64_t nanos) {
+void LatencyStat::Record(int64_t nanos, uint64_t count) {
   Shard& s = shards_[DenseThreadId() % kShards];
   MutexLock lock(&s.mu);
-  s.hist.Record(nanos);
-}
-
-void LatencyStat::Merge(const LatencyHistogram& local) {
-  Shard& s = shards_[DenseThreadId() % kShards];
-  MutexLock lock(&s.mu);
-  s.hist.Merge(local);
+  s.hist.Record(nanos, count);
 }
 
 LatencyHistogram LatencyStat::Snapshot() const {

@@ -67,10 +67,8 @@ class Gauge {
 /// shards into one histogram for percentile queries.
 class LatencyStat {
  public:
-  void Record(int64_t nanos);
-  /// Folds a locally accumulated histogram in (one shard lock total —
-  /// cheaper than per-sample Record for batch recorders).
-  void Merge(const LatencyHistogram& local);
+  /// Records `count` samples of `nanos` (one shard lock however many).
+  void Record(int64_t nanos, uint64_t count = 1);
   LatencyHistogram Snapshot() const;
   void Reset();
 
@@ -136,8 +134,8 @@ void AppendJsonString(std::string* out, const std::string& s);
 #define RNE_HIST_RECORD(name, nanos) \
   do {                               \
   } while (0)
-#define RNE_HIST_RECORD_MERGE(name, local_hist) \
-  do {                                          \
+#define RNE_HIST_RECORD_N(name, nanos, count) \
+  do {                                        \
   } while (0)
 
 #else  // !RNE_OBS_DISABLED
@@ -171,15 +169,15 @@ void AppendJsonString(std::string* out, const std::string& s);
     }                                                                      \
   } while (0)
 
-/// Folds a locally accumulated LatencyHistogram into the named registry
-/// histogram (one lock total; preferred over per-sample RNE_HIST_RECORD in
-/// batch loops).
-#define RNE_HIST_RECORD_MERGE(name, local_hist)                            \
+/// Records `count` samples of the same latency (one lock total; how a
+/// batch loop records requests that share one completion time).
+#define RNE_HIST_RECORD_N(name, nanos, count)                              \
   do {                                                                     \
     if (::rne::obs::Enabled()) {                                           \
-      static ::rne::obs::LatencyStat* const rne_obs_hist_merge_handle =    \
+      static ::rne::obs::LatencyStat* const rne_obs_hist_n_handle =        \
           ::rne::obs::MetricsRegistry::Global().GetLatency(name);          \
-      rne_obs_hist_merge_handle->Merge(local_hist);                        \
+      rne_obs_hist_n_handle->Record(static_cast<int64_t>(nanos),           \
+                                    static_cast<uint64_t>(count));         \
     }                                                                      \
   } while (0)
 

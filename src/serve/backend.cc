@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "algo/dijkstra.h"
 #include "baselines/alt.h"
@@ -33,12 +34,20 @@ class RneBackend : public QueryBackend {
   /// Owns a freshly loaded model. `num_workers` parallelizes the kNN-index
   /// build (query serving itself is unaffected).
   explicit RneBackend(Rne model, size_t num_workers = 1)
-      : owned_(std::make_unique<Rne>(std::move(model))),
-        model_(owned_.get()),
-        index_(model_, num_workers) {}
+      : owned_model_(std::make_unique<Rne>(std::move(model))),
+        owned_index_(
+            std::make_unique<RneIndex>(owned_model_.get(), num_workers)),
+        model_(owned_model_.get()),
+        index_(owned_index_.get()) {}
   /// Borrows a caller-owned model (must outlive the backend).
   explicit RneBackend(const Rne* model, size_t num_workers = 1)
-      : model_(model), index_(model_, num_workers) {}
+      : owned_index_(std::make_unique<RneIndex>(model, num_workers)),
+        model_(model),
+        index_(owned_index_.get()) {}
+  /// Borrows a caller-owned model and its index (both must outlive the
+  /// backend).
+  RneBackend(const Rne* model, const RneIndex* index)
+      : model_(model), index_(index) {}
 
   std::string Name() const override { return "rne"; }
   bool IsExact() const override { return false; }
@@ -50,13 +59,14 @@ class RneBackend : public QueryBackend {
   bool SupportsKnn() const override { return true; }
   std::vector<std::pair<VertexId, double>> Knn(VertexId s,
                                                size_t k) override {
-    return index_.Knn(s, k);
+    return index_->Knn(s, k);
   }
 
  private:
-  std::unique_ptr<Rne> owned_;  // null when borrowing
+  std::unique_ptr<Rne> owned_model_;         // null when borrowing
+  std::unique_ptr<RneIndex> owned_index_;    // null when borrowing
   const Rne* model_;
-  RneIndex index_;
+  const RneIndex* index_;
 };
 
 /// 8-bit quantized RNE matrix; const lookups, shared lock-free.
@@ -310,6 +320,21 @@ StatusOr<std::unique_ptr<QueryBackend>> MakeBackend(const std::string& name,
 
 std::unique_ptr<QueryBackend> MakeSharedModelBackend(const Rne& model) {
   return std::make_unique<RneBackend>(&model);
+}
+
+std::unique_ptr<QueryBackend> MakeSharedModelBackend(const Rne& model,
+                                                     const RneIndex& index) {
+  return std::make_unique<RneBackend>(&model, &index);
+}
+
+std::string_view InternBackendName(std::string_view name) {
+  static Mutex mu;
+  // Never destroyed: views into it may be read during static destruction.
+  static auto* const names = new std::set<std::string, std::less<>>();
+  MutexLock lock(&mu);
+  auto it = names->find(name);
+  if (it == names->end()) it = names->emplace(name).first;
+  return *it;
 }
 
 std::vector<std::string> RegisteredBackendNames() {

@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,7 @@
 
 namespace rne {
 class Rne;
+class RneIndex;
 }
 
 namespace rne::serve {
@@ -58,7 +60,23 @@ class QueryBackend {
                                                        size_t /*k*/) {
     return {};
   }
+
+  /// The backend a run of calls should use: ids checked against the
+  /// returned backend's NumVertices() stay valid for its Distance() and
+  /// Knn() while the pointer is held. The default returns this backend
+  /// itself (no ownership, no refcount traffic), which suits a backend
+  /// that serves one index for its whole life. A backend that swaps its
+  /// index returns a view of the index current at the call.
+  virtual std::shared_ptr<QueryBackend> Pin() {
+    return std::shared_ptr<QueryBackend>(std::shared_ptr<QueryBackend>(),
+                                         this);
+  }
 };
+
+/// Returns `name` as a view whose storage lives until the process exits
+/// (one copy per distinct name), so answers can carry their backend's name
+/// without copying a string per request.
+std::string_view InternBackendName(std::string_view name);
 
 /// Everything a factory may need to materialize a backend. Pointees must
 /// outlive the backend.
@@ -100,6 +118,10 @@ std::vector<std::string> RegisteredBackendNames();
 /// tests); identical serving behaviour to the "rne" backend but without the
 /// load-from-disk step. `model` must outlive the backend.
 std::unique_ptr<QueryBackend> MakeSharedModelBackend(const Rne& model);
+/// As above, also borrowing the model's kNN index instead of building one.
+/// Both must outlive the backend.
+std::unique_ptr<QueryBackend> MakeSharedModelBackend(const Rne& model,
+                                                     const RneIndex& index);
 
 }  // namespace rne::serve
 

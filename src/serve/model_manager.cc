@@ -8,9 +8,10 @@
 namespace rne::serve {
 namespace {
 
-/// Serves the manager's currently published snapshot; every call acquires
+/// Serves the manager's currently published snapshot. Each call acquires
 /// the snapshot once and uses it consistently (model + index from the same
-/// generation), so a swap mid-batch is invisible to individual queries.
+/// generation); Pin() hands out that snapshot's backend so a caller can
+/// range-check ids and query against the same generation.
 class ManagedRneBackend : public QueryBackend {
  public:
   explicit ManagedRneBackend(const ModelManager* manager)
@@ -27,26 +28,40 @@ class ManagedRneBackend : public QueryBackend {
     return snapshot == nullptr ? 0 : snapshot->model->IndexBytes();
   }
   double Distance(VertexId s, VertexId t) override {
-    const auto snapshot = manager_->Current();
-    if (snapshot == nullptr) {
+    return PublishedOrThrow()->Distance(s, t);
+  }
+  bool SupportsKnn() const override { return true; }
+  std::vector<std::pair<VertexId, double>> Knn(VertexId s,
+                                               size_t k) override {
+    return PublishedOrThrow()->Knn(s, k);
+  }
+  /// Before the first publish this is the manager-wide backend itself, so
+  /// NumVertices() reads 0 and a dispatch throws.
+  std::shared_ptr<QueryBackend> Pin() override {
+    auto published = Published();
+    return published != nullptr ? published : QueryBackend::Pin();
+  }
+
+ private:
+  /// The published snapshot's backend, sharing the snapshot's ownership;
+  /// null before the first publish.
+  std::shared_ptr<QueryBackend> Published() const {
+    auto snapshot = manager_->Current();
+    if (snapshot == nullptr) return nullptr;
+    QueryBackend* backend = snapshot->backend.get();
+    return std::shared_ptr<QueryBackend>(std::move(snapshot), backend);
+  }
+  std::shared_ptr<QueryBackend> PublishedOrThrow() const {
+    auto published = Published();
+    if (published == nullptr) {
       // The engine treats a throwing backend as a per-request failure and
       // retries down the chain — exactly the wanted behaviour while no
       // model has been published yet.
       throw std::runtime_error("no model published yet");
     }
-    return snapshot->model->Query(s, t);
-  }
-  bool SupportsKnn() const override { return true; }
-  std::vector<std::pair<VertexId, double>> Knn(VertexId s,
-                                               size_t k) override {
-    const auto snapshot = manager_->Current();
-    if (snapshot == nullptr) {
-      throw std::runtime_error("no model published yet");
-    }
-    return snapshot->index->Knn(s, k);
+    return published;
   }
 
- private:
   const ModelManager* manager_;
 };
 
@@ -110,6 +125,8 @@ Status ModelManager::Load(const std::string& path) {
       std::make_shared<const Rne>(std::move(model).value());
   snapshot->index = std::make_shared<const RneIndex>(snapshot->model.get(),
                                                      options_.num_workers);
+  snapshot->backend =
+      MakeSharedModelBackend(*snapshot->model, *snapshot->index);
   snapshot->version = next_version_++;
   snapshot->path = path;
   // Stage 4: publish. Readers that already hold the previous shared_ptr

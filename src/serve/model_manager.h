@@ -66,6 +66,9 @@ class ModelManager {
   struct Snapshot {
     std::shared_ptr<const Rne> model;
     std::shared_ptr<const RneIndex> index;
+    /// Serves exactly this generation's model and index; what the managed
+    /// backend's Pin() hands out, kept alive by the snapshot.
+    std::unique_ptr<QueryBackend> backend;
     uint64_t version = 0;
     std::string path;
   };
@@ -89,10 +92,12 @@ class ModelManager {
   /// concurrently with Load() is not supported.
   void AddPublishListener(std::function<void(uint64_t version)> listener);
 
-  /// Backend adapter serving whatever snapshot is published at each call.
-  /// The manager must outlive the returned backend. A backend created
-  /// before the first successful Load() throws from Distance()/Knn() —
-  /// the engine converts that to a failure and falls down the chain.
+  /// Backend adapter serving whatever snapshot is published at each call;
+  /// its Pin() returns the published snapshot's backend, so a run of calls
+  /// through the pin sees one generation (and one vertex count). The
+  /// manager must outlive the returned backend. A backend created before
+  /// the first successful Load() throws from Distance()/Knn() — the engine
+  /// converts that to a failure and falls down the chain.
   std::unique_ptr<QueryBackend> MakeManagedBackend() const;
 
  private:

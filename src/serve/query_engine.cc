@@ -82,6 +82,7 @@ void QueryEngine::AddBackend(const std::string& name, BackendContext ctx) {
       MutexLock inner(&chain_mu_);
       if (result.ok()) {
         raw->backend = std::move(result).value();
+        raw->answer_name = InternBackendName(raw->backend->Name());
         raw->state = SlotState::kReady;
       } else {
         raw->load_status = result.status();
@@ -94,6 +95,7 @@ void QueryEngine::AddBackend(const std::string& name, BackendContext ctx) {
 
 void QueryEngine::AddReadyBackend(std::unique_ptr<QueryBackend> backend) {
   auto slot = MakeSlot(backend->Name());
+  slot->answer_name = InternBackendName(slot->name);
   slot->backend = std::move(backend);
   slot->state = SlotState::kReady;
   {
@@ -124,38 +126,69 @@ size_t QueryEngine::num_backends() const {
   return chain_.size();
 }
 
-QueryEngine::BackendSlot* QueryEngine::ChooseBackend(
-    RequestKind kind, Clock::time_point deadline, size_t start,
-    FallbackFlags* flags, size_t* index) {
+void QueryEngine::FillView(SlotState state, SlotView* view) {
+  view->state = state;
+  if (state != SlotState::kReady) return;
+  view->backend = view->slot->backend->Pin();
+  view->num_vertices = view->backend->NumVertices();
+  view->exact = view->backend->IsExact();
+  view->supports_knn = view->backend->SupportsKnn();
+}
+
+void QueryEngine::ResolveChain(std::vector<SlotView>* chain) {
+  {
+    MutexLock lock(&chain_mu_);
+    chain->resize(chain_.size());
+    for (size_t i = 0; i < chain_.size(); ++i) {
+      (*chain)[i].slot = chain_[i].get();
+      (*chain)[i].state = chain_[i]->state;
+    }
+  }
+  // Pinned outside the lock: a slot past kLoading never changes, and a
+  // managed backend's Pin() takes its manager's lock.
+  for (SlotView& view : *chain) FillView(view.state, &view);
+}
+
+void QueryEngine::AwaitSlot(Clock::time_point deadline, SlotView* view) {
   const bool bounded = deadline != Clock::time_point::max();
-  MutexLock lock(&chain_mu_);
-  for (size_t i = start; i < chain_.size(); ++i) {
-    BackendSlot& slot = *chain_[i];
-    // A still-loading backend is worth waiting for only until the request's
-    // deadline; past it, the request falls down the chain (learned ->
-    // exact) instead of stalling.
-    while (slot.state == SlotState::kLoading) {
+  SlotState state;
+  {
+    MutexLock lock(&chain_mu_);
+    // A still-loading backend is worth waiting for only until the
+    // request's deadline; past it, the request falls down the chain
+    // (learned -> exact) instead of stalling.
+    while (view->slot->state == SlotState::kLoading) {
       if (!bounded) {
         chain_changed_.Wait(&lock);
       } else if (chain_changed_.WaitUntil(&lock, deadline) ==
-                     std::cv_status::timeout &&
-                 slot.state == SlotState::kLoading) {
+                 std::cv_status::timeout) {
         break;
       }
     }
-    if (slot.state == SlotState::kLoading) {
+    state = view->slot->state;
+  }
+  FillView(state, view);
+}
+
+QueryEngine::SlotView* QueryEngine::ChooseBackend(
+    std::span<SlotView> chain, RequestKind kind, Clock::time_point deadline,
+    size_t start, FallbackFlags* flags, size_t* index) {
+  for (size_t i = start; i < chain.size(); ++i) {
+    SlotView& view = chain[i];
+    if (view.state == SlotState::kLoading) AwaitSlot(deadline, &view);
+    if (view.state == SlotState::kLoading) {
       flags->any = true;
       flags->deadline = true;
       continue;
     }
-    if (slot.state == SlotState::kFailed) {
+    if (view.state == SlotState::kFailed) {
       flags->any = true;
       flags->load = true;
       continue;
     }
-    if (kind == RequestKind::kKnn && !slot.backend->SupportsKnn()) continue;
+    if (kind == RequestKind::kKnn && !view.supports_knn) continue;
     *index = i;
-    return &slot;
+    return &view;
   }
   return nullptr;
 }
@@ -164,15 +197,37 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
                                std::span<Response> out,
                                Clock::time_point admitted,
                                Clock::time_point deadline_default) {
-  LatencyHistogram local_latency;
+  std::vector<SlotView> chain;
+  ResolveChain(&chain);
   uint64_t served = 0, failed = 0, fb_load = 0, fb_deadline = 0;
   uint64_t retries = 0, fast_fails = 0;
+  bool exact_distance = false, learned_distance = false;
+#if !defined(RNE_OBS_DISABLED)
+  // Per-backend call timing is SAMPLED 1-in-256 dispatches per thread: two
+  // clock reads (~50 ns each on a KVM guest) plus a shard-mutex Record
+  // would cost more than a ~60 ns learned-backend request if paid every
+  // time, and even 1-in-32 adds ~4 ns to one. Sampled, the amortized cost
+  // is a counter increment and a branch, and the latency distribution
+  // estimate is statistically unchanged under load.
+  thread_local uint32_t backend_sample_tick = 0;
+  const bool sampling = obs::Enabled();
+  uint32_t sample_tick = backend_sample_tick;
+#endif
   for (size_t i = 0; i < requests.size(); ++i) {
     const Request& request = requests[i];
     Clock::time_point deadline = deadline_default;
     if (request.deadline.count() > 0) deadline = admitted + request.deadline;
     const bool bounded = deadline != Clock::time_point::max();
-    Response response;
+    // Reused from the caller's previous batch: reset every answer field
+    // in place (latency_ns is set for the whole chunk below).
+    Response& response = out[i];
+    response.status = Status::Ok();
+    response.distance = kInfDistance;
+    response.knn.clear();
+    response.backend = {};
+    response.exact = false;
+    response.fell_back = false;
+    response.cached = false;
     if (bounded && Clock::now() >= deadline) {
       // Deadline burned entirely by queue wait: fail fast without touching
       // any backend — the answer would be useless and the dispatch would
@@ -186,9 +241,9 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
       bool attempted = false;
       while (true) {
         size_t index = 0;
-        BackendSlot* slot =
-            ChooseBackend(request.kind, deadline, next, &flags, &index);
-        if (slot == nullptr) {
+        SlotView* view =
+            ChooseBackend(chain, request.kind, deadline, next, &flags, &index);
+        if (view == nullptr) {
           // Out of chain. Keep the last attempt's failure status if there
           // was one — it names the actual error.
           if (!attempted) {
@@ -202,12 +257,14 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
           break;
         }
         if (attempted) ++retries;
-        QueryBackend* backend = slot->backend.get();
-        const size_t n = backend->NumVertices();
+        const BackendSlot& slot = *view->slot;
+        QueryBackend* backend = view->backend.get();
+        const size_t n = view->num_vertices;
         const bool needs_t = request.kind == RequestKind::kDistance;
         // n == 0 means the backend cannot vouch for the id space (e.g. a
         // managed slot before its first publish); dispatch anyway and let
-        // the failure path walk the chain.
+        // the failure path walk the chain. The pinned backend answers from
+        // the index n was read from, so a checked id stays in range.
         if (n > 0 && (request.s >= n || (needs_t && request.t >= n))) {
           response.status = Status::InvalidArgument(
               "vertex id out of range [0, " + std::to_string(n) + ")");
@@ -215,14 +272,7 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
         }
         bool attempt_ok = false;
 #if !defined(RNE_OBS_DISABLED)
-        // Per-backend call timing is SAMPLED 1-in-32: two clock reads plus
-        // a shard-mutex Record would cost ~25% of a fast learned-backend
-        // query if paid every time; sampled, the amortized cost is a
-        // thread-local increment and a branch (<1%), and the latency
-        // distribution estimate is statistically unchanged under load.
-        thread_local uint32_t backend_sample_tick = 0;
-        const bool timed =
-            obs::Enabled() && (backend_sample_tick++ & 31u) == 0;
+        const bool timed = sampling && (sample_tick++ & 255u) == 0;
         const Clock::time_point backend_start =
             timed ? Clock::now() : Clock::time_point();
 #endif
@@ -230,7 +280,7 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
           // The chaos harness's hook: may sleep, throw, or hand back an
           // error Status — all indistinguishable from a sick backend.
           const Status injected =
-              fault::MaybeInjectRuntimeFault(slot->fault_point);
+              fault::MaybeInjectRuntimeFault(slot.fault_point);
           if (!injected.ok()) {
             response.status = injected;
           } else {
@@ -243,29 +293,32 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
             // Backend-call time only: together with the admission-to-
             // completion histogram this splits queue wait from compute.
             if (timed) {
-              slot->latency->Record(
+              slot.latency->Record(
                   std::chrono::duration_cast<std::chrono::nanoseconds>(
                       Clock::now() - backend_start)
                       .count());
             }
 #endif
             response.status = Status::Ok();  // clear any prior attempt's error
-            response.backend = backend->Name();
-            response.exact = backend->IsExact();
+            response.backend = slot.answer_name;
+            response.exact = view->exact;
+            if (request.kind == RequestKind::kDistance) {
+              (view->exact ? exact_distance : learned_distance) = true;
+            }
             response.fell_back = flags.any || index > 0;
             attempt_ok = true;
           }
         } catch (const std::exception& e) {
           response.status = Status::FailedPrecondition(
-              std::string("backend '") + backend->Name() + "' threw: " +
-              e.what());
+              std::string("backend '").append(slot.answer_name) +
+              "' threw: " + e.what());
         } catch (...) {
           // A non-std::exception must not escape: it would unwind through
           // the pool's TaskGroup, rethrow from QueryBatch, and skip the
           // admission release — every per-request failure becomes a
           // Response, never an exception.
           response.status = Status::FailedPrecondition(
-              std::string("backend '") + backend->Name() +
+              std::string("backend '").append(slot.answer_name) +
               "' threw a non-standard exception");
         }
         if (attempt_ok) {
@@ -280,21 +333,29 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
         if (bounded && Clock::now() >= deadline) break;
       }
     }
-    response.latency_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             admitted)
-            .count();
     if (response.status.ok()) {
       ++served;
     } else {
       ++failed;
     }
-    local_latency.Record(response.latency_ns);
-    out[i] = std::move(response);
+  }
+#if !defined(RNE_OBS_DISABLED)
+  backend_sample_tick = sample_tick;
+#endif
+  // One clock read per chunk: no caller sees an answer before its whole
+  // chunk (and batch) is done, so that is when every request completes.
+  const int64_t latency_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           admitted)
+          .count();
+  for (Response& response : out) response.latency_ns = latency_ns;
+  if ((exact_distance || learned_distance) &&
+      exact_distances_.load(std::memory_order_relaxed) != exact_distance) {
+    exact_distances_.store(exact_distance, std::memory_order_relaxed);
   }
   {
     MutexLock lock(&metrics_mu_);
-    latency_.Merge(local_latency);
+    latency_.Record(latency_ns, out.size());
   }
   served_.Add(served);
   failed_.Add(failed);
@@ -309,12 +370,11 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
   RNE_COUNTER_ADD("serve.fallback_deadline", fb_deadline);
   RNE_COUNTER_ADD("serve.retries", retries);
   RNE_COUNTER_ADD("serve.fast_fails", fast_fails);
-  RNE_HIST_RECORD_MERGE("serve.latency_ns", local_latency);
+  RNE_HIST_RECORD_N("serve.latency_ns", latency_ns, out.size());
 }
 
 Status QueryEngine::QueryBatch(std::span<const Request> requests,
                                std::vector<Response>* out) {
-  out->clear();
   out->resize(requests.size());
   if (requests.empty()) return Status::Ok();
   const Clock::time_point admitted = Clock::now();
@@ -347,9 +407,20 @@ Status QueryEngine::QueryBatch(std::span<const Request> requests,
           ? admitted + options_.default_deadline
           : Clock::time_point::max();
   const size_t chunk = std::max<size_t>(1, options_.batch_chunk);
-  if (requests.size() <= chunk) {
-    // One chunk: handing it to a worker and blocking on it would only add
-    // two thread wake-ups.
+  // Requests that cost a search: every kNN request, and every distance
+  // request while distance answers come from an exact backend (an exact
+  // chain, or a learned primary that is failing or still loading).
+  const size_t searches =
+      exact_distances_.load(std::memory_order_relaxed)
+          ? requests.size()
+          : static_cast<size_t>(std::count_if(
+                requests.begin(), requests.end(), [](const Request& r) {
+                  return r.kind == RequestKind::kKnn;
+                }));
+  if (searches <= chunk) {
+    // A learned distance answer costs tens of nanoseconds, so a hand-off
+    // to a worker and the wake-up back would cost more than the batch; at
+    // most one chunk of searches is not worth splitting either.
     ExecuteChunk(requests, *out, admitted, deadline_default);
     return Status::Ok();
   }

@@ -1,9 +1,14 @@
 // Concurrent batched query serving (the ROADMAP's "heavy traffic" path).
 //
 // A QueryEngine owns an ordered fallback chain of QueryBackends and executes
-// batched distance/kNN requests on a shared ThreadPool, one TaskGroup per
-// batch so concurrent batches never wait on each other; a batch that fits
-// in one chunk runs on the calling thread instead. It enforces:
+// batched distance/kNN requests. A batch runs on the calling thread unless
+// it holds more than `batch_chunk` searches: its kNN requests (~7 us
+// each), plus its distance requests while distance answers come from an
+// exact backend (a learned answer costs tens of nanoseconds and never
+// repays a thread hand-off; a Dijkstra one costs microseconds or more).
+// Such a batch fans out onto a shared ThreadPool in `batch_chunk`-sized
+// tasks, one TaskGroup per batch so concurrent batches never wait on each
+// other. The engine enforces:
 //
 //  * Admission control — a bounded count of admitted-but-unfinished
 //    requests; a batch that would exceed it is rejected whole with
@@ -20,17 +25,23 @@
 //    remains; a request whose deadline expired while queued fails fast
 //    without touching any backend.
 //  * Metrics — served/rejected/failed/fallback/retry counters plus a
-//    merged per-batch latency histogram (p50/p95/p99 over
-//    admission-to-completion nanoseconds) and QPS since start, exported as
-//    a JSON-able snapshot.
+//    latency histogram (p50/p95/p99 over admission-to-chunk-completion
+//    nanoseconds) and QPS since start, exported as a JSON-able snapshot.
+//
+// Bookkeeping is per chunk, not per request: a chunk resolves the chain
+// once (one lock, one Pin() per ready backend, so a hot-swapped model is
+// read as one generation and ids are range-checked against it), reads the
+// clock once at its end, and adds its counters once.
 #ifndef RNE_SERVE_QUERY_ENGINE_H_
 #define RNE_SERVE_QUERY_ENGINE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -49,8 +60,10 @@ struct EngineOptions {
   /// Max admitted-but-unfinished requests across all concurrent batches;
   /// batches beyond it are rejected with Unavailable.
   size_t queue_capacity = 4096;
-  /// Requests per pool task; amortizes queue traffic for large batches. A
-  /// batch no larger than this runs on the caller's thread.
+  /// Searches worth one pool task. A batch with more searches than this
+  /// (kNN requests, and distance requests while an exact backend answers
+  /// them) fans out in chunks of this many requests; any other batch runs
+  /// on the caller's thread.
   size_t batch_chunk = 32;
   /// Deadline for requests that do not carry their own (0 = none).
   std::chrono::microseconds default_deadline{0};
@@ -72,15 +85,17 @@ struct Response {
   Status status;
   double distance = kInfDistance;
   std::vector<std::pair<VertexId, double>> knn;
-  /// Name of the backend that answered (empty on failure).
-  std::string backend;
+  /// Name of the backend that answered (empty on failure). The storage
+  /// lives for the whole process (InternBackendName or a literal).
+  std::string_view backend;
   bool exact = false;
   /// True when a non-primary backend answered (load failure, deadline or a
   /// failed dispatch).
   bool fell_back = false;
   /// True when the answer came from a ResultCache hit, not a backend call.
   bool cached = false;
-  /// Admission-to-completion latency.
+  /// Admission to the completion of the chunk that answered the request
+  /// (the whole batch when it runs on the caller).
   int64_t latency_ns = 0;
 };
 
@@ -130,10 +145,13 @@ class QueryEngine {
   Status WaitUntilLoaded();
 
   /// Executes `requests` as one batch: admits all-or-nothing (Unavailable
-  /// on queue-full), fans out onto the pool, and blocks until every
-  /// response is filled. A batch of at most `batch_chunk` requests is one
-  /// chunk anyway, so it runs on the calling thread with no pool hand-off.
-  /// `out` is resized to requests.size(); per-request failures land in
+  /// on queue-full) and returns once every response is filled. The batch
+  /// runs on the calling thread unless it holds more than `batch_chunk`
+  /// searches (kNN requests, and distance requests while the last chunk
+  /// that answered distances answered one from an exact backend); then it
+  /// fans out onto the pool in `batch_chunk`-sized chunks and the caller
+  /// blocks until they finish. `out` is resized to requests.size() and its
+  /// Response objects are reused; per-request failures land in
   /// Response::status, not the return value.
   Status QueryBatch(std::span<const Request> requests,
                     std::vector<Response>* out);
@@ -156,10 +174,28 @@ class QueryEngine {
     std::string fault_point;
     SlotState state = SlotState::kLoading;
     std::unique_ptr<QueryBackend> backend;
+    /// InternBackendName(backend->Name()), set when the slot turns kReady:
+    /// the name answers carry.
+    std::string_view answer_name;
     Status load_status;
     /// Registry histogram "serve.backend.<name>.latency_ns" (backend-call
     /// time only, excluding queue wait). Resolved once at AddBackend.
     obs::LatencyStat* latency = nullptr;
+  };
+
+  /// A chain slot as one chunk sees it. A chunk resolves the whole chain
+  /// once and walks these without the chain lock; only a slot still
+  /// loading sends a request back to the lock (AwaitSlot).
+  struct SlotView {
+    /// Stable: slots are never removed, and a slot that left kLoading
+    /// never changes again.
+    const BackendSlot* slot = nullptr;
+    SlotState state = SlotState::kLoading;
+    /// slot->backend->Pin() while kReady, held for the rest of the chunk.
+    std::shared_ptr<QueryBackend> backend;
+    size_t num_vertices = 0;
+    bool exact = false;
+    bool supports_knn = false;
   };
 
   using Clock = std::chrono::steady_clock;
@@ -175,15 +211,22 @@ class QueryEngine {
     bool deadline = false;  // skipped a still-loading backend at deadline
     bool load = false;      // skipped a failed-to-load backend
   };
+  /// Snapshots every slot into `chain` (one chain lock) and pins the ready
+  /// ones.
+  void ResolveChain(std::vector<SlotView>* chain) RNE_EXCLUDES(chain_mu_);
+  /// Waits, until `deadline`, for a slot `view` saw loading; refreshes the
+  /// view (pinning the backend if it became ready).
+  void AwaitSlot(Clock::time_point deadline, SlotView* view)
+      RNE_EXCLUDES(chain_mu_);
+  /// Fills `view` from its slot's current state; a ready slot is pinned.
+  static void FillView(SlotState state, SlotView* view);
   /// Picks the first servable slot at index >= `start` per the fallback
-  /// policy; blocks on loading slots until `deadline`. Returns nullptr when
-  /// no backend can serve; `*index` receives the chosen slot's position so
-  /// retries resume after it. The returned slot's backend/latency pointers
-  /// are stable (slots are never removed and a slot that reached kReady
-  /// never changes again).
-  BackendSlot* ChooseBackend(RequestKind kind, Clock::time_point deadline,
-                             size_t start, FallbackFlags* flags,
-                             size_t* index) RNE_EXCLUDES(chain_mu_);
+  /// policy, waiting on loading slots until `deadline`. Returns nullptr
+  /// when no backend can serve; `*index` receives the chosen slot's
+  /// position so retries resume after it.
+  SlotView* ChooseBackend(std::span<SlotView> chain, RequestKind kind,
+                          Clock::time_point deadline, size_t start,
+                          FallbackFlags* flags, size_t* index);
   /// True while any slot is still kLoading.
   bool AnyBackendLoading() const RNE_REQUIRES(chain_mu_);
 
@@ -197,8 +240,8 @@ class QueryEngine {
   std::vector<std::unique_ptr<BackendSlot>> chain_ RNE_GUARDED_BY(chain_mu_);
   std::vector<std::thread> loaders_ RNE_GUARDED_BY(chain_mu_);
 
-  /// Engine-wide admission-to-completion latency; LatencyHistogram is not
-  /// thread-safe, so chunk-local histograms merge under this mutex.
+  /// Engine-wide admission-to-chunk-completion latency; LatencyHistogram
+  /// is not thread-safe, so a chunk records its requests under this mutex.
   mutable Mutex metrics_mu_;
   LatencyHistogram latency_ RNE_GUARDED_BY(metrics_mu_);
   /// Counters are registry-style atomics (TSan-clean, no lock on the update
@@ -216,6 +259,13 @@ class QueryEngine {
 
   Mutex admission_mu_;
   size_t outstanding_ RNE_GUARDED_BY(admission_mu_) = 0;
+
+  /// Whether the last chunk that answered distance requests answered any
+  /// of them from an exact backend. Such an answer is a search (us to ms),
+  /// so while this holds a distance batch larger than one chunk fans out;
+  /// a learned answer (tens of ns) never repays the hand-off. Starts false:
+  /// the first batch runs inline whatever the chain.
+  std::atomic<bool> exact_distances_{false};
 };
 
 }  // namespace rne::serve

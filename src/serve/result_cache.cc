@@ -64,15 +64,15 @@ struct Slot {
   Key key;
   double distance = 0.0;
   std::vector<std::pair<VertexId, double>> knn;
-  std::string backend;
+  std::string_view backend;  // process-lifetime storage, as in Response
   uint32_t prev = kNone;  // toward the most recently used
   uint32_t next = kNone;  // toward the least recently used
   uint32_t hash_hi = 0;   // HighHash(key): home cell, re-probe on delete
   bool exact = false;
 };
 // With the shard's index (8-16 bytes per entry at load <= 0.5), an entry
-// stays within 128 bytes.
-static_assert(sizeof(Slot) <= 112);
+// stays within 104 bytes.
+static_assert(sizeof(Slot) <= 88);
 
 /// Scratch for one batch: each request's hash, and the request indices
 /// grouped by shard (batch order within a shard). Thread-local, so a warm

@@ -101,12 +101,13 @@ int64_t LatencyHistogram::BucketLowerBound(size_t bucket) {
                               (sub << (msb - kSubBits)));
 }
 
-void LatencyHistogram::Record(int64_t nanos) {
+void LatencyHistogram::Record(int64_t nanos, uint64_t count) {
+  if (count == 0) return;
   if (nanos < 0) nanos = 0;
   const size_t b = BucketFor(nanos);
-  counts_[b] += 1;
-  total_ += 1;
-  sum_nanos_ += static_cast<double>(nanos);
+  counts_[b] += count;
+  total_ += count;
+  sum_nanos_ += static_cast<double>(nanos) * static_cast<double>(count);
   max_nanos_ = std::max(max_nanos_, nanos);
   lo_bucket_ = std::min(lo_bucket_, b);
   hi_bucket_ = std::max(hi_bucket_, b);

@@ -55,8 +55,8 @@ class LatencyHistogram {
  public:
   LatencyHistogram();
 
-  /// Records one latency sample; negative values count as zero.
-  void Record(int64_t nanos);
+  /// Records `count` samples of `nanos`; negative values count as zero.
+  void Record(int64_t nanos, uint64_t count = 1);
   /// Adds every sample of `other` into this histogram.
   void Merge(const LatencyHistogram& other);
   void Reset();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -363,6 +364,83 @@ TEST(ModelManagerTest, HotSwapUnderConcurrentQueriesNeverFailsAQuery) {
 
   std::filesystem::remove(v1);
   std::filesystem::remove(v2);
+}
+
+// With require_same_vertex_count off, a RELOAD may shrink the id space
+// under in-flight batches. A chunk pins one snapshot and range-checks ids
+// against it, so an id valid only in the larger model is either answered
+// by the larger model or rejected InvalidArgument — never read past the
+// smaller model's rows (which the ASan leg would report).
+TEST(ModelManagerTest, ShrinkingReloadNeverReadsOutOfRange) {
+  const Graph big = SmallNetwork(8, 8);
+  const Graph small = SmallNetwork(6, 6);
+  const std::string large_path = SaveTinyModel(big, "rne_mm_shrink_64.bin");
+  const std::string small_path = SaveTinyModel(small, "rne_mm_shrink_36.bin");
+
+  ModelManager::Options manager_options;
+  manager_options.require_same_vertex_count = false;
+  ModelManager manager(manager_options);
+  ASSERT_TRUE(manager.Load(large_path).ok());
+  EngineOptions options;
+  options.num_threads = 2;
+  QueryEngine engine(options);
+  engine.AddReadyBackend(manager.MakeManagedBackend());
+
+  const size_t lo = small.NumVertices();
+  const size_t hi = big.NumVertices();
+  std::atomic<bool> done{false};
+  std::atomic<size_t> unexpected{0};
+  std::atomic<size_t> answered{0};
+  std::atomic<size_t> rejected{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      std::vector<Request> batch(16);
+      std::vector<Response> responses;
+      for (size_t round = 0; !done.load(std::memory_order_acquire); ++round) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          batch[i].s = static_cast<VertexId>(lo + (c + round + i) % (hi - lo));
+          batch[i].t = static_cast<VertexId>(lo + (round * 7 + i) % (hi - lo));
+        }
+        if (!engine.QueryBatch(batch, &responses).ok()) {
+          unexpected.fetch_add(1);
+          continue;
+        }
+        for (const Response& response : responses) {
+          if (response.status.ok() && std::isfinite(response.distance)) {
+            answered.fetch_add(1);
+          } else if (response.status.code() ==
+                     StatusCode::kInvalidArgument) {
+            rejected.fetch_add(1);
+          } else {
+            unexpected.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  // Each swap waits for more requests than two batches in flight can hold,
+  // so every phase serves some batches from the model it just published.
+  for (int swap = 0; swap < 20; ++swap) {
+    const size_t progress = answered.load() + rejected.load() + 64;
+    while (answered.load() + rejected.load() < progress) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(manager.Load(swap % 2 == 0 ? small_path : large_path).ok())
+        << swap;
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(unexpected.load(), 0u);
+  EXPECT_GT(answered.load(), 0u);
+  EXPECT_GT(rejected.load(), 0u);
+  const MetricsSnapshot metrics = engine.Metrics();
+  EXPECT_EQ(metrics.served, answered.load());
+  EXPECT_EQ(metrics.failed, rejected.load());
+
+  std::filesystem::remove(large_path);
+  std::filesystem::remove(small_path);
 }
 
 }  // namespace

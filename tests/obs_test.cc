@@ -70,15 +70,16 @@ TEST_F(ObsTest, CountersAreExactUnderConcurrency) {
             static_cast<size_t>(kThreads * kPerThread));
 }
 
-TEST_F(ObsTest, LatencyStatMergeFoldsLocalHistograms) {
+TEST_F(ObsTest, LatencyStatRecordsWeightedSamples) {
   LatencyStat stat;
-  LatencyHistogram local;
-  for (int i = 1; i <= 100; ++i) local.Record(i * 1000);
-  stat.Merge(local);
+  stat.Record(1000, 99);  // a chunk of 99 requests finishing together
   stat.Record(999000);
+  stat.Record(5000000, 0);  // no samples: moves nothing, not even the max
   const LatencyHistogram merged = stat.Snapshot();
-  EXPECT_EQ(merged.TotalCount(), 101u);
+  EXPECT_EQ(merged.TotalCount(), 100u);
   EXPECT_EQ(merged.MaxNanos(), 999000);
+  EXPECT_DOUBLE_EQ(merged.MeanNanos(), (99 * 1000.0 + 999000.0) / 100);
+  EXPECT_NEAR(merged.PercentileNanos(50.0), 1000.0, 50.0);
   stat.Reset();
   EXPECT_EQ(stat.Snapshot().TotalCount(), 0u);
 }

@@ -8,7 +8,10 @@
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algo/dijkstra.h"
@@ -40,8 +43,9 @@ std::vector<Request> RandomDistanceRequests(const Graph& g, size_t n,
   return out;
 }
 
-/// Controllable stub: approximate answers, optional per-call block, and a
-/// name distinct from the built-ins.
+/// Controllable stub: approximate answers (kNN answers are just the
+/// source), optional per-call block, and a name distinct from the
+/// built-ins.
 class StubBackend : public QueryBackend {
  public:
   std::string Name() const override { return "stub"; }
@@ -52,6 +56,13 @@ class StubBackend : public QueryBackend {
     calls_.fetch_add(1);
     if (hold_.valid()) hold_.wait();
     return static_cast<double>(s) + static_cast<double>(t);
+  }
+  bool SupportsKnn() const override { return true; }
+  std::vector<std::pair<VertexId, double>> Knn(VertexId s,
+                                               size_t /*k*/) override {
+    calls_.fetch_add(1);
+    if (hold_.valid()) hold_.wait();
+    return {{s, 0.0}};
   }
 
   size_t num_vertices_ = 144;
@@ -428,15 +439,16 @@ TEST(QueryEngineTest, ConcurrentBatchHammerServesEverything) {
   EXPECT_GT(metrics.qps, 0.0);
 }
 
-// Satellite: a request whose deadline expires while it sits in the pool
-// queue must fail fast without ever invoking a backend. One worker thread,
-// one blocking batch in front — the probe request's deadline (5ms) is long
+// A request whose deadline expires while it sits in the pool queue must
+// fail fast without ever invoking a backend. One worker thread, one
+// blocking batch in front — the probe request's deadline (5ms) is long
 // gone by the time its chunk runs (>=30ms later).
 TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
-  // Only a batch larger than one chunk goes through the pool queue (a
-  // one-chunk batch runs on its caller), so both batches here are two
-  // one-request chunks: the blocker's first chunk holds the only worker
-  // and everything else queues behind it.
+  // Only a batch with more searches than batch_chunk goes through the pool
+  // queue (any other batch runs on its caller), and the stub's distance
+  // answers are not searches, so both batches here are two
+  // one-kNN-request chunks: the blocker's first chunk holds the only
+  // worker and everything else queues behind it.
   EngineOptions options;
   options.num_threads = 1;
   options.queue_capacity = 8;
@@ -449,6 +461,10 @@ TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
   engine.AddReadyBackend(std::move(stub));
 
   std::vector<Request> blocker(2);
+  for (Request& request : blocker) {
+    request.kind = RequestKind::kKnn;
+    request.k = 1;
+  }
   std::thread client([&engine, &blocker] {
     std::vector<Response> responses;
     EXPECT_TRUE(engine.QueryBatch(blocker, &responses).ok());
@@ -461,7 +477,9 @@ TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
   });
   std::vector<Request> probes(2);
   for (Request& probe : probes) {
-    probe.s = probe.t = 1;
+    probe.kind = RequestKind::kKnn;
+    probe.s = 1;
+    probe.k = 1;
     probe.deadline = std::chrono::microseconds(5000);
   }
   std::vector<Response> responses;
@@ -479,62 +497,211 @@ TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
   EXPECT_EQ(metrics.served, 2u);  // the blocker
 }
 
+/// A stub that counts the calls made on the caller's thread and on pool
+/// workers, and throws from every call while `down` is set.
+class WhereBackend : public StubBackend {
+ public:
+  explicit WhereBackend(std::string name = "stub", bool exact = false)
+      : name_(std::move(name)), exact_(exact) {}
+  std::string Name() const override { return name_; }
+  bool IsExact() const override { return exact_; }
+  double Distance(VertexId s, VertexId t) override {
+    Count();
+    return StubBackend::Distance(s, t);
+  }
+  std::vector<std::pair<VertexId, double>> Knn(VertexId s,
+                                               size_t k) override {
+    Count();
+    return StubBackend::Knn(s, k);
+  }
+  /// (calls on the caller's thread, calls on workers)
+  std::pair<size_t, size_t> Where() const {
+    return {on_caller.load(), on_worker.load()};
+  }
+
+  std::atomic<size_t> on_caller{0};
+  std::atomic<size_t> on_worker{0};
+  std::atomic<bool> down{false};
+
+ private:
+  void Count() {
+    const size_t w = ThreadPool::CurrentWorkerIndex();
+    (w == ThreadPool::kNotAWorker ? on_caller : on_worker).fetch_add(1);
+    if (down.load()) throw std::runtime_error("backend down");
+  }
+
+  const std::string name_;
+  const bool exact_;
+};
+
 TEST(QueryEngineTest, OneChunkBatchRunsOnTheCallingThread) {
-  // A batch of at most batch_chunk requests skips the pool: the backend is
-  // called from the caller's thread. Every counter must come out exactly as
-  // when the same traffic is split into pooled chunks.
-  class WhereBackend : public StubBackend {
-   public:
-    double Distance(VertexId s, VertexId t) override {
-      const size_t w = ThreadPool::CurrentWorkerIndex();
-      (w == ThreadPool::kNotAWorker ? on_caller : on_worker).fetch_add(1);
-      return StubBackend::Distance(s, t);
-    }
-    std::atomic<size_t> on_caller{0};
-    std::atomic<size_t> on_worker{0};
-  };
-  const auto run = [](size_t batch_chunk, WhereBackend** backend) {
-    EngineOptions options;
+  // A learned distance batch of any size, and a batch of at most
+  // batch_chunk kNN requests, skip the pool: the backend is called from the
+  // caller's thread. A batch with batch_chunk + 1 kNN requests fans out
+  // onto the workers. Every counter must come out exactly the same either
+  // way.
+  constexpr size_t kBatch = 64;  // rne_server's default --batch
+  const auto run = [](size_t knn, WhereBackend** backend) {
+    EngineOptions options;  // default batch_chunk
     options.num_threads = 2;
-    options.queue_capacity = 4;
-    options.batch_chunk = batch_chunk;
+    options.queue_capacity = kBatch;
     auto engine = std::make_unique<QueryEngine>(options);
     auto stub = std::make_unique<WhereBackend>();
     *backend = stub.get();
     engine->AddReadyBackend(std::move(stub));
-    std::vector<Request> small(4);
-    small[3].s = 999;  // out of range: a per-request failure
+    std::vector<Request> batch(kBatch);
+    for (size_t i = 0; i < knn; ++i) {
+      batch[i].kind = RequestKind::kKnn;
+      batch[i].k = 1;
+    }
+    batch[kBatch - 1].s = 999;  // out of range: a per-request failure
     std::vector<Response> responses;
-    EXPECT_TRUE(engine->QueryBatch(small, &responses).ok());
+    EXPECT_TRUE(engine->QueryBatch(batch, &responses).ok());
     EXPECT_TRUE(responses[0].status.ok());
-    EXPECT_EQ(responses[3].status.code(), StatusCode::kInvalidArgument);
-    std::vector<Request> too_big(5);  // past queue_capacity: rejected whole
+    EXPECT_EQ(responses[kBatch - 1].status.code(),
+              StatusCode::kInvalidArgument);
+    std::vector<Request> too_big(kBatch + 1);  // rejected whole
     EXPECT_EQ(engine->QueryBatch(too_big, &responses).code(),
               StatusCode::kUnavailable);
     return engine;
   };
-  WhereBackend* inline_backend = nullptr;
-  WhereBackend* pooled_backend = nullptr;
-  const auto inline_engine = run(4, &inline_backend);
-  const auto pooled_engine = run(1, &pooled_backend);
-  EXPECT_EQ(inline_backend->on_caller.load(), 3u);
-  EXPECT_EQ(inline_backend->on_worker.load(), 0u);
-  EXPECT_EQ(pooled_backend->on_caller.load(), 0u);
-  EXPECT_EQ(pooled_backend->on_worker.load(), 3u);
+  const size_t chunk = EngineOptions().batch_chunk;
+  WhereBackend* distance_backend = nullptr;
+  WhereBackend* one_chunk_backend = nullptr;
+  WhereBackend* fanned_backend = nullptr;
+  const auto distance_engine = run(0, &distance_backend);
+  const auto one_chunk_engine = run(chunk, &one_chunk_backend);
+  const auto fanned_engine = run(chunk + 1, &fanned_backend);
+  EXPECT_EQ(distance_backend->on_caller.load(), kBatch - 1);
+  EXPECT_EQ(distance_backend->on_worker.load(), 0u);
+  EXPECT_EQ(one_chunk_backend->on_caller.load(), kBatch - 1);
+  EXPECT_EQ(one_chunk_backend->on_worker.load(), 0u);
+  EXPECT_EQ(fanned_backend->on_caller.load(), 0u);
+  EXPECT_EQ(fanned_backend->on_worker.load(), kBatch - 1);
 
-  const MetricsSnapshot a = inline_engine->Metrics();
-  const MetricsSnapshot b = pooled_engine->Metrics();
-  EXPECT_EQ(a.served, 3u);
+  const MetricsSnapshot a = distance_engine->Metrics();
+  EXPECT_EQ(a.served, kBatch - 1);
   EXPECT_EQ(a.failed, 1u);
-  EXPECT_EQ(a.rejected, 5u);
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.fell_back_load, b.fell_back_load);
-  EXPECT_EQ(a.fell_back_deadline, b.fell_back_deadline);
-  EXPECT_EQ(a.fell_back_breaker, b.fell_back_breaker);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.fast_fails, b.fast_fails);
+  EXPECT_EQ(a.rejected, kBatch + 1);
+  for (const QueryEngine* engine :
+       {one_chunk_engine.get(), fanned_engine.get()}) {
+    const MetricsSnapshot b = engine->Metrics();
+    EXPECT_EQ(a.served, b.served);
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(a.rejected, b.rejected);
+    EXPECT_EQ(a.fell_back_load, b.fell_back_load);
+    EXPECT_EQ(a.fell_back_deadline, b.fell_back_deadline);
+    EXPECT_EQ(a.fell_back_breaker, b.fell_back_breaker);
+    EXPECT_EQ(a.retries, b.retries);
+    EXPECT_EQ(a.fast_fails, b.fast_fails);
+  }
+}
+
+// A distance batch larger than one chunk runs on its caller while the
+// learned primary answers, and fans out while an exact backend answers it
+// (here: the primary is down and every request falls back). The rule
+// follows the answers of the last chunk, so it switches one batch late
+// each way; answers and counters never depend on it.
+TEST(QueryEngineTest, DistanceBatchesFanOutWhileAnExactBackendAnswers) {
+  using Where = std::pair<size_t, size_t>;
+  constexpr size_t kBatch = 64;
+  EngineOptions options;  // default batch_chunk (32)
+  options.num_threads = 2;
+  QueryEngine engine(options);
+  auto primary_owned = std::make_unique<WhereBackend>();
+  auto exact_owned = std::make_unique<WhereBackend>("exact-stub", true);
+  WhereBackend* primary = primary_owned.get();
+  WhereBackend* exact = exact_owned.get();
+  engine.AddReadyBackend(std::move(primary_owned));
+  engine.AddReadyBackend(std::move(exact_owned));
+
+  const std::vector<Request> batch(kBatch);
+  std::vector<Response> responses;
+  const auto serve = [&](std::string_view answered_by) {
+    ASSERT_TRUE(engine.QueryBatch(batch, &responses).ok());
+    for (const Response& response : responses) {
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_EQ(response.backend, answered_by);
+    }
+  };
+  serve("stub");  // learned answers: on the caller
+  EXPECT_EQ(primary->Where(), Where(kBatch, 0));
+  primary->down = true;
+  serve("exact-stub");  // the last answers were learned: still inline
+  EXPECT_EQ(primary->Where(), Where(2 * kBatch, 0));
+  EXPECT_EQ(exact->Where(), Where(kBatch, 0));
+  serve("exact-stub");  // the last answers were exact: fans out
+  EXPECT_EQ(primary->Where(), Where(2 * kBatch, kBatch));
+  EXPECT_EQ(exact->Where(), Where(kBatch, kBatch));
+  primary->down = false;
+  serve("stub");  // the last answers were exact: still fans out
+  EXPECT_EQ(primary->Where(), Where(2 * kBatch, 2 * kBatch));
+  serve("stub");  // learned answers again: back on the caller
+  EXPECT_EQ(primary->Where(), Where(3 * kBatch, 2 * kBatch));
+  EXPECT_EQ(exact->Where(), Where(kBatch, kBatch));
+
+  const MetricsSnapshot metrics = engine.Metrics();
+  EXPECT_EQ(metrics.served, 5 * kBatch);
+  EXPECT_EQ(metrics.failed, 0u);
+  EXPECT_EQ(metrics.retries, 2 * kBatch);
+}
+
+// A chunk resolves the chain once, but each request still walks it: when
+// the primary starts failing partway through a chunk, the requests after
+// that point fall past a backend that failed to load to the exact one,
+// and every counter says so exactly.
+TEST(QueryEngineTest, PrimaryFailingMidChunkFallsDownTheChain) {
+  constexpr size_t kAnswered = 3;  // calls the primary answers
+  class FailsAfterBackend : public StubBackend {
+   public:
+    std::string Name() const override { return "fails-after"; }
+    double Distance(VertexId s, VertexId t) override {
+      if (calls_.fetch_add(1) >= kAnswered) {
+        throw std::runtime_error("primary went down");
+      }
+      return static_cast<double>(s) + static_cast<double>(t);
+    }
+  };
+  const Graph g = SmallNetwork();
+  EngineOptions options;
+  options.num_threads = 2;
+  QueryEngine engine(options);
+  engine.AddReadyBackend(std::make_unique<FailsAfterBackend>());
+  BackendContext ctx;
+  ctx.graph = &g;
+  engine.AddBackend("no-such-backend", ctx);  // fails to load
+  engine.AddBackend("dijkstra", ctx);
+  EXPECT_EQ(engine.WaitUntilLoaded().code(), StatusCode::kNotFound);
+
+  const auto requests = RandomDistanceRequests(g, 8, 5);
+  std::vector<Response> responses;
+  ASSERT_TRUE(engine.QueryBatch(requests, &responses).ok());
+  DijkstraSearch reference(g);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const Response& response = responses[i];
+    ASSERT_TRUE(response.status.ok()) << i << ": "
+                                      << response.status.ToString();
+    if (i < kAnswered) {
+      EXPECT_EQ(response.backend, "fails-after") << i;
+      EXPECT_FALSE(response.fell_back) << i;
+      EXPECT_EQ(response.distance,
+                static_cast<double>(requests[i].s) + requests[i].t);
+    } else {
+      EXPECT_EQ(response.backend, "dijkstra") << i;
+      EXPECT_TRUE(response.fell_back) << i;
+      EXPECT_TRUE(response.exact) << i;
+      EXPECT_NEAR(response.distance,
+                  reference.Distance(requests[i].s, requests[i].t), 1e-6);
+    }
+  }
+  const size_t fell = requests.size() - kAnswered;
+  const MetricsSnapshot metrics = engine.Metrics();
+  EXPECT_EQ(metrics.served, requests.size());
+  EXPECT_EQ(metrics.failed, 0u);
+  EXPECT_EQ(metrics.retries, fell);
+  EXPECT_EQ(metrics.fell_back_load, fell);
+  EXPECT_EQ(metrics.fell_back_deadline, 0u);
+  EXPECT_EQ(metrics.fast_fails, 0u);
 }
 
 // A failing primary costs every request one dispatch and one retry down

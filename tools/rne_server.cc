@@ -26,15 +26,18 @@
 //
 // Threads: --threads sizes the engine's worker pool. Under --listen the
 // main thread only accepts, and as many reactor threads as workers each
-// own a share of the connections: a reactor parses, formats and writes
-// while the workers compute another reactor's batch. A batch of at most one
-// chunk (32 requests) runs on its reactor without a pool hand-off. The
-// stdin loop runs on the main thread.
+// own a share of the connections. A reactor runs its batches of learned
+// distance answers itself, with no pool hand-off. A batch of more than 32
+// searches (one engine chunk: KNN requests, or QUERYs an exact backend
+// answers, as under --backends dijkstra or while the rne primary fails)
+// fans out onto the workers, and the reactor waits for it while the other
+// reactors parse, format and write. The stdin loop runs
+// on the main thread.
 //
 // --cache puts a sharded LRU result cache (serve/result_cache.h) in front
 // of the engine for both front ends; 0 disables it. The cache allocates its
-// slots at start: about 112 bytes per entry (--cache x 104 bytes of slots
-// plus an index of 8-16 bytes per entry), 7.3 MB for the default 65,536;
+// slots at start: about 96 bytes per entry (--cache x 88 bytes of slots
+// plus an index of 8-16 bytes per entry), 6.3 MB for the default 65,536;
 // cached kNN lists add their own size. A successful RELOAD invalidates the
 // cache via the ModelManager publish listener, so a swap never serves a
 // stale distance.
