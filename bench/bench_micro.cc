@@ -514,6 +514,58 @@ void BM_EngineBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineBatch)->Threads(1)->Threads(2)->UseRealTime();
 
+// The same 64-request distance batches through CachedEngine in front of a
+// 65,536-entry cache, as rne_server --cache runs them. Arg 0 serves a
+// ready learned backend: its distances skip the cache, so the cost over
+// BM_EngineBatch is the policy check. Arg 1 serves an exact one
+// (dijkstra): the first pass inserts its answers and every later pass
+// hits, so the cost is the lookup. ns_per_req as in BM_EngineBatch.
+void BM_CachedEngineBatch(benchmark::State& state) {
+  struct Served {
+    explicit Served(bool exact)
+        : engine([] {
+            serve::EngineOptions options;
+            options.num_threads = 2;
+            return options;
+          }()),
+          cached(&engine, &cache) {
+      if (exact) {
+        serve::BackendContext ctx;
+        ctx.graph = &BenchGraph();
+        engine.AddBackend("dijkstra", ctx);
+      } else {
+        engine.AddReadyBackend(serve::MakeSharedModelBackend(BenchModel()));
+      }
+      if (!engine.WaitUntilLoaded().ok()) std::abort();
+    }
+    serve::QueryEngine engine;
+    serve::ResultCache cache;
+    serve::CachedEngine cached;
+  };
+  static Served* learned = new Served(false);
+  static Served* exact = new Served(true);
+  Served& served = state.range(0) == 0 ? *learned : *exact;
+  constexpr size_t kBatch = 64;
+  Rng rng(43);
+  const size_t n = BenchModel().NumVertices();
+  std::vector<serve::Request> requests(kBatch);
+  for (auto& r : requests) {
+    r.s = static_cast<VertexId>(rng.UniformIndex(n));
+    r.t = static_cast<VertexId>(rng.UniformIndex(n));
+  }
+  std::vector<serve::Response> responses;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        served.cached.QueryBatch(requests, &responses).ok());
+    benchmark::DoNotOptimize(responses.data());
+  }
+  const auto items = static_cast<double>(state.iterations() * kBatch);
+  state.SetItemsProcessed(static_cast<int64_t>(items));
+  state.counters["ns_per_req"] = benchmark::Counter(
+      items * 1e-9, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CachedEngineBatch)->Arg(0)->Arg(1)->UseRealTime();
+
 // Result-cache miss path, the cost a uniform QUERY stream pays per request:
 // batches of 64 uniform (s, t) keys over 4096^2, each looked up (a miss in
 // all but ~0.4% of cases) and then inserted, against one shared cache of

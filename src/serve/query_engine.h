@@ -161,6 +161,13 @@ class QueryEngine {
 
   MetricsSnapshot Metrics() const;
 
+  /// Whether the last chunk that answered distance requests answered any
+  /// of them from an exact backend (false until one has). A cache in front
+  /// of the engine uses it to decide which distance requests to look up.
+  bool distances_exact() const {
+    return exact_distances_.load(std::memory_order_relaxed);
+  }
+
   ThreadPool& pool() { return *pool_; }
   size_t num_backends() const;
 

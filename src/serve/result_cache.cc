@@ -90,8 +90,12 @@ bool Storable(const Response& response, bool cache_fallback) {
 }  // namespace
 
 struct alignas(64) ResultCache::Shard {
+  /// Reserves the slot array without constructing it, so its pages are
+  /// touched only as entries are inserted.
   explicit Shard(size_t capacity)
-      : slots(capacity), index(RoundUpPow2(2 * capacity), kNone) {}
+      : capacity(capacity), index(RoundUpPow2(2 * capacity), kNone) {
+    slots.reserve(capacity);
+  }
 
   /// Slot id holding `key`, or kNone.
   uint32_t Find(const Key& key, uint32_t hash_hi) const RNE_REQUIRES(mu) {
@@ -152,8 +156,10 @@ struct alignas(64) ResultCache::Shard {
     PushFront(id);
   }
 
+  const size_t capacity;
   mutable Mutex mu;
-  /// Sized once; slots [0, size) are live.
+  /// Grows by one per insert up to `capacity` (never reallocating), and
+  /// keeps its length across Invalidate(); slots [0, size) are live.
   std::vector<Slot> slots RNE_GUARDED_BY(mu);
   /// Open-addressed slot ids, kNone = empty; at least twice `slots`.
   std::vector<uint32_t> index RNE_GUARDED_BY(mu);
@@ -309,7 +315,8 @@ void ResultCache::InsertBatch(std::span<const Request> requests,
         shard.Touch(id);
         continue;
       }
-      if (shard.size < shard.slots.size()) {
+      if (shard.size < shard.capacity) {
+        if (shard.size == shard.slots.size()) shard.slots.emplace_back();
         id = shard.size++;
         ++delta;
       } else {
@@ -380,6 +387,59 @@ CacheStats ResultCache::Stats() const {
   return stats;
 }
 
+namespace {
+
+/// Whether an answer repays a cache slot. A kNN list or an exact backend's
+/// distance is a search (microseconds to milliseconds); a learned distance
+/// is one L1 kernel, cheaper than the lookup that would save it.
+bool WorthCaching(const Request& request, const Response& response) {
+  return request.kind == RequestKind::kKnn || response.exact;
+}
+
+/// Requests picked out of a batch, with their positions in it. Each use is
+/// a thread_local, so a warm thread allocates nothing per batch.
+struct Subset {
+  std::vector<Request> requests;
+  std::vector<size_t> index;
+  std::vector<Response> responses;
+
+  void Clear() {
+    requests.clear();
+    index.clear();
+  }
+  void Add(const Request& request, size_t i) {
+    requests.push_back(request);
+    index.push_back(i);
+  }
+};
+
+/// Inserts the answers worth caching; the cache applies its own status and
+/// fallback rules to them. Nothing is hashed when none is worth it.
+void InsertWorthCaching(ResultCache* cache, std::span<const Request> requests,
+                        std::span<const Response> responses,
+                        uint64_t generation) {
+  size_t worth = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    worth += WorthCaching(requests[i], responses[i]) ? 1 : 0;
+  }
+  if (worth == 0) return;
+  if (worth == requests.size()) {
+    cache->InsertBatch(requests, responses, generation);
+    return;
+  }
+  thread_local Subset kept;
+  kept.Clear();
+  kept.responses.resize(worth);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (!WorthCaching(requests[i], responses[i])) continue;
+    kept.responses[kept.requests.size()] = responses[i];
+    kept.requests.push_back(requests[i]);
+  }
+  cache->InsertBatch(kept.requests, kept.responses, generation);
+}
+
+}  // namespace
+
 Status CachedEngine::QueryBatch(std::span<const Request> requests,
                                 std::vector<Response>* out) {
   if (cache_ == nullptr) return engine_->QueryBatch(requests, out);
@@ -388,27 +448,44 @@ Status CachedEngine::QueryBatch(std::span<const Request> requests,
   // them on the old model, they land under a retired key.
   const uint64_t generation = cache_->generation();
   out->resize(requests.size());
-  const size_t hits = cache_->LookupBatch(requests, *out);
+  // The answers are not known yet, so the lookup side decides by request
+  // kind and by which backend answered distances last: a learned distance
+  // answer is never inserted, so looking it up could only miss.
+  thread_local Subset probe;
+  probe.Clear();
+  const bool exact = engine_->distances_exact();
+  if (!exact) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+      if (requests[i].kind == RequestKind::kKnn) probe.Add(requests[i], i);
+    }
+  }
+  size_t hits = 0;
+  if (exact || probe.requests.size() == requests.size()) {
+    hits = cache_->LookupBatch(requests, *out);
+  } else if (!probe.requests.empty()) {
+    probe.responses.resize(probe.requests.size());
+    hits = cache_->LookupBatch(probe.requests, probe.responses);
+    if (hits > 0) {
+      for (Response& response : *out) response.cached = false;
+      for (size_t j = 0; j < probe.index.size(); ++j) {
+        if (!probe.responses[j].cached) continue;
+        std::swap((*out)[probe.index[j]], probe.responses[j]);
+      }
+    }
+  }
   if (hits == requests.size()) return Status::Ok();
   if (hits == 0) {
     const Status admitted = engine_->QueryBatch(requests, out);
-    if (admitted.ok()) cache_->InsertBatch(requests, *out, generation);
+    if (admitted.ok()) {
+      InsertWorthCaching(cache_, requests, *out, generation);
+    }
     return admitted;
   }
-  // Mixed batch: the misses go to the engine as one smaller batch, through
-  // per-thread scratch so a warm thread allocates nothing here.
-  struct Misses {
-    std::vector<Request> requests;
-    std::vector<size_t> index;
-    std::vector<Response> responses;
-  };
-  thread_local Misses misses;
-  misses.requests.clear();
-  misses.index.clear();
+  // Some hits: the rest go to the engine as one smaller batch.
+  thread_local Subset misses;
+  misses.Clear();
   for (size_t i = 0; i < requests.size(); ++i) {
-    if ((*out)[i].cached) continue;
-    misses.requests.push_back(requests[i]);
-    misses.index.push_back(i);
+    if (!(*out)[i].cached) misses.Add(requests[i], i);
   }
   const Status admitted =
       engine_->QueryBatch(misses.requests, &misses.responses);
@@ -421,7 +498,7 @@ Status CachedEngine::QueryBatch(std::span<const Request> requests,
     }
     return Status::Ok();
   }
-  cache_->InsertBatch(misses.requests, misses.responses, generation);
+  InsertWorthCaching(cache_, misses.requests, misses.responses, generation);
   for (size_t m = 0; m < misses.index.size(); ++m) {
     (*out)[misses.index[m]] = std::move(misses.responses[m]);
   }

@@ -3,20 +3,23 @@
 // QueryEngine (DESIGN.md §13).
 //
 // Road-network query streams are heavily skewed, so a small cache absorbs
-// most of the offered load; on a uniform stream it almost only misses, so
-// a miss must cost tens of nanoseconds, not a heap round trip. Design:
+// most of the offered load when a miss is a search; on a uniform stream it
+// almost only misses, so a miss must cost tens of nanoseconds, not a heap
+// round trip. Design:
 //
 //   * Shards — a power-of-two number of independent exact-LRU tables, each
 //     behind its own annotated rne::Mutex; a key's shard is picked from its
 //     hash, so concurrent serving threads contend only when they hit the
 //     same shard.
-//   * Flat slots — each shard allocates its slot array once, at
-//     construction (capacity x slot bytes). Recency is an intrusive doubly
-//     linked list of uint32_t slot ids; keys are found through an
-//     open-addressed uint32_t index (linear probing, backward-shift
-//     deletion, load <= 0.5). Storing a distance allocates nothing; a kNN
-//     list lives in the slot's vector, whose capacity is reused when the
-//     slot is overwritten.
+//   * Flat slots — each shard reserves its slot array at construction
+//     (capacity x slot bytes) and constructs a slot only when an insert
+//     needs a new one, so a server that never inserts keeps no slot pages
+//     resident. Recency is an intrusive doubly linked list of uint32_t slot
+//     ids; keys are found through an open-addressed uint32_t index (linear
+//     probing, backward-shift deletion, load <= 0.5), allocated and filled
+//     at construction. Storing a distance allocates nothing; a kNN list
+//     lives in the slot's vector, whose capacity is reused when the slot is
+//     overwritten.
 //   * Batches — LookupBatch / InsertBatch hash every key once and take each
 //     shard's lock once per batch, handling that shard's requests in batch
 //     order, so the result equals one-at-a-time calls. Lookup and Insert
@@ -35,11 +38,15 @@
 //     mirrors its totals into the global registry under "serve.cache.*"
 //     once.
 //
-// CachedEngine composes a ResultCache in front of a QueryEngine: hits are
-// answered locally, misses go to the engine as one (smaller) batch, and OK
-// non-fallback responses are inserted on the way out. Fallback answers are
-// not cached by default: during a primary brownout they would pin the
-// fallback's answers past recovery.
+// CachedEngine composes a ResultCache in front of a QueryEngine and caches
+// only answers that cost a search: kNN lists (~7 us) and distances from an
+// exact backend (Dijkstra ~290 us). A learned distance is one L1 kernel
+// (~70 ns), cheaper than the lookup and insert that would save it, so it
+// bypasses the cache. Hits are answered locally, the rest go to the engine
+// as one (smaller) batch, and OK non-fallback answers worth caching are
+// inserted on the way out. Fallback answers are not cached by default:
+// during a primary brownout they would pin the fallback's answers past
+// recovery.
 #ifndef RNE_SERVE_RESULT_CACHE_H_
 #define RNE_SERVE_RESULT_CACHE_H_
 
@@ -66,7 +73,8 @@ struct ResultCacheOptions {
   bool cache_fallback = false;
 };
 
-/// Point-in-time counters; `hit_rate` is hits / (hits + misses).
+/// Point-in-time counters; `hit_rate` is hits / (hits + misses). Under
+/// CachedEngine, hits and misses count looked-up requests only.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -147,10 +155,16 @@ class ResultCache {
 };
 
 /// A QueryEngine fronted by an optional ResultCache. With a null cache it
-/// is a passthrough. With one, hits are answered without touching the
-/// engine, misses are forwarded as one batch, and OK responses are
-/// inserted on return under the generation read before the lookups, so a
-/// batch that straddles an Invalidate() cannot cache a pre-swap answer.
+/// is a passthrough. With one, it looks up kNN requests always, and
+/// distance requests only while QueryEngine::distances_exact() says an
+/// exact backend answers them; a batch with nothing to look up goes
+/// straight to the engine. Hits are answered without touching the engine,
+/// the rest are forwarded as one batch, and OK answers that are exact or
+/// kNN lists are inserted on return (decided from each answer, so a cold
+/// exact chain's first batch is kept) under the generation read before the
+/// lookups, so a batch that straddles an Invalidate() cannot cache a
+/// pre-swap answer. Learned distance answers are never looked up or
+/// inserted: they cost less than the lookup.
 ///
 /// Unlike QueryEngine::QueryBatch's all-or-nothing admission, a batch that
 /// contains hits is never rejected whole: if the engine rejects the

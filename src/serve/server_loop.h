@@ -8,7 +8,9 @@
 //                      fallback=<0|1> cached=<0|1>
 //   KNN <s> <k>    ->  KNN <v>:<dist> ... (one line, ascending distance)
 //   STATS          ->  STATS <json>   (engine metrics plus a "cache" object
-//                      — null when no cache is attached — and an
+//                      — null when no cache is attached; its hits and
+//                      misses count looked-up requests only, i.e. KNNs and
+//                      QUERYs an exact backend answers — and an
 //                      "active_connections" count; flushes pending batch)
 //   METRICS        ->  METRICS <global registry json> (counters, gauges, and
 //                      per-backend latency histograms; flushes pending batch)

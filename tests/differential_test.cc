@@ -275,7 +275,10 @@ TEST_F(DifferentialTest, KnnFuzzAgainstDijkstraOracle) {
 TEST_F(DifferentialTest, CachedAnswersAreBitIdenticalPerBackend) {
   // The result cache stores answers, never recomputes them — so for every
   // registered backend a cache hit must reproduce the uncached response
-  // bit for bit (memcmp on the doubles, not EXPECT_NEAR).
+  // bit for bit (memcmp on the doubles, not EXPECT_NEAR). Exact distances
+  // and every kNN list are cached; an approximate distance (rne,
+  // rne-quantized, alt's landmark estimate) is not, and the second pass
+  // recomputes it to the same bits.
   const uint64_t seed = FuzzSeed() + 4;
   const size_t n = graph_->NumVertices();
   for (const std::string& name : RegisteredBackendNames()) {
@@ -287,6 +290,10 @@ TEST_F(DifferentialTest, CachedAnswersAreBitIdenticalPerBackend) {
     auto backend = MakeBackend(name, ctx);
     ASSERT_TRUE(backend.ok()) << backend.status().ToString();
     const bool knn = backend.value()->SupportsKnn();
+    const bool approximate = !backend.value()->IsExact();
+    if (name == "rne" || name == "rne-quantized") {
+      EXPECT_TRUE(approximate);
+    }
 
     EngineOptions options;
     options.num_threads = 2;
@@ -318,12 +325,16 @@ TEST_F(DifferentialTest, CachedAnswersAreBitIdenticalPerBackend) {
     ASSERT_TRUE(cached.QueryBatch(requests, &uncached).ok());
     ASSERT_TRUE(cached.QueryBatch(requests, &hits).ok());
     ASSERT_EQ(uncached.size(), hits.size());
+    size_t want_hits = 0;
     for (size_t i = 0; i < uncached.size(); ++i) {
       SCOPED_TRACE(testing::Message() << "request#" << i);
       ASSERT_TRUE(uncached[i].status.ok())
           << uncached[i].status.ToString();
+      const bool want_hit =
+          requests[i].kind == RequestKind::kKnn || !approximate;
+      want_hits += want_hit ? 1 : 0;
       EXPECT_FALSE(uncached[i].cached);
-      EXPECT_TRUE(hits[i].cached);
+      EXPECT_EQ(hits[i].cached, want_hit);
       EXPECT_EQ(std::memcmp(&uncached[i].distance, &hits[i].distance,
                             sizeof(double)),
                 0);
@@ -337,7 +348,10 @@ TEST_F(DifferentialTest, CachedAnswersAreBitIdenticalPerBackend) {
       EXPECT_EQ(uncached[i].backend, hits[i].backend);
       EXPECT_EQ(uncached[i].exact, hits[i].exact);
     }
-    EXPECT_EQ(cache.Stats().hits, requests.size());
+    EXPECT_EQ(cache.Stats().hits, want_hits);
+    if (approximate) {
+      EXPECT_LT(want_hits, requests.size());
+    }
   }
 }
 

@@ -5,7 +5,7 @@
 // hits across connections, graceful drain with answers still buffered, and
 // the multi-reactor contracts: placement on the least-loaded reactor,
 // concurrent pipelined connections, drain with a batch in flight on every
-// reactor, the global connection cap, and RELOAD racing cached QUERYs.
+// reactor, the global connection cap, and RELOAD racing cached KNNs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -531,10 +531,11 @@ TEST_F(NetTest, ActiveGaugeReachesZeroAfterClosesOnBothReactors) {
 }
 
 TEST_F(NetTest, ReloadOnOneConnectionNeverLeavesAPreSwapCachedAnswer) {
-  // Connection 1 pipelines cached QUERYs while connection 2 flips the model
-  // between two builds with different answers. Any round of QUERYs sent
-  // and answered entirely between two RELOADs must carry the answers of the
-  // model the last RELOAD OK published, never a pre-swap cache entry.
+  // Connection 1 pipelines KNNs (the learned answers the cache keeps) while
+  // connection 2 flips the model between two builds with different answers.
+  // Any round of KNNs sent and answered entirely between two RELOADs must
+  // carry the answers of the model the last RELOAD OK published, never a
+  // pre-swap cache entry.
   const auto build = [this](uint64_t seed, const std::string& name) {
     RneConfig config;
     config.dim = 8;
@@ -547,29 +548,44 @@ TEST_F(NetTest, ReloadOnOneConnectionNeverLeavesAPreSwapCachedAnswer) {
     const std::string path =
         (std::filesystem::temp_directory_path() / name).string();
     EXPECT_TRUE(model.Save(path).ok());
-    return std::make_pair(path, model);
+    return path;
   };
-  const auto [path_a, model_a] = build(1, "net_test_reload_a.rne");
-  const auto [path_b, model_b] = build(2, "net_test_reload_b.rne");
+  const std::string path_a = build(1, "net_test_reload_a.rne");
+  const std::string path_b = build(2, "net_test_reload_b.rne");
   const std::string paths[2] = {path_a, path_b};
 
-  // Pairs whose printed answer differs between the two models.
-  std::vector<std::pair<VertexId, VertexId>> pairs;
+  // Sources whose printed KNN line differs between the two models, each
+  // model's line read from a managed backend of its own.
+  constexpr size_t kK = 4;
+  serve::ModelManager reference_managers[2];
+  std::unique_ptr<serve::QueryBackend> reference[2];
+  for (int m = 0; m < 2; ++m) {
+    ASSERT_TRUE(reference_managers[m].Load(paths[m]).ok());
+    reference[m] = reference_managers[m].MakeManagedBackend();
+  }
+  const auto knn_line = [&](int m, VertexId s) {
+    std::string line = "KNN";
+    for (const auto& [v, d] : reference[m]->Knn(s, kK)) {
+      line.append(" ").append(std::to_string(v));
+      line.append(":").append(Fixed2(d));
+    }
+    return line;
+  };
+  std::vector<VertexId> sources;
   std::vector<std::string> want[2];
   const auto n = static_cast<VertexId>(graph_.NumVertices());
-  for (VertexId s = 0; s < n && pairs.size() < 16; ++s) {
-    const VertexId t = (s * 7 + 3) % n;
-    const std::string a = Fixed2(model_a.Query(s, t));
-    const std::string b = Fixed2(model_b.Query(s, t));
+  for (VertexId s = 0; s < n && sources.size() < 16; ++s) {
+    const std::string a = knn_line(0, s);
+    const std::string b = knn_line(1, s);
     if (a == b) continue;
-    pairs.emplace_back(s, t);
+    sources.push_back(s);
     want[0].push_back(a);
     want[1].push_back(b);
   }
-  ASSERT_GE(pairs.size(), 8u);
+  ASSERT_GE(sources.size(), 8u);
   std::string round;
-  for (const auto& [s, t] : pairs) {
-    round += "QUERY " + std::to_string(s) + " " + std::to_string(t) + "\n";
+  for (const VertexId s : sources) {
+    round += "KNN " + std::to_string(s) + " " + std::to_string(kK) + "\n";
   }
 
   manager_ = std::make_unique<serve::ModelManager>();
@@ -591,9 +607,14 @@ TEST_F(NetTest, ReloadOnOneConnectionNeverLeavesAPreSwapCachedAnswer) {
     size_t NumVertices() const override { return inner_->NumVertices(); }
     size_t IndexBytes() const override { return inner_->IndexBytes(); }
     double Distance(VertexId s, VertexId t) override {
-      const double d = inner_->Distance(s, t);
+      return inner_->Distance(s, t);
+    }
+    bool SupportsKnn() const override { return true; }
+    std::vector<std::pair<VertexId, double>> Knn(VertexId s,
+                                                 size_t k) override {
+      auto list = inner_->Knn(s, k);
       std::this_thread::sleep_for(200us);
-      return d;
+      return list;
     }
 
    private:
@@ -616,14 +637,13 @@ TEST_F(NetTest, ReloadOnOneConnectionNeverLeavesAPreSwapCachedAnswer) {
     while (!done.load()) {
       const int before = seq.load();
       if (!client.Send(round).ok()) break;
-      const auto lines = ReadLines(client, pairs.size());
-      if (lines.size() != pairs.size()) break;
+      const auto lines = ReadLines(client, sources.size());
+      if (lines.size() != sources.size()) break;
       if (before % 2 != 0 || seq.load() != before) continue;
       const int model = (before / 2) % 2;
       for (size_t i = 0; i < lines.size(); ++i) {
-        const size_t space = lines[i].find(' ', 5);
-        EXPECT_EQ(lines[i].substr(5, space - 5), want[model][i])
-            << "pair " << i << " after " << before / 2 << " reloads";
+        EXPECT_EQ(lines[i], want[model][i])
+            << "source " << i << " after " << before / 2 << " reloads";
       }
       checked_rounds.fetch_add(1);
     }

@@ -3,7 +3,9 @@
 // (run under TSan in CI), generation-bump invalidation, and the hot-swap
 // contract — after a ModelManager publish a RELOAD can never serve a stale
 // cached distance, pinned here by poisoning the cache and watching the swap
-// flush it. A reference-model differential replays a seeded random call
+// flush it. CachedEngine's policy: learned distances neither look up nor
+// insert, kNN lists and exact answers do (a cold exact chain's first batch
+// included). A reference-model differential replays a seeded random call
 // sequence against the std::list + std::unordered_map cache the flat shards
 // replaced.
 #include <gtest/gtest.h>
@@ -229,18 +231,21 @@ TEST(ResultCacheTest, ConcurrentHitsAndMissesStayConsistent) {
 TEST(CachedEngineRaceTest, AnswerComputedAcrossAnInvalidateIsNotCached) {
   // A batch that misses, then computes on the old model while another
   // thread's RELOAD invalidates the cache, must not land under the new
-  // generation: the next lookup would serve a pre-swap distance. The gate
-  // makes the interleaving deterministic.
+  // generation: the next lookup would serve a pre-swap answer. The request
+  // is a kNN one, the learned answer the cache keeps. The gate makes the
+  // interleaving deterministic.
   class GatedBackend : public QueryBackend {
    public:
     std::string Name() const override { return "gated"; }
     bool IsExact() const override { return false; }
     size_t NumVertices() const override { return 16; }
     size_t IndexBytes() const override { return 0; }
-    double Distance(VertexId, VertexId) override {
+    double Distance(VertexId, VertexId) override { return 0.0; }
+    bool SupportsKnn() const override { return true; }
+    std::vector<std::pair<VertexId, double>> Knn(VertexId, size_t) override {
       entered.set_value();
       gate.wait();
-      return 42.0;  // the "old model" answer
+      return {{9, 42.0}};  // the "old model" answer
     }
     std::promise<void> entered;
     std::shared_future<void> gate;
@@ -257,12 +262,13 @@ TEST(CachedEngineRaceTest, AnswerComputedAcrossAnInvalidateIsNotCached) {
   ResultCache cache;
   CachedEngine cached(&engine, &cache);
 
-  const Request probe = Dist(3, 9);
+  const Request probe = Knn(3, 1);
   std::thread in_flight([&cached, &probe] {
     std::vector<Response> out;
     ASSERT_TRUE(cached.QueryBatch({&probe, 1}, &out).ok());
     EXPECT_TRUE(out[0].status.ok());
-    EXPECT_EQ(out[0].distance, 42.0);
+    const std::vector<std::pair<VertexId, double>> want = {{9, 42.0}};
+    EXPECT_EQ(out[0].knn, want);
   });
   entered.wait();       // the miss is inside the backend, pre-swap
   cache.Invalidate();   // the swap lands meanwhile
@@ -273,6 +279,7 @@ TEST(CachedEngineRaceTest, AnswerComputedAcrossAnInvalidateIsNotCached) {
   EXPECT_FALSE(cache.Lookup(probe, &out))
       << "a pre-swap answer must be unreachable after Invalidate()";
   EXPECT_EQ(cache.Stats().entries, 0u);
+  EXPECT_EQ(cache.Stats().misses, 2u) << "the kNN request was looked up";
 }
 
 // The node-based cache the flat shards replaced, kept as the oracle: same
@@ -570,6 +577,25 @@ TEST(ResultCacheDifferentialTest, KnnSlotReusedForADistanceHoldsNoList) {
   EXPECT_EQ(cache.Stats().evictions, 1u);
 }
 
+/// A learned-style backend: inexact distances and kNN lists, both cheap and
+/// deterministic, so repeated passes can be compared exactly.
+class LearnedStub : public QueryBackend {
+ public:
+  std::string Name() const override { return "learned"; }
+  bool IsExact() const override { return false; }
+  size_t NumVertices() const override { return 64; }
+  size_t IndexBytes() const override { return 0; }
+  double Distance(VertexId s, VertexId t) override { return 1.5 * s + t; }
+  bool SupportsKnn() const override { return true; }
+  std::vector<std::pair<VertexId, double>> Knn(VertexId s, size_t k) override {
+    std::vector<std::pair<VertexId, double>> list;
+    for (size_t j = 0; j < k; ++j) {
+      list.emplace_back(static_cast<VertexId>((s + j) % 64), 0.5 * j);
+    }
+    return list;
+  }
+};
+
 class CachedEngineTest : public ::testing::Test {
  protected:
   CachedEngineTest() : graph_(MakeGraph()), engine_(MakeOptions()) {
@@ -591,6 +617,12 @@ class CachedEngineTest : public ::testing::Test {
     EngineOptions options;
     options.num_threads = 2;
     return options;
+  }
+
+  static std::unique_ptr<QueryEngine> MakeLearnedEngine() {
+    auto engine = std::make_unique<QueryEngine>(MakeOptions());
+    engine->AddReadyBackend(std::make_unique<LearnedStub>());
+    return engine;
   }
 
   Graph graph_;
@@ -673,6 +705,159 @@ TEST_F(CachedEngineTest, ReloadNeverServesAStaleDistance) {
   EXPECT_EQ(out[0].distance, truth);
   EXPECT_EQ(out[0].backend, "dijkstra");
   EXPECT_GE(cache.Stats().invalidations, 2u);
+}
+
+TEST_F(CachedEngineTest, LearnedDistancesNeitherLookUpNorInsert) {
+  // A learned distance costs less than the lookup that would save it, so a
+  // learned-only distance batch leaves the cache untouched.
+  const auto engine = MakeLearnedEngine();
+  ResultCache cache;
+  CachedEngine cached(engine.get(), &cache);
+  std::vector<Request> batch;
+  for (VertexId i = 0; i < 64; ++i) batch.push_back(Dist(i, 63 - i));
+
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<Response> out;
+    ASSERT_TRUE(cached.QueryBatch(batch, &out).ok());
+    ASSERT_EQ(out.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(out[i].status.ok()) << i;
+      EXPECT_FALSE(out[i].cached) << "pass " << pass << " request " << i;
+      EXPECT_EQ(out[i].distance, 1.5 * batch[i].s + batch[i].t) << i;
+      EXPECT_EQ(out[i].backend, "learned") << i;
+    }
+  }
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+}
+
+TEST_F(CachedEngineTest, MixedLearnedBatchCachesOnlyItsKnnAnswers) {
+  // Learned distances and kNN lists interleaved: answers come back in
+  // request order, and the second pass hits exactly the kNN requests.
+  const auto engine = MakeLearnedEngine();
+  ResultCache cache;
+  CachedEngine cached(engine.get(), &cache);
+  std::vector<Request> batch;
+  size_t knn_requests = 0;
+  for (VertexId i = 0; i < 24; ++i) {
+    if (i % 3 == 1) {
+      batch.push_back(Knn(i, 1 + i % 4));
+      ++knn_requests;
+    } else {
+      batch.push_back(Dist(i, 2 * i));
+    }
+  }
+
+  std::vector<Response> first, second;
+  ASSERT_TRUE(cached.QueryBatch(batch, &first).ok());
+  ASSERT_TRUE(cached.QueryBatch(batch, &second).ok());
+  ASSERT_EQ(first.size(), batch.size());
+  ASSERT_EQ(second.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "request " << i);
+    const bool knn = batch[i].kind == RequestKind::kKnn;
+    ASSERT_TRUE(first[i].status.ok());
+    ASSERT_TRUE(second[i].status.ok());
+    EXPECT_FALSE(first[i].cached);
+    EXPECT_EQ(second[i].cached, knn);
+    if (knn) {
+      ASSERT_EQ(first[i].knn.size(), batch[i].k);
+      EXPECT_EQ(first[i].knn.front().first, batch[i].s);
+    } else {
+      EXPECT_EQ(first[i].distance, 1.5 * batch[i].s + batch[i].t);
+      EXPECT_TRUE(second[i].knn.empty());
+    }
+    EXPECT_EQ(first[i].distance, second[i].distance);
+    EXPECT_EQ(first[i].knn, second[i].knn);
+    EXPECT_EQ(first[i].backend, second[i].backend);
+  }
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, knn_requests);
+  EXPECT_EQ(stats.misses, knn_requests);
+  EXPECT_EQ(stats.insertions, knn_requests);
+  EXPECT_EQ(stats.entries, knn_requests);
+}
+
+TEST_F(CachedEngineTest, ExactChainCachesItsFirstBatch) {
+  // Before any distance answer the engine cannot say the chain is exact,
+  // so the first batch is not looked up; its exact answers must still be
+  // inserted, or a cold server would lose them.
+  ASSERT_FALSE(engine_.distances_exact());
+  ResultCache cache;
+  CachedEngine cached(&engine_, &cache);
+  const std::vector<Request> batch = {Dist(0, 5), Dist(1, 7), Dist(2, 30)};
+
+  std::vector<Response> first;
+  ASSERT_TRUE(cached.QueryBatch(batch, &first).ok());
+  CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.insertions, batch.size());
+  EXPECT_EQ(stats.entries, batch.size());
+  EXPECT_TRUE(engine_.distances_exact());
+
+  std::vector<Response> second;
+  ASSERT_TRUE(cached.QueryBatch(batch, &second).ok());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_FALSE(first[i].cached) << i;
+    EXPECT_TRUE(first[i].exact) << i;
+    EXPECT_TRUE(second[i].cached) << i;
+    EXPECT_EQ(first[i].distance, second[i].distance) << i;
+  }
+  stats = cache.Stats();
+  EXPECT_EQ(stats.hits, batch.size());
+  EXPECT_EQ(stats.misses, 0u);
+}
+
+TEST(ResultCacheTest, LazilyGrownSlotsRefillAfterInvalidate) {
+  // Slots are constructed as entries arrive; after Invalidate() the grown
+  // slots are reused before any new one, and a shard never holds more
+  // than its share of the capacity.
+  ResultCacheOptions options;
+  options.capacity = 64;
+  options.num_shards = 4;
+  ResultCache cache(options);
+  const auto fill = [&cache](VertexId base, VertexId count) {
+    for (VertexId i = 0; i < count; ++i) {
+      cache.Insert(Dist(base + i, 1), OkDistance(base + i),
+                   cache.generation());
+    }
+  };
+  const auto expect_hits = [&cache](VertexId base, VertexId count) {
+    for (VertexId i = 0; i < count; ++i) {
+      Response out;
+      ASSERT_TRUE(cache.Lookup(Dist(base + i, 1), &out)) << base + i;
+      EXPECT_EQ(out.distance, static_cast<double>(base + i));
+    }
+  };
+
+  fill(0, 5);
+  EXPECT_EQ(cache.Stats().entries, 5u);
+  expect_hits(0, 5);
+
+  fill(100, 300);  // overflows every shard
+  CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, options.capacity);
+  EXPECT_GT(stats.evictions, 0u);
+
+  cache.Invalidate();
+  EXPECT_EQ(cache.Stats().entries, 0u);
+  Response out;
+  EXPECT_FALSE(cache.Lookup(Dist(399, 1), &out));
+
+  fill(1000, 7);
+  EXPECT_EQ(cache.Stats().entries, 7u);
+  expect_hits(1000, 7);
+  fill(2000, 300);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, options.capacity);
+  // The most recent insert of each shard is always resident.
+  expect_hits(2299, 1);
+  for (VertexId i = 0; i < 7; ++i) {
+    EXPECT_FALSE(cache.Lookup(Dist(1000 + i, 1), &out)) << i;
+  }
 }
 
 }  // namespace

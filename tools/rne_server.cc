@@ -35,12 +35,16 @@
 // on the main thread.
 //
 // --cache puts a sharded LRU result cache (serve/result_cache.h) in front
-// of the engine for both front ends; 0 disables it. The cache allocates its
-// slots at start: about 96 bytes per entry (--cache x 88 bytes of slots
-// plus an index of 8-16 bytes per entry), 6.3 MB for the default 65,536;
-// cached kNN lists add their own size. A successful RELOAD invalidates the
-// cache via the ModelManager publish listener, so a swap never serves a
-// stale distance.
+// of the engine for both front ends; 0 disables it. It caches only answers
+// that cost a search: KNN lists, and QUERY answers from an exact backend.
+// A learned QUERY answer (one L1 kernel) is cheaper than the lookup, so it
+// is neither looked up nor stored, and STATS counts cache hits and misses
+// over looked-up requests only. Memory: the index (8-16 bytes per entry,
+// 512 KB for the default 65,536) is allocated at start; slots (88 bytes
+// each, up to 5.8 MB at the default) are touched only as entries are
+// stored, so a learned QUERY stream keeps none resident. Cached kNN lists
+// add their own size. A successful RELOAD invalidates the cache via the
+// ModelManager publish listener, so a swap never serves a stale answer.
 //
 // With --model the "rne" backend is served through a ModelManager, so the
 // RELOAD verb hot-swaps the model without restarting. SIGINT/SIGTERM drain
