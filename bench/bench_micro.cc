@@ -422,11 +422,11 @@ void BM_ObsCounterCost(benchmark::State& state) {
 BENCHMARK(BM_ObsCounterCost)->Arg(0)->Arg(1);
 
 // Serve-path A/B: batched QueryEngine requests against the resident model
-// backend with observability off (0) vs on (1). Per-item time is the serve
-// latency including admission, the sampled per-backend histogram, and the
-// per-chunk counter flushes — the serve-p50 side of the <=2% overhead
-// budget. A distance batch runs whole on its caller, so this measures one
-// thread (no pool fan-out).
+// backend with observability off (0) vs on (1). The engine's own counters
+// and latency histogram (its METRICS source) run either way, so the toggle
+// covers only the sampled per-backend timing — the serve-p50 side of the
+// <=2% overhead budget. A distance batch runs whole on its caller, so this
+// measures one thread (no pool fan-out).
 void BM_ServeQueryObs(benchmark::State& state) {
   static serve::QueryEngine* engine = [] {
     serve::EngineOptions options;

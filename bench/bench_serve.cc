@@ -1,7 +1,6 @@
 // Load generator for the serving subsystem: measures sustained QPS and
 // latency percentiles of the batched QueryEngine on a generated grid, in
-// two modes, and compares against the pre-engine baseline (a sequential
-// `rne_tool query`-style loop that reloads the model for every query).
+// two modes:
 //
 //  * closed loop — T client threads issue batches of B back-to-back; the
 //    measured rate is the system's capacity at that concurrency;
@@ -34,7 +33,7 @@
 //
 //   bench_serve [--rows 64] [--cols 64] [--dim 32] [--seconds 1.0]
 //               [--threads 1,2,4] [--batches 1,16,64,256]
-//               [--queue 8192] [--baseline-queries 20] [--out <path>]
+//               [--queue 8192] [--out <path>]
 //               [--brownout-seconds 1.5]   (0 skips both brownout legs)
 //               [--zipf 0] [--socket-seconds <seconds>] [--pipeline 64]
 //   bench_serve --connect 127.0.0.1:7777 [--queries 1000] [--pipeline 64]
@@ -838,42 +837,6 @@ void AppendProbeJson(std::string* out, const char* key,
   *out += buf;
 }
 
-/// QPS of the pre-engine serving path: one `rne_tool query` style
-/// invocation per query, i.e. a full model load followed by one lookup.
-double PerInvocationBaselineQps(const std::string& model_path, const Graph& g,
-                                size_t queries) {
-  Rng rng(7);
-  double sink = 0.0;
-  Timer timer;
-  for (size_t i = 0; i < queries; ++i) {
-    auto model = Rne::Load(model_path);
-    if (!model.ok()) return 0.0;
-    sink += model.value().Query(
-        static_cast<VertexId>(rng.UniformIndex(g.NumVertices())),
-        static_cast<VertexId>(rng.UniformIndex(g.NumVertices())));
-  }
-  const double elapsed = timer.ElapsedSeconds();
-  if (sink < 0.0) return -1.0;  // keep the loads alive
-  return static_cast<double>(queries) / elapsed;
-}
-
-/// QPS of a resident model queried one request at a time on one thread —
-/// the fairest sequential comparator (no reload cost).
-double ResidentSequentialQps(const Rne& model, const Graph& g,
-                             size_t queries) {
-  Rng rng(8);
-  double sink = 0.0;
-  Timer timer;
-  for (size_t i = 0; i < queries; ++i) {
-    sink += model.Query(
-        static_cast<VertexId>(rng.UniformIndex(g.NumVertices())),
-        static_cast<VertexId>(rng.UniformIndex(g.NumVertices())));
-  }
-  const double elapsed = timer.ElapsedSeconds();
-  if (sink < 0.0) return -1.0;
-  return static_cast<double>(queries) / elapsed;
-}
-
 void AppendPointJson(std::string* out, const SweepPoint& p) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
@@ -905,8 +868,6 @@ int Main(int argc, char** argv) {
   const auto dim = static_cast<size_t>(flags.Int("dim", 32));
   const double seconds = flags.Real("seconds", 1.0);
   const auto queue = static_cast<size_t>(flags.Int("queue", 8192));
-  const auto baseline_queries =
-      static_cast<size_t>(flags.Int("baseline-queries", 20));
   const double brownout_seconds = flags.Real("brownout-seconds", 1.5);
   const auto threads = ParseSizeList(args.Get("threads", "1,2,4"));
   const auto batches = ParseSizeList(args.Get("batches", "1,16,64,256"));
@@ -954,14 +915,6 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
   }
-
-  const double baseline_qps =
-      PerInvocationBaselineQps(model_path, g, baseline_queries);
-  const double resident_qps =
-      ResidentSequentialQps(model, g, 200000);
-  std::printf("baseline per-invocation: %.1f q/s; resident sequential: "
-              "%.0f q/s\n",
-              baseline_qps, resident_qps);
 
   // mmap leg: the same model file re-loaded per mode in a child process.
   const MmapProbeResult probe_heap =
@@ -1081,15 +1034,11 @@ int Main(int argc, char** argv) {
                 "  \"dataset\": {\"rows\": %zu, \"cols\": %zu, "
                 "\"vertices\": %zu, \"edges\": %zu},\n"
                 "  \"model\": {\"dim\": %zu, \"index_bytes\": %zu},\n"
-                "  \"baseline\": {\"per_invocation_qps\": %.1f, "
-                "\"resident_sequential_qps\": %.0f},\n"
                 "  \"best\": {\"threads\": %zu, \"batch\": %zu, "
-                "\"qps\": %.0f, \"speedup_vs_per_invocation\": %.1f},\n"
+                "\"qps\": %.0f},\n"
                 "  \"sweep\": [\n",
                 rows, cols, g.NumVertices(), g.NumEdges(), dim,
-                model.IndexBytes(), baseline_qps, resident_qps, best_threads,
-                best_batch, best_qps,
-                baseline_qps > 0.0 ? best_qps / baseline_qps : 0.0);
+                model.IndexBytes(), best_threads, best_batch, best_qps);
   json += buf;
   for (size_t i = 0; i < points.size(); ++i) {
     AppendPointJson(&json, points[i]);
@@ -1154,10 +1103,7 @@ int Main(int argc, char** argv) {
   }
   std::fputs(json.c_str(), f);
   std::fclose(f);
-  std::printf("wrote %s (best %.0f q/s = %.1fx the per-invocation "
-              "baseline)\n",
-              out_path.c_str(), best_qps,
-              baseline_qps > 0.0 ? best_qps / baseline_qps : 0.0);
+  std::printf("wrote %s (best %.0f q/s)\n", out_path.c_str(), best_qps);
   return 0;
 }
 

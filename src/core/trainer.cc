@@ -164,10 +164,8 @@ bool Trainer::ComputeGradient(const DistanceSample& sample, SgdScratch& scr,
     }
   }
   *coeff = 2.0 * err * lr_norm_;  // dL/d(dist), dim-normalized
-#if !defined(RNE_OBS_DISABLED)
   scr.coeff_abs_sum += std::abs(err);
   ++scr.coeff_count;
-#endif
   return true;
 }
 
@@ -384,7 +382,6 @@ void Trainer::TrainOnSamples(const std::vector<DistanceSample>& samples,
       }
     }
     samples_processed_ += samples.size();
-#if !defined(RNE_OBS_DISABLED)
     if (obs::Enabled()) {
       const double secs = epoch_timer.ElapsedSeconds();
       RNE_GAUGE_SET("train.samples_per_sec",
@@ -406,9 +403,6 @@ void Trainer::TrainOnSamples(const std::vector<DistanceSample>& samples,
                       err_sum / static_cast<double>(err_count));
       }
     }
-#else
-    (void)epoch_timer;
-#endif
     RecordProgress();
   }
 }

@@ -195,7 +195,6 @@ void TcpServer::AcceptNew() {
     if (active_.load(std::memory_order_acquire) >= options_.max_connections) {
       CloseFd(fd);
       refused_.Add(1);
-      RNE_COUNTER_ADD("net.refused", 1);
       continue;
     }
     if (SetNonBlocking(fd) < 0) {
@@ -216,7 +215,7 @@ void TcpServer::AcceptNew() {
       }
     }
     target->live.fetch_add(1, std::memory_order_acq_rel);
-    AdjustActive(1);
+    active_.fetch_add(1, std::memory_order_acq_rel);
     {
       MutexLock lock(&target->inbox_mu);
       target->inbox.push_back(fd);
@@ -292,25 +291,12 @@ void TcpServer::AdoptInbox(Reactor* reactor) {
     conn->last_active = now;
     reactor->connections.emplace(fd, std::move(conn));
     accepted_.Add(1);
-    RNE_COUNTER_ADD("net.accepted", 1);
   }
 }
 
 void TcpServer::ReleaseSlot(Reactor* reactor) {
   reactor->live.fetch_sub(1, std::memory_order_acq_rel);
-  AdjustActive(-1);
-}
-
-void TcpServer::AdjustActive(int delta) {
-  // Connections open and close far less often than requests arrive, so a
-  // lock here costs nothing measurable; without it the acceptor and two
-  // reactors could publish their counts out of order and leave the gauge
-  // on a stale value.
-  MutexLock lock(&active_mu_);
-  const size_t active =
-      delta > 0 ? active_.fetch_add(1, std::memory_order_acq_rel) + 1
-                : active_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  RNE_GAUGE_SET("net.active_connections", static_cast<double>(active));
+  active_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 bool TcpServer::HandleReadable(Connection* conn) {
@@ -330,7 +316,6 @@ bool TcpServer::HandleReadable(Connection* conn) {
     if (n > 0) {
       budget -= static_cast<size_t>(n);
       bytes_in_.Add(static_cast<uint64_t>(n));
-      RNE_COUNTER_ADD("net.bytes_in", n);
       // Framing (line splitting, CRLF, the oversize limit) lives in the
       // handler so the TCP path and the fuzzer exercise the same code.
       if (!conn->handler.Consume(std::string_view(buf, static_cast<size_t>(n)),
@@ -353,7 +338,6 @@ bool TcpServer::HandleReadable(Connection* conn) {
     const uint64_t delta = frames - conn->frames_counted;
     conn->frames_counted = frames;
     lines_.Add(delta);
-    RNE_COUNTER_ADD("net.lines", delta);
   }
   if (oversize) {
     // Consume already flushed owed answers and appended the ERR line.
@@ -362,7 +346,6 @@ bool TcpServer::HandleReadable(Connection* conn) {
       CloseConnection(conn, CloseReason::kOversize);
     } else {
       evicted_oversize_.Add(1);
-      RNE_COUNTER_ADD("net.evicted_oversize", 1);
     }
     return false;
   }
@@ -390,7 +373,6 @@ bool TcpServer::FlushWrites(Connection* conn) {
     }
     conn->out_off += static_cast<size_t>(n);
     bytes_out_.Add(static_cast<uint64_t>(n));
-    RNE_COUNTER_ADD("net.bytes_out", n);
   }
   if (conn->out_off >= conn->out.size()) {
     conn->out.clear();
@@ -433,21 +415,17 @@ void TcpServer::CloseConnection(Connection* conn, CloseReason reason) {
   reactor->connections.erase(fd);  // destroys *conn
   ReleaseSlot(reactor);
   closed_.Add(1);
-  RNE_COUNTER_ADD("net.closed", 1);
   switch (reason) {
     case CloseReason::kNormal:
       break;
     case CloseReason::kSlow:
       evicted_slow_.Add(1);
-      RNE_COUNTER_ADD("net.evicted_slow", 1);
       break;
     case CloseReason::kIdle:
       evicted_idle_.Add(1);
-      RNE_COUNTER_ADD("net.evicted_idle", 1);
       break;
     case CloseReason::kOversize:
       evicted_oversize_.Add(1);
-      RNE_COUNTER_ADD("net.evicted_oversize", 1);
       break;
   }
 }
@@ -511,6 +489,22 @@ NetStatsSnapshot TcpServer::Stats() const {
         reactor->live.load(std::memory_order_acquire));
   }
   return s;
+}
+
+void TcpServer::CollectMetrics(obs::MetricsSample* out) const {
+  // Not through Stats(): reactors_ is the server thread's, while a METRICS
+  // render may run on any thread.
+  out->counters["net.accepted"] += accepted_.Value();
+  out->counters["net.closed"] += closed_.Value();
+  out->counters["net.refused"] += refused_.Value();
+  out->counters["net.evicted_slow"] += evicted_slow_.Value();
+  out->counters["net.evicted_idle"] += evicted_idle_.Value();
+  out->counters["net.evicted_oversize"] += evicted_oversize_.Value();
+  out->counters["net.lines"] += lines_.Value();
+  out->counters["net.bytes_in"] += bytes_in_.Value();
+  out->counters["net.bytes_out"] += bytes_out_.Value();
+  out->gauges["net.active_connections"] +=
+      static_cast<double>(active_.load(std::memory_order_acquire));
 }
 
 }  // namespace rne::net

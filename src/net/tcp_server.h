@@ -82,8 +82,9 @@ struct TcpServerOptions {
   serve::ServerLoopOptions loop;
 };
 
-/// Point-in-time front-end counters, summed over reactors (mirrored into
-/// the global registry under "net.*").
+/// Point-in-time front-end counters, summed over reactors. They are the
+/// server's METRICS source too, under "net.*" (active_connections as the
+/// net.active_connections gauge).
 struct NetStatsSnapshot {
   uint64_t accepted = 0;
   uint64_t closed = 0;
@@ -146,9 +147,6 @@ class TcpServer {
   void AdoptInbox(Reactor* reactor);
   /// Drops one live connection from `reactor`'s and the global count.
   void ReleaseSlot(Reactor* reactor);
-  /// Adds `delta` (+1 or -1) to the global live count and mirrors it into
-  /// the net.active_connections gauge.
-  void AdjustActive(int delta) RNE_EXCLUDES(active_mu_);
   /// Reads until EAGAIN/EOF, handles complete lines, flushes the batch.
   /// Returns false when the connection was closed.
   bool HandleReadable(Connection* conn);
@@ -159,6 +157,8 @@ class TcpServer {
   void CloseConnection(Connection* conn, CloseReason reason);
   void SweepIdle(Reactor* reactor);
   void DrainAndCloseAll(Reactor* reactor);
+  /// The server's METRICS source: the counters under their net.* names.
+  void CollectMetrics(obs::MetricsSample* out) const;
 
   serve::QueryEngine& engine_;
   TcpServerOptions options_;
@@ -169,10 +169,7 @@ class TcpServer {
   /// Set by Serve() once it stopped accepting: reactors drain and exit.
   std::atomic<bool> draining_{false};
   /// Live connections across reactors: the acceptor adds (so the cap check
-  /// cannot overshoot), reactors subtract on close. Updates hold active_mu_
-  /// so the gauge writes land in update order and the gauge always ends on
-  /// the current count; readers load the atomic without the lock.
-  Mutex active_mu_;
+  /// cannot overshoot), reactors subtract on close.
   std::atomic<size_t> active_{0};
   /// errno of a reactor whose epoll_wait failed (0 = none); it stops the
   /// server and Serve() reports it.
@@ -191,6 +188,10 @@ class TcpServer {
   obs::Counter lines_;
   obs::Counter bytes_in_;
   obs::Counter bytes_out_;
+
+  /// Declared last (see obs::MetricsSource).
+  obs::MetricsSource metrics_source_{
+      [this](obs::MetricsSample* out) { CollectMetrics(out); }};
 };
 
 }  // namespace rne::net

@@ -1,9 +1,11 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 namespace rne::obs {
 namespace {
@@ -31,6 +33,12 @@ void LatencyStat::Record(int64_t nanos, uint64_t count) {
   s.hist.Record(nanos, count);
 }
 
+void LatencyStat::Merge(const LatencyHistogram& hist) {
+  Shard& s = shards_[DenseThreadId() % kShards];
+  MutexLock lock(&s.mu);
+  s.hist.Merge(hist);
+}
+
 LatencyHistogram LatencyStat::Snapshot() const {
   LatencyHistogram out;
   for (const Shard& s : shards_) {
@@ -52,11 +60,46 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
+MetricsSource::MetricsSource(std::function<void(MetricsSample*)> collect)
+    : collect_(std::move(collect)) {
+  MetricsRegistry::Global().Register(this);
+}
+
+MetricsSource::~MetricsSource() { MetricsRegistry::Global().Unregister(this); }
+
+void MetricsRegistry::Register(const MetricsSource* source) {
   MutexLock lock(&mu_);
+  sources_.push_back(source);
+}
+
+void MetricsRegistry::Unregister(const MetricsSource* source) {
+  MutexLock lock(&mu_);
+  sources_.erase(std::find(sources_.begin(), sources_.end(), source));
+  MetricsSample last;
+  source->collect_(&last);
+  for (const auto& [name, value] : last.counters) {
+    CounterLocked(name)->Add(value);
+  }
+  for (const auto& [name, hist] : last.histograms) {
+    LatencyLocked(name)->Merge(hist);
+  }
+}
+
+Counter* MetricsRegistry::CounterLocked(const std::string& name) {
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return slot.get();
+}
+
+LatencyStat* MetricsRegistry::LatencyLocked(const std::string& name) {
+  auto& slot = latencies_[name];
+  if (!slot) slot = std::make_unique<LatencyStat>();
+  return slot.get();
+}
+
+Counter* MetricsRegistry::GetCounter(const std::string& name) {
+  MutexLock lock(&mu_);
+  return CounterLocked(name);
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
@@ -68,9 +111,7 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
 
 LatencyStat* MetricsRegistry::GetLatency(const std::string& name) {
   MutexLock lock(&mu_);
-  auto& slot = latencies_[name];
-  if (!slot) slot = std::make_unique<LatencyStat>();
-  return slot.get();
+  return LatencyLocked(name);
 }
 
 void AppendJsonDouble(std::string* out, double v) {
@@ -121,33 +162,41 @@ void AppendJsonString(std::string* out, const std::string& s) {
 }
 
 std::string MetricsRegistry::ToJson() const {
-  MutexLock lock(&mu_);
+  MetricsSample all;
+  {
+    MutexLock lock(&mu_);
+    for (const auto& [name, c] : counters_) all.counters[name] += c->Value();
+    for (const auto& [name, g] : gauges_) all.gauges[name] += g->Value();
+    for (const auto& [name, h] : latencies_) {
+      all.histograms[name].Merge(h->Snapshot());
+    }
+    for (const MetricsSource* source : sources_) source->collect_(&all);
+  }
   std::string out = "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, c] : counters_) {
+  for (const auto& [name, value] : all.counters) {
     if (!first) out.push_back(',');
     first = false;
     AppendJsonString(&out, name);
     char buf[32];
-    std::snprintf(buf, sizeof(buf), ":%" PRIu64, c->Value());
+    std::snprintf(buf, sizeof(buf), ":%" PRIu64, value);
     out.append(buf);
   }
   out.append("},\"gauges\":{");
   first = true;
-  for (const auto& [name, g] : gauges_) {
+  for (const auto& [name, value] : all.gauges) {
     if (!first) out.push_back(',');
     first = false;
     AppendJsonString(&out, name);
     out.push_back(':');
-    AppendJsonDouble(&out, g->Value());
+    AppendJsonDouble(&out, value);
   }
   out.append("},\"histograms\":{");
   first = true;
-  for (const auto& [name, h] : latencies_) {
+  for (const auto& [name, hist] : all.histograms) {
     if (!first) out.push_back(',');
     first = false;
     AppendJsonString(&out, name);
-    const LatencyHistogram hist = h->Snapshot();
     char buf[64];
     std::snprintf(buf, sizeof(buf), ":{\"count\":%zu,\"mean_ns\":",
                   hist.TotalCount());

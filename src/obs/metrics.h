@@ -12,30 +12,36 @@
 //     process lifetime: entries are never removed, only their values are
 //     cleared by ResetForTest(). This is what makes the static-local handle
 //     caching in the RNE_* macros safe.
+//   - MetricsSource : a live object (a QueryEngine, a net::TcpServer, a
+//     ResultCache) keeps its own counters and registers them as a source.
+//     Its counters are the only copy of each count: ToJson() reads every
+//     live source next to the registry's own entries, and a source that
+//     goes away folds its counters and histograms into those entries.
 //
 // Instrumentation macros (RNE_COUNTER_ADD / RNE_GAUGE_SET / RNE_HIST_RECORD)
-// resolve the registry entry once per call site (magic static), check the
-// runtime obs::Enabled() toggle, and compile to nothing when the project is
-// built with -DRNE_OBS_DISABLED. The registry types themselves always exist
-// (QueryEngine uses obs::Counter for its functional per-engine counters even
-// in disabled builds); only the named-registry side channels vanish.
+// are for metrics no instance owns. They resolve the registry entry once per
+// call site (magic static) and check the runtime obs::Enabled() toggle;
+// sources are read whatever the toggle says.
 #ifndef RNE_OBS_METRICS_H_
 #define RNE_OBS_METRICS_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "util/annotations.h"
 #include "util/histogram.h"
 
 namespace rne::obs {
 
-/// Runtime kill switch consulted by every instrumentation macro. Defaults to
-/// enabled; bench_micro's A/B leg flips it to measure instrumentation
-/// overhead inside one binary.
+/// Runtime kill switch consulted by every instrumentation macro, every trace
+/// span and the engine's sampled per-backend timing; sources are not gated.
+/// Defaults to enabled; bench_micro's A/B legs flip it to measure
+/// instrumentation overhead inside one binary.
 bool Enabled();
 void SetEnabled(bool enabled);
 
@@ -69,6 +75,8 @@ class LatencyStat {
  public:
   /// Records `count` samples of `nanos` (one shard lock however many).
   void Record(int64_t nanos, uint64_t count = 1);
+  /// Adds every sample of `hist` (one shard lock).
+  void Merge(const LatencyHistogram& hist);
   LatencyHistogram Snapshot() const;
   void Reset();
 
@@ -81,9 +89,41 @@ class LatencyStat {
   Shard shards_[kShards];
 };
 
-/// Process-global name -> metric map. Get*() creates on first use and
-/// returns a pointer that remains valid (and keeps its identity) for the
-/// process lifetime.
+/// Values under registry names. A reporter adds to what is there (counters
+/// and gauges summed, histograms merged), so same-named reports add up.
+struct MetricsSample {
+  std::map<std::string, uint64_t> counters;
+  std::map<std::string, double> gauges;
+  std::map<std::string, LatencyHistogram> histograms;
+};
+
+/// Registers a live object's own counters with MetricsRegistry::Global() for
+/// the lifetime of this handle. ToJson() calls `collect` under the registry
+/// lock, so `collect` must not call the registry, nor take a lock under
+/// which an RNE_* macro runs (the lock order is registry -> the source's
+/// locks). On destruction the source's counters and histograms fold into the
+/// registry's own entries, so process totals outlive the object; its gauges,
+/// instantaneous values of a live object, are dropped.
+///
+/// Declare the handle as the owner's last member and build everything
+/// `collect` reads in the member initialisers: it then registers after that
+/// state exists and unregisters before any of it is destroyed.
+class MetricsSource {
+ public:
+  explicit MetricsSource(std::function<void(MetricsSample*)> collect);
+  ~MetricsSource();
+
+  MetricsSource(const MetricsSource&) = delete;
+  MetricsSource& operator=(const MetricsSource&) = delete;
+
+ private:
+  friend class MetricsRegistry;
+  const std::function<void(MetricsSample*)> collect_;
+};
+
+/// Process-global name -> metric map plus the live sources. Get*() creates
+/// on first use and returns a pointer that remains valid (and keeps its
+/// identity) for the process lifetime.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
@@ -92,7 +132,8 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   LatencyStat* GetLatency(const std::string& name);
 
-  /// Single JSON object:
+  /// Single JSON object over the registry's own entries and every live
+  /// source, same-named values summed (histograms merged):
   ///   {"counters":{name:value,...},
   ///    "gauges":{name:value,...},
   ///    "histograms":{name:{"count":..,"mean_ns":..,"p50_ns":..,
@@ -100,12 +141,23 @@ class MetricsRegistry {
   /// Zero-count metrics are included so consumers see a stable schema.
   std::string ToJson() const;
 
-  /// Clears every value but keeps all entries (handed-out pointers stay
-  /// valid). Tests only — production code never resets.
+  /// Clears every value of the registry's own entries (folded totals of
+  /// destroyed sources included) but keeps all entries, so handed-out
+  /// pointers stay valid. Live sources keep their values. Tests only —
+  /// production code never resets.
   void ResetForTest();
 
  private:
+  friend class MetricsSource;
+
   MetricsRegistry() = default;
+
+  void Register(const MetricsSource* source) RNE_EXCLUDES(mu_);
+  /// Removes `source` and folds its counters and histograms into the
+  /// registry's own entries.
+  void Unregister(const MetricsSource* source) RNE_EXCLUDES(mu_);
+  Counter* CounterLocked(const std::string& name) RNE_REQUIRES(mu_);
+  LatencyStat* LatencyLocked(const std::string& name) RNE_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_
@@ -113,6 +165,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ RNE_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<LatencyStat>> latencies_
       RNE_GUARDED_BY(mu_);
+  std::vector<const MetricsSource*> sources_ RNE_GUARDED_BY(mu_);
 };
 
 /// Appends `v` to `out` in a JSON-safe format (finite -> shortest-ish
@@ -122,23 +175,6 @@ void AppendJsonDouble(std::string* out, double v);
 void AppendJsonString(std::string* out, const std::string& s);
 
 }  // namespace rne::obs
-
-#if defined(RNE_OBS_DISABLED)
-
-#define RNE_COUNTER_ADD(name, n) \
-  do {                           \
-  } while (0)
-#define RNE_GAUGE_SET(name, v) \
-  do {                         \
-  } while (0)
-#define RNE_HIST_RECORD(name, nanos) \
-  do {                               \
-  } while (0)
-#define RNE_HIST_RECORD_N(name, nanos, count) \
-  do {                                        \
-  } while (0)
-
-#else  // !RNE_OBS_DISABLED
 
 /// Adds `n` to the process-global counter `name` (string literal). The
 /// registry lookup happens once per call site.
@@ -180,7 +216,5 @@ void AppendJsonString(std::string* out, const std::string& s);
                                     static_cast<uint64_t>(count));         \
     }                                                                      \
   } while (0)
-
-#endif  // RNE_OBS_DISABLED
 
 #endif  // RNE_OBS_METRICS_H_

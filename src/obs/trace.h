@@ -8,8 +8,8 @@
 // granularity. Spans are NOT meant for per-query granularity on the serve
 // hot path; that is what LatencyStat histograms are for. When the ring is
 // full the oldest events are overwritten (dropped_events() counts losses
-// beyond capacity). Compiled out entirely under RNE_OBS_DISABLED, and
-// inactive when obs::Enabled() is false at span construction.
+// beyond capacity). Inactive when obs::Enabled() is false at span
+// construction.
 #ifndef RNE_OBS_TRACE_H_
 #define RNE_OBS_TRACE_H_
 
@@ -34,8 +34,7 @@ struct SpanEvent {
 };
 
 /// RAII span: records [construction, destruction) into the global ring.
-/// Use via RNE_SPAN rather than directly so spans vanish under
-/// RNE_OBS_DISABLED.
+/// Use via RNE_SPAN, which names the guard.
 class SpanGuard {
  public:
   explicit SpanGuard(const char* name);
@@ -81,14 +80,6 @@ void SetTraceRingCapacity(size_t capacity);
 
 }  // namespace rne::obs
 
-#if defined(RNE_OBS_DISABLED)
-
-#define RNE_SPAN(...) \
-  do {                \
-  } while (0)
-
-#else  // !RNE_OBS_DISABLED
-
 #define RNE_OBS_CONCAT_INNER(a, b) a##b
 #define RNE_OBS_CONCAT(a, b) RNE_OBS_CONCAT_INNER(a, b)
 /// Opens a span for the rest of the enclosing scope. One or two arguments:
@@ -96,7 +87,5 @@ void SetTraceRingCapacity(size_t capacity);
 ///   RNE_SPAN("train.phase1.level", l);  -> "train.phase1.level.3"
 #define RNE_SPAN(...) \
   ::rne::obs::SpanGuard RNE_OBS_CONCAT(rne_span_at_, __LINE__)(__VA_ARGS__)
-
-#endif  // RNE_OBS_DISABLED
 
 #endif  // RNE_OBS_TRACE_H_

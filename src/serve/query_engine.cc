@@ -202,7 +202,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
   uint64_t served = 0, failed = 0, fb_load = 0, fb_deadline = 0;
   uint64_t retries = 0, fast_fails = 0;
   bool exact_distance = false, learned_distance = false;
-#if !defined(RNE_OBS_DISABLED)
   // Per-backend call timing is SAMPLED 1-in-256 dispatches per thread: two
   // clock reads (~50 ns each on a KVM guest) plus a shard-mutex Record
   // would cost more than a ~60 ns learned-backend request if paid every
@@ -212,14 +211,13 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
   thread_local uint32_t backend_sample_tick = 0;
   const bool sampling = obs::Enabled();
   uint32_t sample_tick = backend_sample_tick;
-#endif
   for (size_t i = 0; i < requests.size(); ++i) {
     const Request& request = requests[i];
     Clock::time_point deadline = deadline_default;
     if (request.deadline.count() > 0) deadline = admitted + request.deadline;
     const bool bounded = deadline != Clock::time_point::max();
-    // Reused from the caller's previous batch: reset every answer field
-    // in place (latency_ns is set for the whole chunk below).
+    // Reused from the caller's previous batch: reset every answer field in
+    // place.
     Response& response = out[i];
     response.status = Status::Ok();
     response.distance = kInfDistance;
@@ -271,11 +269,9 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
           break;
         }
         bool attempt_ok = false;
-#if !defined(RNE_OBS_DISABLED)
         const bool timed = sampling && (sample_tick++ & 255u) == 0;
         const Clock::time_point backend_start =
             timed ? Clock::now() : Clock::time_point();
-#endif
         try {
           // The chaos harness's hook: may sleep, throw, or hand back an
           // error Status — all indistinguishable from a sick backend.
@@ -289,7 +285,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
             } else {
               response.knn = backend->Knn(request.s, request.k);
             }
-#if !defined(RNE_OBS_DISABLED)
             // Backend-call time only: together with the admission-to-
             // completion histogram this splits queue wait from compute.
             if (timed) {
@@ -298,7 +293,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
                       Clock::now() - backend_start)
                       .count());
             }
-#endif
             response.status = Status::Ok();  // clear any prior attempt's error
             response.backend = slot.answer_name;
             response.exact = view->exact;
@@ -339,38 +333,24 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
       ++failed;
     }
   }
-#if !defined(RNE_OBS_DISABLED)
   backend_sample_tick = sample_tick;
-#endif
   // One clock read per chunk: no caller sees an answer before its whole
   // chunk (and batch) is done, so that is when every request completes.
   const int64_t latency_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            admitted)
           .count();
-  for (Response& response : out) response.latency_ns = latency_ns;
   if ((exact_distance || learned_distance) &&
       exact_distances_.load(std::memory_order_relaxed) != exact_distance) {
     exact_distances_.store(exact_distance, std::memory_order_relaxed);
   }
-  {
-    MutexLock lock(&metrics_mu_);
-    latency_.Record(latency_ns, out.size());
-  }
+  latency_.Record(latency_ns, out.size());
   served_.Add(served);
   failed_.Add(failed);
   fell_back_load_.Add(fb_load);
   fell_back_deadline_.Add(fb_deadline);
   retries_.Add(retries);
   fast_fails_.Add(fast_fails);
-  // Process-global aggregates (across all engines) for the METRICS verb.
-  RNE_COUNTER_ADD("serve.served", served);
-  RNE_COUNTER_ADD("serve.failed", failed);
-  RNE_COUNTER_ADD("serve.fallback_load", fb_load);
-  RNE_COUNTER_ADD("serve.fallback_deadline", fb_deadline);
-  RNE_COUNTER_ADD("serve.retries", retries);
-  RNE_COUNTER_ADD("serve.fast_fails", fast_fails);
-  RNE_HIST_RECORD_N("serve.latency_ns", latency_ns, out.size());
 }
 
 Status QueryEngine::QueryBatch(std::span<const Request> requests,
@@ -382,7 +362,6 @@ Status QueryEngine::QueryBatch(std::span<const Request> requests,
     MutexLock lock(&admission_mu_);
     if (outstanding_ + requests.size() > options_.queue_capacity) {
       rejected_.Add(requests.size());
-      RNE_COUNTER_ADD("serve.rejected", requests.size());
       return Status::Unavailable(
           "admission queue full: " + std::to_string(outstanding_) + " + " +
           std::to_string(requests.size()) + " > capacity " +
@@ -467,13 +446,24 @@ MetricsSnapshot QueryEngine::Metrics() const {
       snapshot.uptime_seconds > 0.0
           ? static_cast<double>(snapshot.served) / snapshot.uptime_seconds
           : 0.0;
-  MutexLock lock(&metrics_mu_);
-  snapshot.p50_ns = latency_.PercentileNanos(50.0);
-  snapshot.p95_ns = latency_.PercentileNanos(95.0);
-  snapshot.p99_ns = latency_.PercentileNanos(99.0);
-  snapshot.mean_ns = latency_.MeanNanos();
-  snapshot.max_ns = latency_.MaxNanos();
+  const LatencyHistogram latency = latency_.Snapshot();
+  snapshot.p50_ns = latency.PercentileNanos(50.0);
+  snapshot.p95_ns = latency.PercentileNanos(95.0);
+  snapshot.p99_ns = latency.PercentileNanos(99.0);
+  snapshot.mean_ns = latency.MeanNanos();
+  snapshot.max_ns = latency.MaxNanos();
   return snapshot;
+}
+
+void QueryEngine::CollectMetrics(obs::MetricsSample* out) const {
+  out->counters["serve.served"] += served_.Value();
+  out->counters["serve.rejected"] += rejected_.Value();
+  out->counters["serve.failed"] += failed_.Value();
+  out->counters["serve.fallback_load"] += fell_back_load_.Value();
+  out->counters["serve.fallback_deadline"] += fell_back_deadline_.Value();
+  out->counters["serve.retries"] += retries_.Value();
+  out->counters["serve.fast_fails"] += fast_fails_.Value();
+  out->histograms["serve.latency_ns"].Merge(latency_.Snapshot());
 }
 
 }  // namespace rne::serve

@@ -27,6 +27,8 @@
 //  * Metrics — served/rejected/failed/fallback/retry counters plus a
 //    latency histogram (p50/p95/p99 over admission-to-chunk-completion
 //    nanoseconds) and QPS since start, exported as a JSON-able snapshot.
+//    The same counters are the engine's METRICS source (serve.*), so STATS
+//    and METRICS read one copy of each count.
 //
 // Bookkeeping is per chunk, not per request: a chunk resolves the chain
 // once (one lock, one Pin() per ready backend, so a hot-swapped model is
@@ -48,7 +50,6 @@
 #include "obs/metrics.h"
 #include "serve/backend.h"
 #include "util/annotations.h"
-#include "util/histogram.h"
 #include "util/thread_pool.h"
 
 namespace rne::serve {
@@ -94,9 +95,6 @@ struct Response {
   bool fell_back = false;
   /// True when the answer came from a ResultCache hit, not a backend call.
   bool cached = false;
-  /// Admission to the completion of the chunk that answered the request
-  /// (the whole batch when it runs on the caller).
-  int64_t latency_ns = 0;
 };
 
 struct MetricsSnapshot {
@@ -236,6 +234,9 @@ class QueryEngine {
                           FallbackFlags* flags, size_t* index);
   /// True while any slot is still kLoading.
   bool AnyBackendLoading() const RNE_REQUIRES(chain_mu_);
+  /// The engine's METRICS source: its counters and latency histogram under
+  /// their serve.* names.
+  void CollectMetrics(obs::MetricsSample* out) const;
 
   const EngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;
@@ -247,15 +248,14 @@ class QueryEngine {
   std::vector<std::unique_ptr<BackendSlot>> chain_ RNE_GUARDED_BY(chain_mu_);
   std::vector<std::thread> loaders_ RNE_GUARDED_BY(chain_mu_);
 
-  /// Engine-wide admission-to-chunk-completion latency; LatencyHistogram
-  /// is not thread-safe, so a chunk records its requests under this mutex.
-  mutable Mutex metrics_mu_;
-  LatencyHistogram latency_ RNE_GUARDED_BY(metrics_mu_);
+  /// Admission-to-chunk-completion latency, one weighted sample per chunk
+  /// (sharded, so concurrent chunks rarely share a lock).
+  obs::LatencyStat latency_;
   /// Counters are registry-style atomics (TSan-clean, no lock on the update
   /// path); MetricsSnapshot stays a thin view over their Value()s. They are
-  /// engine-owned — not global registry entries — because tests run several
-  /// engines per process and assert exact per-engine counts; ExecuteChunk
-  /// mirrors the totals into the global registry under "serve.*".
+  /// engine-owned, not registry entries, because tests run several engines
+  /// per process and assert exact per-engine counts; METRICS reads them
+  /// through metrics_source_.
   obs::Counter served_;
   obs::Counter rejected_;
   obs::Counter failed_;
@@ -273,6 +273,10 @@ class QueryEngine {
   /// a learned answer (tens of ns) never repays the hand-off. Starts false:
   /// the first batch runs inline whatever the chain.
   std::atomic<bool> exact_distances_{false};
+
+  /// Declared last (see obs::MetricsSource).
+  obs::MetricsSource metrics_source_{
+      [this](obs::MetricsSample* out) { CollectMetrics(out); }};
 };
 
 }  // namespace rne::serve

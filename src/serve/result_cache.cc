@@ -219,17 +219,21 @@ std::string CacheStats::ToJson() const {
 }
 
 ResultCache::ResultCache(const ResultCacheOptions& options)
-    : cache_fallback_(options.cache_fallback) {
-  const size_t shards = RoundUpPow2(std::max<size_t>(1, options.num_shards));
-  capacity_ = std::max<size_t>(1, options.capacity);
-  // Slot ids are uint32_t with kNone reserved.
-  const size_t per_shard =
-      std::min(std::max<size_t>(1, capacity_ / shards), size_t{1} << 31);
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(per_shard));
-  }
-}
+    : capacity_(std::max<size_t>(1, options.capacity)),
+      cache_fallback_(options.cache_fallback),
+      shards_([this, &options] {
+        const size_t shards =
+            RoundUpPow2(std::max<size_t>(1, options.num_shards));
+        // Slot ids are uint32_t with kNone reserved.
+        const size_t per_shard =
+            std::min(std::max<size_t>(1, capacity_ / shards), size_t{1} << 31);
+        std::vector<std::unique_ptr<Shard>> built;
+        built.reserve(shards);
+        for (size_t i = 0; i < shards; ++i) {
+          built.push_back(std::make_unique<Shard>(per_shard));
+        }
+        return built;
+      }()) {}
 
 ResultCache::~ResultCache() = default;
 
@@ -266,16 +270,11 @@ size_t ResultCache::LookupBatch(std::span<const Request> requests,
       response.exact = slot.exact;
       response.fell_back = false;
       response.cached = true;
-      response.latency_ns = 0;
       ++shard_hits;
     }
     shard.hits += shard_hits;
     shard.misses += (last - first) - shard_hits;
     hits += shard_hits;
-  }
-  if (hits > 0) RNE_COUNTER_ADD("serve.cache.hits", hits);
-  if (hits < requests.size()) {
-    RNE_COUNTER_ADD("serve.cache.misses", requests.size() - hits);
   }
   return hits;
 }
@@ -287,9 +286,6 @@ void ResultCache::InsertBatch(std::span<const Request> requests,
   // unreachable; skipping it here only avoids storing a dead entry.
   if (generation != this->generation()) return;
   const BatchPlan& plan = PlanBatch(requests, generation, shards_.size());
-  uint64_t inserted = 0;
-  uint64_t evicted = 0;
-  int64_t delta = 0;
   for (size_t sh = 0; sh < shards_.size(); ++sh) {
     const size_t first = plan.begin[sh];
     const size_t last = plan.begin[sh + 1];
@@ -304,7 +300,6 @@ void ResultCache::InsertBatch(std::span<const Request> requests,
       const size_t i = plan.order[j];
       const Response& response = responses[i];
       if (!Storable(response, cache_fallback_)) continue;
-      ++inserted;
       ++shard.insertions;
       const Key key = MakeKey(requests[i], generation);
       const uint32_t hash_hi = HighHash(plan.hash[i]);
@@ -318,13 +313,11 @@ void ResultCache::InsertBatch(std::span<const Request> requests,
       if (shard.size < shard.capacity) {
         if (shard.size == shard.slots.size()) shard.slots.emplace_back();
         id = shard.size++;
-        ++delta;
       } else {
         id = shard.tail;
         shard.IndexErase(id);
         shard.Unlink(id);
         ++shard.evictions;
-        ++evicted;
       }
       Slot& slot = shard.slots[id];
       slot.key = key;
@@ -337,13 +330,6 @@ void ResultCache::InsertBatch(std::span<const Request> requests,
       shard.PushFront(id);
     }
   }
-  if (inserted > 0) RNE_COUNTER_ADD("serve.cache.insertions", inserted);
-  if (evicted > 0) RNE_COUNTER_ADD("serve.cache.evictions", evicted);
-  if (delta != 0) {
-    const int64_t entries =
-        entries_.fetch_add(delta, std::memory_order_relaxed) + delta;
-    RNE_GAUGE_SET("serve.cache.entries", static_cast<double>(entries));
-  }
 }
 
 void ResultCache::Invalidate() {
@@ -351,20 +337,14 @@ void ResultCache::Invalidate() {
   // produced); the reset frees the slots for reuse now instead of one
   // eviction at a time. Slot vectors keep their capacity.
   generation_.fetch_add(1, std::memory_order_acq_rel);
-  int64_t removed = 0;
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    removed += shard->size;
     shard->size = 0;
     shard->head = kNone;
     shard->tail = kNone;
     std::fill(shard->index.begin(), shard->index.end(), kNone);
   }
   invalidations_.Add(1);
-  RNE_COUNTER_ADD("serve.cache.invalidations", 1);
-  const int64_t entries =
-      entries_.fetch_sub(removed, std::memory_order_relaxed) - removed;
-  RNE_GAUGE_SET("serve.cache.entries", static_cast<double>(entries));
 }
 
 CacheStats ResultCache::Stats() const {
@@ -385,6 +365,16 @@ CacheStats ResultCache::Stats() const {
   stats.hit_rate =
       looked_up > 0.0 ? static_cast<double>(stats.hits) / looked_up : 0.0;
   return stats;
+}
+
+void ResultCache::CollectMetrics(obs::MetricsSample* out) const {
+  const CacheStats stats = Stats();
+  out->counters["serve.cache.hits"] += stats.hits;
+  out->counters["serve.cache.misses"] += stats.misses;
+  out->counters["serve.cache.insertions"] += stats.insertions;
+  out->counters["serve.cache.evictions"] += stats.evictions;
+  out->counters["serve.cache.invalidations"] += stats.invalidations;
+  out->gauges["serve.cache.entries"] += static_cast<double>(stats.entries);
 }
 
 namespace {

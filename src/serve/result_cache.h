@@ -34,9 +34,9 @@
 //     bit-identical to the uncached answer (pinned by the differential
 //     harness).
 //   * Metrics — hits, misses, insertions, evictions and size are plain
-//     integers in each shard, under its lock; Stats() sums them. Each batch
-//     mirrors its totals into the global registry under "serve.cache.*"
-//     once.
+//     integers in each shard, under its lock; Stats() sums them, and
+//     METRICS reads that sum under "serve.cache.*" (the cache is a metrics
+//     source).
 //
 // CachedEngine composes a ResultCache in front of a QueryEngine and caches
 // only answers that cost a search: kNN lists (~7 us) and distances from an
@@ -100,7 +100,7 @@ class ResultCache {
 
   /// Looks up every request under one generation. Sets out[i].cached to
   /// whether request i hit; a hit also fills out[i] with the cached answer
-  /// (status OK, fell_back false, latency 0) and refreshes the entry's LRU
+  /// (status OK, fell_back false) and refreshes the entry's LRU
   /// position, while a miss leaves the rest of out[i] untouched. Returns
   /// the number of hits. `out` has one element per request. Thread-safe.
   size_t LookupBatch(std::span<const Request> requests,
@@ -144,14 +144,20 @@ class ResultCache {
  private:
   struct Shard;  // result_cache.cc
 
-  size_t capacity_ = 0;
+  /// The cache's METRICS source: Stats() under its serve.cache.* names.
+  void CollectMetrics(obs::MetricsSample* out) const;
+
+  const size_t capacity_;
   const bool cache_fallback_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Built in the initialiser list and never resized: metrics_source_ reads
+  /// it from any thread.
+  const std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> generation_{0};
   obs::Counter invalidations_;
-  /// Entry total behind the serve.cache.entries gauge, moved once per batch
-  /// that changes it (Stats() sums the shards instead).
-  std::atomic<int64_t> entries_{0};
+
+  /// Declared last (see obs::MetricsSource).
+  obs::MetricsSource metrics_source_{
+      [this](obs::MetricsSample* out) { CollectMetrics(out); }};
 };
 
 /// A QueryEngine fronted by an optional ResultCache. With a null cache it

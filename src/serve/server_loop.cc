@@ -307,7 +307,6 @@ void LineProtocolHandler::Finish(std::string* out) {
     // A peer that closes without terminating its last line gets no answer
     // for it; that is deliberate (a truncated frame is not a request), but
     // it must be observable, not silent.
-    ++partial_dropped_;
     RNE_COUNTER_ADD("net.partial_line_dropped", 1);
     buffer_.clear();
   }

@@ -12,8 +12,10 @@
 //                      misses count looked-up requests only, i.e. KNNs and
 //                      QUERYs an exact backend answers — and an
 //                      "active_connections" count; flushes pending batch)
-//   METRICS        ->  METRICS <global registry json> (counters, gauges, and
-//                      per-backend latency histograms; flushes pending batch)
+//   METRICS        ->  METRICS <global registry json> (counters, gauges and
+//                      histograms: the registry's own entries plus the live
+//                      counters of every engine, server and cache in the
+//                      process, same names summed; flushes pending batch)
 //   RELOAD [path]  ->  RELOAD OK version=<v> vertices=<n> | ERR <status>
 //                      (hot model swap via ModelManager; no argument re-runs
 //                      the last path; flushes pending batch first and
@@ -132,12 +134,9 @@ class LineProtocolHandler {
   bool Consume(std::string_view bytes, std::string* out);
 
   /// End of input: any buffered unterminated line is dropped — counted in
-  /// net.partial_line_dropped and partial_lines_dropped() — and the pending
-  /// batch is flushed so no answer is owed. Idempotent.
+  /// net.partial_line_dropped — and the pending batch is flushed so no
+  /// answer is owed. Idempotent.
   void Finish(std::string* out);
-
-  /// Unterminated final lines dropped by Finish() on this handler.
-  size_t partial_lines_dropped() const { return partial_dropped_; }
 
   /// Newline-terminated frames Consume() has peeled off so far (blank lines
   /// included — this is the wire-level count the TCP server reports as
@@ -170,7 +169,6 @@ class LineProtocolHandler {
   std::string buffer_;
   size_t lines_ = 0;
   size_t frames_ = 0;
-  size_t partial_dropped_ = 0;
 };
 
 /// Appends `value` exactly as printf("%.2f") renders it (the DIST and KNN

@@ -1,16 +1,18 @@
 // TCP front-end tests: a real TcpServer on an ephemeral loopback port with
 // Serve() on its own thread, driven by BlockingClient. Covers pipelined
 // request/answer ordering, malformed and oversized frames, slow-client and
-// idle-client eviction, the connection cap, STATS over the socket, cache
-// hits across connections, graceful drain with answers still buffered, and
-// the multi-reactor contracts: placement on the least-loaded reactor,
-// concurrent pipelined connections, drain with a batch in flight on every
-// reactor, the global connection cap, and RELOAD racing cached KNNs.
+// idle-client eviction, the connection cap, STATS over the socket and
+// METRICS reading the same counters, cache hits across connections,
+// graceful drain with answers still buffered, and the multi-reactor
+// contracts: placement on the least-loaded reactor, concurrent pipelined
+// connections, drain with a batch in flight on every reactor, the global
+// connection cap, and RELOAD racing cached KNNs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -45,6 +47,17 @@ bool WaitFor(Pred pred, std::chrono::milliseconds deadline = 3000ms) {
     std::this_thread::sleep_for(2ms);
   }
   return pred();
+}
+
+/// The number after `"key":` (optionally space-padded) in the JSON text
+/// `json`; the first occurrence wins. STATS pads with a space, METRICS
+/// does not.
+double JsonNumber(const std::string& json, const std::string& key) {
+  const std::string quoted = "\"" + key + "\":";
+  const size_t at = json.find(quoted);
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(json.c_str() + at + quoted.size(), nullptr);
 }
 
 class NetTest : public ::testing::Test {
@@ -506,13 +519,14 @@ TEST_F(NetTest, ConnectionCapHoldsAcrossReactors) {
 }
 
 TEST_F(NetTest, ActiveGaugeReachesZeroAfterClosesOnBothReactors) {
-  // The acceptor and both reactors update net.active_connections (what
-  // METRICS reports). Read it from the registry rather than over METRICS:
-  // a probe connection would itself be live and its accept would rewrite
-  // the gauge.
+  // The acceptor and both reactors move the live count that METRICS
+  // reports as net.active_connections. Read it from the registry rather
+  // than over METRICS: a probe connection would itself be live.
   StartServer();
-  const obs::Gauge* gauge =
-      obs::MetricsRegistry::Global().GetGauge("net.active_connections");
+  const auto active = [] {
+    return JsonNumber(obs::MetricsRegistry::Global().ToJson(),
+                      "net.active_connections");
+  };
   for (int round = 0; round < 20; ++round) {
     std::vector<std::unique_ptr<BlockingClient>> clients;
     for (int i = 0; i < 4; ++i) {
@@ -522,12 +536,64 @@ TEST_F(NetTest, ActiveGaugeReachesZeroAfterClosesOnBothReactors) {
     }
     EXPECT_EQ(server_->Stats().reactor_connections,
               (std::vector<size_t>{2, 2}));
+    EXPECT_EQ(active(), 4.0) << "round " << round;
     clients.clear();  // both reactors see their closes at once
     ASSERT_TRUE(
         WaitFor([this] { return server_->active_connections().load() == 0; }));
-    EXPECT_TRUE(WaitFor([gauge] { return gauge->Value() == 0.0; }))
-        << "round " << round << ": gauge stuck at " << gauge->Value();
+    EXPECT_EQ(active(), 0.0) << "round " << round;
   }
+}
+
+TEST_F(NetTest, MetricsReadsTheCountersStatsReports) {
+  // METRICS renders the engine's, the server's and the cache's own
+  // counters, so after a pipelined run each equals what STATS and Stats()
+  // report. Totals folded in by earlier tests' engines are cleared first.
+  obs::MetricsRegistry::Global().ResetForTest();
+  serve::ResultCache cache;
+  TcpServerOptions options;
+  options.loop.cache = &cache;
+  options.loop.batch = 1;  // repeats within the burst can hit the cache
+  StartServer(options);
+  BlockingClient client = Connect();
+  std::string burst;
+  for (int i = 0; i < 48; ++i) {
+    burst += i % 3 == 0 ? std::string("KNN 0 3\n")
+                        : "QUERY 0 " + std::to_string(i % 4) + "\n";
+  }
+  burst += "STATS\n";
+  ASSERT_TRUE(client.Send(burst).ok());
+  uint64_t received = 0;
+  std::string stats;
+  for (int i = 0; i <= 48; ++i) {
+    auto line = client.ReadLine();
+    ASSERT_TRUE(line.ok()) << i << ": " << line.status().ToString();
+    received += line.value().size() + 1;
+    stats = std::move(line).value();
+  }
+  ASSERT_EQ(stats.rfind("STATS {", 0), 0u) << stats;
+  // The server counts written bytes just after the write the client saw.
+  ASSERT_TRUE(
+      WaitFor([&] { return server_->Stats().bytes_out == received; }));
+  const NetStatsSnapshot net = server_->Stats();
+  ASSERT_TRUE(client.Send("METRICS\n").ok());
+  auto metrics = client.ReadLine();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  const std::string& json = metrics.value();
+  ASSERT_EQ(json.rfind("METRICS {", 0), 0u) << json;
+
+  EXPECT_EQ(JsonNumber(stats, "served"), 48.0 - JsonNumber(stats, "hits"));
+  EXPECT_GT(JsonNumber(stats, "hits"), 0.0);
+  EXPECT_EQ(JsonNumber(json, "serve.served"), JsonNumber(stats, "served"));
+  EXPECT_EQ(JsonNumber(json, "serve.served"),
+            static_cast<double>(engine_.Metrics().served));
+  EXPECT_EQ(JsonNumber(json, "serve.cache.hits"), JsonNumber(stats, "hits"));
+  EXPECT_EQ(JsonNumber(json, "serve.cache.hits"),
+            static_cast<double>(cache.Stats().hits));
+  // The METRICS line is counted after its read burst is handled.
+  EXPECT_EQ(JsonNumber(json, "net.lines"), static_cast<double>(net.lines));
+  EXPECT_EQ(net.lines, 49u);
+  EXPECT_EQ(JsonNumber(json, "net.bytes_out"),
+            static_cast<double>(net.bytes_out));
 }
 
 TEST_F(NetTest, ReloadOnOneConnectionNeverLeavesAPreSwapCachedAnswer) {

@@ -1,12 +1,16 @@
 // Observability layer: registry semantics (create-on-first-use, pointer
-// stability across ResetForTest, JSON shape), multi-threaded counter and
-// histogram recording (also exercised under TSan in CI), the runtime enable
-// toggle, and trace spans (nesting depth, indexed names, ring overwrite
-// accounting, plain and chrome://tracing JSON exports).
+// stability across ResetForTest, JSON shape), live sources (same names
+// summed, folded into the registry on destruction, registering while
+// ToJson() renders), multi-threaded counter and histogram recording (also
+// exercised under TSan in CI), the runtime enable toggle, and trace spans
+// (nesting depth, indexed names, ring overwrite accounting, plain and
+// chrome://tracing JSON exports).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -14,6 +18,23 @@
 
 namespace rne::obs {
 namespace {
+
+/// A live object with its own counter, gauge and histogram, reported
+/// under "<prefix>.count" / ".gauge" / ".hist" as a metrics source.
+struct FakeSource {
+  explicit FakeSource(std::string name_prefix)
+      : prefix(std::move(name_prefix)) {}
+
+  const std::string prefix;
+  Counter count;
+  Gauge level;
+  LatencyStat latency;
+  MetricsSource source{[this](MetricsSample* out) {
+    out->counters[prefix + ".count"] += count.Value();
+    out->gauges[prefix + ".gauge"] += level.Value();
+    out->histograms[prefix + ".hist"].Merge(latency.Snapshot());
+  }};
+};
 
 class ObsTest : public ::testing::Test {
  protected:
@@ -116,6 +137,84 @@ TEST_F(ObsTest, ToJsonHasStableSchema) {
     EXPECT_NE(json.find(expected), std::string::npos)
         << expected << " missing from " << json;
   }
+}
+
+TEST_F(ObsTest, LiveSourcesWithOneNameAreSummed) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  FakeSource a("test.src");
+  FakeSource b("test.src");
+  a.count.Add(3);
+  b.count.Add(4);
+  registry.GetCounter("test.src.count")->Add(10);  // the registry's own
+  a.level.Set(1.5);
+  b.level.Set(2.0);
+  a.latency.Record(1000, 2);
+  b.latency.Record(3000);
+  const std::string json = registry.ToJson();
+  for (const char* expected :
+       {"\"test.src.count\":17", "\"test.src.gauge\":3.5",
+        "\"test.src.hist\":{\"count\":3", "\"max_ns\":3000"}) {
+    EXPECT_NE(json.find(expected), std::string::npos)
+        << expected << " missing from " << json;
+  }
+}
+
+TEST_F(ObsTest, DestroyedSourceFoldsIntoTheRegistry) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  {
+    FakeSource gone("test.fold");
+    gone.count.Add(5);
+    gone.level.Set(9.0);
+    gone.latency.Record(2000, 2);
+  }
+  EXPECT_EQ(registry.GetCounter("test.fold.count")->Value(), 5u);
+  EXPECT_EQ(registry.GetLatency("test.fold.hist")->Snapshot().TotalCount(),
+            2u);
+  // A second source of the same name adds to the folded total.
+  FakeSource live("test.fold");
+  live.count.Add(1);
+  const std::string json = registry.ToJson();
+  EXPECT_NE(json.find("\"test.fold.count\":6"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"test.fold.hist\":{\"count\":2"), std::string::npos)
+      << json;
+  // A gauge is a live object's instantaneous value: it is not folded.
+  EXPECT_NE(json.find("\"test.fold.gauge\":0"), std::string::npos) << json;
+  // ResetForTest clears folded totals; the live source keeps its count.
+  registry.ResetForTest();
+  EXPECT_NE(registry.ToJson().find("\"test.fold.count\":1"),
+            std::string::npos);
+}
+
+TEST_F(ObsTest, ToJsonRacesSourceConstructionAndDestruction) {
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 200;
+  std::atomic<bool> done{false};
+  std::thread reader([&done] {
+    while (!done.load()) {
+      const std::string json = MetricsRegistry::Global().ToJson();
+      EXPECT_EQ(json.rfind("{\"counters\":{", 0), 0u);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([] {
+      for (int i = 0; i < kPerThread; ++i) {
+        FakeSource source("test.race");
+        source.count.Add(1);
+        source.latency.Record(100);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(MetricsRegistry::Global().GetCounter("test.race.count")->Value(),
+            static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(MetricsRegistry::Global()
+                .GetLatency("test.race.hist")
+                ->Snapshot()
+                .TotalCount(),
+            static_cast<size_t>(kThreads * kPerThread));
 }
 
 TEST_F(ObsTest, JsonStringEscaping) {

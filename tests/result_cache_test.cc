@@ -313,7 +313,6 @@ class ReferenceCache {
     out->exact = value.exact;
     out->fell_back = false;
     out->cached = true;
-    out->latency_ns = 0;
     ++hits_;
     return true;
   }
@@ -473,7 +472,6 @@ Response RandomResponse(const Request& request, Rng& rng) {
   }
   response.backend = rng.UniformIndex(2) == 0 ? "rne" : "dijkstra";
   response.exact = rng.UniformIndex(2) == 0;
-  response.latency_ns = 7;
   return response;
 }
 
@@ -519,7 +517,6 @@ void RunDifferential(const ResultCacheOptions& options, uint64_t seed,
         EXPECT_EQ(got[i].backend, want[i].backend);
         EXPECT_EQ(got[i].exact, want[i].exact);
         EXPECT_FALSE(got[i].fell_back);
-        EXPECT_EQ(got[i].latency_ns, 0);
       }
     } else {
       responses.clear();
