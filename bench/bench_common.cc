@@ -146,9 +146,10 @@ std::vector<std::vector<DistanceSample>> DistanceScaleGroups(
   std::vector<std::vector<DistanceSample>> groups(num_groups);
   for (const auto& s : samples) {
     if (s.dist <= 0.0 || s.dist == kInfDistance) continue;
-    const size_t group = std::min(
-        num_groups - 1,
-        static_cast<size_t>(s.dist / diameter * static_cast<double>(num_groups)));
+    const size_t group =
+        std::min(num_groups - 1,
+                 static_cast<size_t>(s.dist / diameter *
+                                     static_cast<double>(num_groups)));
     if (groups[group].size() < per_group) groups[group].push_back(s);
   }
   return groups;

@@ -35,8 +35,9 @@ void RunVariant(const Dataset& ds, const std::vector<DistanceSample>& val,
   trainer.TrainVertexPhase();
   trainer.FineTunePhase();
 
-  const std::string name = std::string(hierarchical ? "RNE-Hier" : "RNE-Naive") +
-                           (aft ? "-AFT" : "");
+  const std::string name =
+      std::string(hierarchical ? "RNE-Hier" : "RNE-Naive") +
+      (aft ? "-AFT" : "");
   const auto& progress = trainer.progress();
   const size_t stride = std::max<size_t>(1, progress.size() / 12);
   for (size_t i = 0; i < progress.size(); i += stride) {

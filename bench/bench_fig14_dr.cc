@@ -37,7 +37,8 @@ void Run() {
 
   DistanceSampler sampler(ds.graph);
   for (const double ratio : {0.25, 1.0, 4.0, 16.0}) {
-    const auto num_samples = static_cast<size_t>(ratio * static_cast<double>(n));
+    const auto num_samples =
+        static_cast<size_t>(ratio * static_cast<double>(n));
     Rng rng(55);
     const auto train = sampler.ComputeDistances(
         RandomVertexPairs(n, num_samples, rng, 8));
@@ -54,7 +55,8 @@ void Run() {
       dr.Train(train);
       const double err = 100.0 * dr.MeanRelativeError(val);
       const std::string name = "DR-" + std::to_string(params / 1000) + "K";
-      table.AddRow({name, TableWriter::Fmt(ratio, 2), TableWriter::Fmt(err, 3)});
+      table.AddRow(
+          {name, TableWriter::Fmt(ratio, 2), TableWriter::Fmt(err, 3)});
       std::printf("[fig14] %s ratio=%.2f err=%.3f%%\n", name.c_str(), ratio,
                   err);
       std::fflush(stdout);

@@ -39,10 +39,10 @@ void Run() {
         const auto below = std::upper_bound(rel_errors.begin(),
                                             rel_errors.end(), thresh) -
                            rel_errors.begin();
+        const double below_pct = 100.0 * static_cast<double>(below) /
+                                 static_cast<double>(rel_errors.size());
         table.AddRow({ds.name, name, TableWriter::Fmt(thresh, 1),
-                      TableWriter::Fmt(100.0 * static_cast<double>(below) /
-                                           static_cast<double>(rel_errors.size()),
-                                       1)});
+                      TableWriter::Fmt(below_pct, 1)});
       }
       std::printf("[fig15]   %s done\n", name.c_str());
       std::fflush(stdout);

@@ -433,15 +433,12 @@ void BM_ServeQueryObs(benchmark::State& state) {
     options.num_threads = 2;
     auto* e = new serve::QueryEngine(options);
     e->AddReadyBackend(serve::MakeSharedModelBackend(BenchModel()));
-    // Discard OK: AddReadyBackend never enters the loading state, so
-    // there is no load error to propagate.
-    (void)e->WaitUntilLoaded();
     return e;
   }();
   Rng rng(23);
   const size_t n = BenchModel().NumVertices();
   // Large enough that per-query instrumentation costs dominate the fixed
-  // per-batch costs (admission, chain resolution), which on shared
+  // per-batch costs (chain resolution, clock reads), which on shared
   // machines are noisier than the 2% budget being measured.
   std::vector<serve::Request> requests(1024);
   for (auto& r : requests) {

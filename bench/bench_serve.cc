@@ -1,14 +1,10 @@
 // Load generator for the serving subsystem: measures sustained QPS and
-// latency percentiles of the batched QueryEngine on a generated grid, in
-// two modes:
-//
-//  * closed loop — T client threads issue batches of B back-to-back; the
-//    measured rate is the system's capacity at that concurrency;
-//  * open loop  — clients fire batches on a fixed schedule at an offered
-//    rate regardless of completions, so queue wait (and admission
-//    rejection) shows up in the latency tail, not in the arrival process.
-//
-// Sweeps thread counts x batch sizes, writes bench_results/serve_report.json.
+// latency percentiles of the batched QueryEngine on a generated grid in a
+// closed loop — T client threads issue batches of B back-to-back, so the
+// measured rate is the system's capacity at that concurrency. It sweeps
+// thread counts x batch sizes, picks the fastest point for the legs below,
+// and writes bench_results/serve_report.json. (Open-loop latency under an
+// offered load is servebench's measurement.)
 //
 // A brownout leg injects a 100% error rate into the learned primary,
 // reports the throughput dip while the exact fallback carries traffic, and
@@ -32,8 +28,7 @@
 // modes, so zero-copy serving provably returns the heap path's answers.
 //
 //   bench_serve [--rows 64] [--cols 64] [--dim 32] [--seconds 1.0]
-//               [--threads 1,2,4] [--batches 1,16,64,256]
-//               [--queue 8192] [--out <path>]
+//               [--threads 1,2,4] [--batches 1,16,64,256] [--out <path>]
 //               [--brownout-seconds 1.5]   (0 skips both brownout legs)
 //               [--zipf 0] [--socket-seconds <seconds>] [--pipeline 64]
 //   bench_serve --connect 127.0.0.1:7777 [--queries 1000] [--pipeline 64]
@@ -74,10 +69,8 @@ namespace rne::bench {
 namespace {
 
 struct SweepPoint {
-  std::string mode;  // "closed" | "open"
   size_t threads = 0;
   size_t batch = 0;
-  double offered_qps = 0.0;  // open loop only
   double achieved_qps = 0.0;
   serve::MetricsSnapshot metrics;
 };
@@ -135,16 +128,14 @@ std::vector<serve::Request> RandomRequests(const Graph& g, size_t n,
   return out;
 }
 
-/// Fresh engine per sweep point so its metrics cover exactly that point:
-/// learned primary (already resident, Ready immediately) with an exact
+/// Fresh engine per sweep point (and brownout leg) so its metrics cover
+/// exactly that run: learned primary (already resident) with an exact
 /// Dijkstra fallback, mirroring the rne_server default chain.
 std::unique_ptr<serve::QueryEngine> MakeEngine(const Rne& model,
                                                const Graph& g,
-                                               size_t num_threads,
-                                               size_t queue_capacity) {
+                                               size_t num_threads) {
   serve::EngineOptions options;
   options.num_threads = num_threads;
-  options.queue_capacity = queue_capacity;
   auto engine = std::make_unique<serve::QueryEngine>(options);
   engine->AddReadyBackend(serve::MakeSharedModelBackend(model));
   serve::BackendContext ctx;
@@ -157,9 +148,8 @@ std::unique_ptr<serve::QueryEngine> MakeEngine(const Rne& model,
 }
 
 SweepPoint RunClosedLoop(const Rne& model, const Graph& g, size_t threads,
-                         size_t batch, size_t queue_capacity, double seconds,
-                         double zipf_s) {
-  auto engine_ptr = MakeEngine(model, g, threads, queue_capacity);
+                         size_t batch, double seconds, double zipf_s) {
+  auto engine_ptr = MakeEngine(model, g, threads);
   serve::QueryEngine& engine = *engine_ptr;
   std::atomic<uint64_t> served{0};
   std::atomic<bool> stop{false};
@@ -169,9 +159,10 @@ SweepPoint RunClosedLoop(const Rne& model, const Graph& g, size_t threads,
       const auto requests = RandomRequests(g, batch, 1000 + c, zipf_s);
       std::vector<serve::Response> responses;
       while (!stop.load(std::memory_order_relaxed)) {
-        if (engine.QueryBatch(requests, &responses).ok()) {
-          served.fetch_add(requests.size(), std::memory_order_relaxed);
-        }
+        // Discard OK: QueryBatch always returns OK; failures are per
+        // response and show in the engine metrics.
+        (void)engine.QueryBatch(requests, &responses);
+        served.fetch_add(requests.size(), std::memory_order_relaxed);
       }
     });
   }
@@ -182,55 +173,8 @@ SweepPoint RunClosedLoop(const Rne& model, const Graph& g, size_t threads,
   const double elapsed = timer.ElapsedSeconds();
 
   SweepPoint point;
-  point.mode = "closed";
   point.threads = threads;
   point.batch = batch;
-  point.achieved_qps = static_cast<double>(served.load()) / elapsed;
-  point.metrics = engine.Metrics();
-  return point;
-}
-
-SweepPoint RunOpenLoop(const Rne& model, const Graph& g, size_t threads,
-                       size_t batch, double offered_qps,
-                       size_t queue_capacity, double seconds, double zipf_s) {
-  auto engine_ptr = MakeEngine(model, g, threads, queue_capacity);
-  serve::QueryEngine& engine = *engine_ptr;
-  // Each of `threads` dispatchers fires a batch every interval; firing is
-  // schedule-driven (sleep_until), never completion-driven.
-  const double batches_per_second = offered_qps / static_cast<double>(batch);
-  const auto interval = std::chrono::duration<double>(
-      static_cast<double>(threads) / batches_per_second);
-  std::atomic<uint64_t> served{0};
-  std::vector<std::thread> clients;
-  const auto start = std::chrono::steady_clock::now();
-  const auto stop_at = start + std::chrono::duration_cast<
-                                   std::chrono::steady_clock::duration>(
-                                   std::chrono::duration<double>(seconds));
-  for (size_t c = 0; c < threads; ++c) {
-    clients.emplace_back([&, c] {
-      const auto requests = RandomRequests(g, batch, 2000 + c, zipf_s);
-      std::vector<serve::Response> responses;
-      auto next = start + c * (interval / static_cast<double>(threads));
-      while (next < stop_at) {
-        std::this_thread::sleep_until(next);
-        if (engine.QueryBatch(requests, &responses).ok()) {
-          served.fetch_add(requests.size(), std::memory_order_relaxed);
-        }
-        next += std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(interval);
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  const double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-
-  SweepPoint point;
-  point.mode = "open";
-  point.threads = threads;
-  point.batch = batch;
-  point.offered_qps = offered_qps;
   point.achieved_qps = static_cast<double>(served.load()) / elapsed;
   point.metrics = engine.Metrics();
   return point;
@@ -251,17 +195,8 @@ struct BrownoutReport {
 };
 
 BrownoutReport RunBrownout(const Rne& model, const Graph& g, size_t threads,
-                           size_t batch, size_t queue_capacity,
-                           double seconds) {
-  serve::EngineOptions options;
-  options.num_threads = threads;
-  options.queue_capacity = queue_capacity;
-  auto engine = std::make_unique<serve::QueryEngine>(options);
-  engine->AddReadyBackend(serve::MakeSharedModelBackend(model));
-  serve::BackendContext ctx;
-  ctx.graph = &g;
-  engine->AddBackend("dijkstra", ctx);
-  (void)engine->WaitUntilLoaded();  // Discard OK: graph-built, cannot fail.
+                           size_t batch, double seconds) {
+  auto engine = MakeEngine(model, g, threads);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> clients;
@@ -270,7 +205,7 @@ BrownoutReport RunBrownout(const Rne& model, const Graph& g, size_t threads,
       const auto requests = RandomRequests(g, batch, 3000 + c);
       std::vector<serve::Response> responses;
       while (!stop.load(std::memory_order_relaxed)) {
-        // Discard OK: rejected batches are visible in engine metrics.
+        // Discard OK: failures are per response, in the engine metrics.
         (void)engine->QueryBatch(requests, &responses);
       }
     });
@@ -327,12 +262,11 @@ struct SocketServer {
 /// rne_server's rne,dijkstra default. `cache_entries` == 0 disables the
 /// result cache.
 std::unique_ptr<SocketServer> StartSocketServer(
-    const Graph& g, const Rne* model, size_t threads, size_t queue_capacity,
-    size_t batch, size_t cache_entries) {
+    const Graph& g, const Rne* model, size_t threads, size_t batch,
+    size_t cache_entries) {
   auto s = std::make_unique<SocketServer>();
   serve::EngineOptions options;
   options.num_threads = threads;
-  options.queue_capacity = queue_capacity;
   s->engine = std::make_unique<serve::QueryEngine>(options);
   if (model != nullptr) {
     s->engine->AddReadyBackend(serve::MakeSharedModelBackend(*model));
@@ -513,13 +447,11 @@ struct SocketCacheReport {
 /// a multiple of the uncached capacity. The cached variant absorbs the hot
 /// head locally and reports the resulting throughput ratio.
 SocketCacheReport RunSocketCacheAb(const Graph& g, size_t threads,
-                                   size_t queue_capacity, size_t batch,
-                                   double zipf_s, size_t pipeline,
-                                   double seconds) {
+                                   size_t batch, double zipf_s,
+                                   size_t pipeline, double seconds) {
   SocketCacheReport report;
   // Probe the uncached capacity with a short closed-loop burst.
-  auto uncached = StartSocketServer(g, nullptr, threads, queue_capacity,
-                                    batch, 0);
+  auto uncached = StartSocketServer(g, nullptr, threads, batch, 0);
   if (uncached == nullptr) return report;
   report.probe_qps = SocketClosedLoopQps(uncached->port(), g, zipf_s,
                                          pipeline, std::min(seconds, 0.5),
@@ -531,8 +463,7 @@ SocketCacheReport RunSocketCacheAb(const Graph& g, size_t threads,
   report.qps_uncached = plain.achieved_qps;
   uncached->Stop();
 
-  auto cached = StartSocketServer(g, nullptr, threads, queue_capacity, batch,
-                                  1 << 16);
+  auto cached = StartSocketServer(g, nullptr, threads, batch, 1 << 16);
   if (cached == nullptr) return report;
   const SocketLegResult warm = RunSocketOpenLoop(
       cached->port(), g, zipf_s, pipeline, offered, seconds, 42);
@@ -558,12 +489,11 @@ struct SocketBrownoutReport {
 /// fault the learned primary for the middle third, and confirm the exact
 /// fallback keeps answers flowing end to end (not just inside the engine).
 SocketBrownoutReport RunSocketBrownout(const Graph& g, const Rne& model,
-                                       size_t threads, size_t queue_capacity,
-                                       size_t batch, double zipf_s,
-                                       size_t pipeline, double seconds) {
+                                       size_t threads, size_t batch,
+                                       double zipf_s, size_t pipeline,
+                                       double seconds) {
   SocketBrownoutReport report;
-  auto server =
-      StartSocketServer(g, &model, threads, queue_capacity, batch, 0);
+  auto server = StartSocketServer(g, &model, threads, batch, 0);
   if (server == nullptr) return report;
   net::BlockingClient client;
   if (!client.Connect("127.0.0.1", server->port(),
@@ -840,17 +770,13 @@ void AppendProbeJson(std::string* out, const char* key,
 void AppendPointJson(std::string* out, const SweepPoint& p) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "    {\"mode\": \"%s\", \"threads\": %zu, \"batch\": %zu, "
-                "\"offered_qps\": %.1f, \"achieved_qps\": %.1f, "
-                "\"served\": %llu, \"rejected\": %llu, "
-                "\"fell_back_load\": %llu, \"fell_back_deadline\": %llu, "
+                "    {\"threads\": %zu, \"batch\": %zu, "
+                "\"achieved_qps\": %.1f, \"served\": %llu, "
+                "\"fell_back_load\": %llu, "
                 "\"p50_ns\": %.0f, \"p95_ns\": %.0f, \"p99_ns\": %.0f}",
-                p.mode.c_str(), p.threads, p.batch, p.offered_qps,
-                p.achieved_qps,
+                p.threads, p.batch, p.achieved_qps,
                 static_cast<unsigned long long>(p.metrics.served),
-                static_cast<unsigned long long>(p.metrics.rejected),
                 static_cast<unsigned long long>(p.metrics.fell_back_load),
-                static_cast<unsigned long long>(p.metrics.fell_back_deadline),
                 p.metrics.p50_ns, p.metrics.p95_ns, p.metrics.p99_ns);
   *out += buf;
 }
@@ -867,7 +793,6 @@ int Main(int argc, char** argv) {
   const auto cols = static_cast<size_t>(flags.Int("cols", 64));
   const auto dim = static_cast<size_t>(flags.Int("dim", 32));
   const double seconds = flags.Real("seconds", 1.0);
-  const auto queue = static_cast<size_t>(flags.Int("queue", 8192));
   const double brownout_seconds = flags.Real("brownout-seconds", 1.5);
   const auto threads = ParseSizeList(args.Get("threads", "1,2,4"));
   const auto batches = ParseSizeList(args.Get("batches", "1,16,64,256"));
@@ -949,7 +874,7 @@ int Main(int argc, char** argv) {
   std::vector<SweepPoint> points;
   for (const size_t t : threads) {
     for (const size_t b : batches) {
-      SweepPoint p = RunClosedLoop(model, g, t, b, queue, seconds, zipf_s);
+      SweepPoint p = RunClosedLoop(model, g, t, b, seconds, zipf_s);
       std::printf("closed t=%zu b=%zu: %.0f q/s p50=%.0fns p99=%.0fns\n",
                   p.threads, p.batch, p.achieved_qps, p.metrics.p50_ns,
                   p.metrics.p99_ns);
@@ -957,8 +882,8 @@ int Main(int argc, char** argv) {
       points.push_back(std::move(p));
     }
   }
-  // Open loop at 50% and 150% of the best closed-loop capacity: below and
-  // above saturation (the latter exercises admission-control rejection).
+  // The fastest closed-loop point sets the threads and batch of the legs
+  // below.
   double best_qps = 0.0;
   size_t best_threads = 1, best_batch = 1;
   for (const auto& p : points) {
@@ -968,23 +893,12 @@ int Main(int argc, char** argv) {
       best_batch = p.batch;
     }
   }
-  for (const double fraction : {0.5, 1.5}) {
-    SweepPoint p = RunOpenLoop(model, g, best_threads, best_batch,
-                               fraction * best_qps, queue, seconds, zipf_s);
-    std::printf("open offered=%.0f: achieved %.0f q/s rejected=%llu "
-                "p99=%.0fns\n",
-                p.offered_qps, p.achieved_qps,
-                static_cast<unsigned long long>(p.metrics.rejected),
-                p.metrics.p99_ns);
-    std::fflush(stdout);
-    points.push_back(std::move(p));
-  }
 
   BrownoutReport brownout;
   bool ran_brownout = false;
   if (brownout_seconds > 0.0) {
-    brownout = RunBrownout(model, g, best_threads, best_batch, queue,
-                           brownout_seconds);
+    brownout =
+        RunBrownout(model, g, best_threads, best_batch, brownout_seconds);
     ran_brownout = true;
     std::printf(
         "brownout: healthy %.0f q/s -> faulted %.0f q/s -> recovered %.0f "
@@ -1002,8 +916,8 @@ int Main(int argc, char** argv) {
   bool ran_socket_cache = false;
   if (socket_seconds > 0.0) {
     const double ab_zipf = zipf_s > 0.0 ? zipf_s : 1.0;
-    socket_cache = RunSocketCacheAb(g, best_threads, queue, best_batch,
-                                    ab_zipf, pipeline, socket_seconds);
+    socket_cache = RunSocketCacheAb(g, best_threads, best_batch, ab_zipf,
+                                    pipeline, socket_seconds);
     ran_socket_cache = true;
     std::printf(
         "socket cache A/B (zipf %.2f): uncached %.0f q/s -> cached %.0f "
@@ -1015,9 +929,9 @@ int Main(int argc, char** argv) {
   SocketBrownoutReport socket_brownout;
   bool ran_socket_brownout = false;
   if (socket_seconds > 0.0 && brownout_seconds > 0.0) {
-    socket_brownout = RunSocketBrownout(
-        g, model, best_threads, queue, best_batch, zipf_s, pipeline,
-        std::max(brownout_seconds, 0.6));
+    socket_brownout =
+        RunSocketBrownout(g, model, best_threads, best_batch, zipf_s,
+                          pipeline, std::max(brownout_seconds, 0.6));
     ran_socket_brownout = true;
     std::printf(
         "socket brownout: healthy %.0f q/s -> faulted %.0f q/s -> "

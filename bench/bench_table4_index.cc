@@ -86,7 +86,8 @@ void Run() {
     {
       // RNE build time includes sampling + training, as in the paper.
       Timer t;
-      const Rne model = Rne::Build(ds.graph, DefaultRneConfig(ds.rne_dim, ds.graph.NumVertices()));
+      const Rne model = Rne::Build(
+          ds.graph, DefaultRneConfig(ds.rne_dim, ds.graph.NumVertices()));
       record(5, t.ElapsedSeconds(), model.IndexBytes());
     }
   }

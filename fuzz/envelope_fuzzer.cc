@@ -72,7 +72,8 @@ const std::string& ScratchPath() {
 bool WriteScratch(const uint8_t* data, size_t size) {
   std::ofstream out(ScratchPath(), std::ios::binary | std::ios::trunc);
   if (!out) return false;
-  out.write(reinterpret_cast<const char*>(data), static_cast<std::streamsize>(size));
+  out.write(reinterpret_cast<const char*>(data),
+            static_cast<std::streamsize>(size));
   return static_cast<bool>(out);
 }
 

@@ -30,8 +30,8 @@ class DijkstraSearch {
 
   /// Distances from s to each vertex of `targets` (kInfDistance when
   /// unreachable). Terminates as soon as all targets settle.
-  std::vector<double> MultiTargetDistances(VertexId s,
-                                           const std::vector<VertexId>& targets);
+  std::vector<double> MultiTargetDistances(
+      VertexId s, const std::vector<VertexId>& targets);
 
   /// Vertices within `radius` of s, as (vertex, distance) pairs in
   /// nondecreasing distance order.

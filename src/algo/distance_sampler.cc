@@ -12,9 +12,10 @@ namespace rne {
 
 DistanceSampler::DistanceSampler(const Graph& g, size_t num_threads)
     : g_(g),
-      num_threads_(num_threads == 0
-                       ? std::max<size_t>(1, std::thread::hardware_concurrency())
-                       : num_threads) {}
+      num_threads_(
+          num_threads == 0
+              ? std::max<size_t>(1, std::thread::hardware_concurrency())
+              : num_threads) {}
 
 std::vector<DistanceSample> DistanceSampler::ComputeDistances(
     const std::vector<std::pair<VertexId, VertexId>>& pairs) const {

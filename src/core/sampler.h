@@ -53,10 +53,9 @@ enum class FineTuneStrategy {
 /// non-positive error means "skip bucket"). Buckets with no pairs are
 /// skipped. `source_reuse` keeps the drawn source vertex for several target
 /// draws from the same cell pair.
-std::vector<VertexPair> ErrorBasedPairs(const SpatialGrid& grid,
-                                        const std::vector<double>& bucket_errors,
-                                        FineTuneStrategy strategy, size_t n,
-                                        Rng& rng, size_t source_reuse = 1);
+std::vector<VertexPair> ErrorBasedPairs(
+    const SpatialGrid& grid, const std::vector<double>& bucket_errors,
+    FineTuneStrategy strategy, size_t n, Rng& rng, size_t source_reuse = 1);
 
 }  // namespace rne
 

@@ -4,8 +4,9 @@
 // grid distance b" without materializing |V|^2 pairs. Vertices are hashed
 // into a K x K grid; the K^2 x K^2 cell pairs are bucketed by grid distance
 // |dr| + |dc| into 2K-1 buckets; sampling draws a cell pair proportional to
-// |g_s|*|g_t| and then a uniform vertex from each cell — giving (near-)uniform
-// pair selection inside each bucket with O(K^4) space and O(log) time.
+// |g_s|*|g_t| and then a uniform vertex from each cell — giving
+// (near-)uniform pair selection inside each bucket with O(K^4) space and
+// O(log) time.
 #ifndef RNE_CORE_SPATIAL_GRID_H_
 #define RNE_CORE_SPATIAL_GRID_H_
 

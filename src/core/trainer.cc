@@ -79,7 +79,8 @@ Trainer::Trainer(const Graph& g, const PartitionHierarchy& hier,
   }
   // Init spread ~ init_scale / dim keeps the initial L1 estimate O(1) in
   // normalized units for every dimension choice.
-  model_.RandomInit(rng_, config_.init_scale / static_cast<double>(config_.dim));
+  model_.RandomInit(rng_,
+                    config_.init_scale / static_cast<double>(config_.dim));
   // An SGD step moves all `dim` coordinates of both endpoints, changing the
   // L1 estimate by ~4 * dim * lr * err; dividing by 4 * dim makes lr0 the
   // fraction of the error corrected per update, independent of dim.

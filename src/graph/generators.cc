@@ -110,8 +110,9 @@ Graph MakeRoadNetwork(const RoadNetworkConfig& cfg) {
   for (size_t r = 0; r < cfg.rows; ++r) {
     for (size_t c = 0; c < cfg.cols; ++c) {
       const size_t v = r * cfg.cols + c;
-      for (const size_t u :
-           {c + 1 < cfg.cols ? v + 1 : n, r + 1 < cfg.rows ? v + cfg.cols : n}) {
+      const size_t right = c + 1 < cfg.cols ? v + 1 : n;
+      const size_t down = r + 1 < cfg.rows ? v + cfg.cols : n;
+      for (const size_t u : {right, down}) {
         if (u >= n) continue;
         if (rng.Bernoulli(cfg.removal_fraction)) {
           removed.push_back({v, u});
@@ -187,7 +188,9 @@ Graph MakeRandomGeometricNetwork(size_t n, size_t k, double extent,
     p = {rng.UniformReal(0.0, extent), rng.UniformReal(0.0, extent)};
   }
   GraphBuilder builder(n);
-  for (size_t i = 0; i < n; ++i) builder.SetCoord(static_cast<VertexId>(i), pts[i]);
+  for (size_t i = 0; i < n; ++i) {
+    builder.SetCoord(static_cast<VertexId>(i), pts[i]);
+  }
 
   // k-nearest-neighbor edges via brute force (generator is offline tooling).
   std::vector<std::pair<double, size_t>> dists(n);

@@ -14,9 +14,9 @@
 // batch of learned distance answers runs on the reactor itself, and only a
 // batch with more searches than one engine chunk (kNN requests, or
 // distance requests an exact backend answers) fans out onto the pool,
-// while the other reactors parse, format and write. Reactors are threads, not pool
-// tasks: a caller blocked in QueryBatch would otherwise wait on workers
-// parked in reactor loops. Pipelined clients amortize a whole batch per
+// while the other reactors parse, format and write. Reactors are threads,
+// not pool tasks: a caller blocked in QueryBatch would otherwise wait on
+// workers parked in reactor loops. Pipelined clients amortize a whole batch per
 // read burst; a half-full batch is flushed as soon as the read side goes
 // dry, so a lone synchronous client never waits on a timer.
 //

@@ -1,7 +1,6 @@
 #include "serve/backend.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "algo/dijkstra.h"
@@ -229,93 +228,78 @@ class GTreeBackend : public SerializedBackend<GTree> {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Registry
+using Made = StatusOr<std::unique_ptr<QueryBackend>>;
 
-struct Registry {
-  Mutex mu;
-  std::map<std::string, BackendFactory> factories RNE_GUARDED_BY(mu);
-};
-
-Registry& GlobalRegistry() {
-  static Registry* registry = [] {
-    auto* r = new Registry();
-    r->factories["rne"] =
-        [](const BackendContext& ctx) -> StatusOr<std::unique_ptr<QueryBackend>> {
-      auto model = Rne::Load(ctx.model_path, ctx.load);
-      if (!model.ok()) return model.status();
-      // RneIndex construction reads every embedding row, so complete any
-      // deferred cold-map verification before building over garbage.
-      RNE_RETURN_IF_ERROR(model.value().VerifyMapped());
-      return std::unique_ptr<QueryBackend>(
-          new RneBackend(std::move(model).value(), ctx.num_workers));
-    };
-    r->factories["rne-quantized"] =
-        [](const BackendContext& ctx) -> StatusOr<std::unique_ptr<QueryBackend>> {
-      auto model = QuantizedRne::Load(ctx.model_path, ctx.load);
-      if (!model.ok()) return model.status();
-      return std::unique_ptr<QueryBackend>(
-          new QuantizedRneBackend(std::move(model).value()));
-    };
-    r->factories["dijkstra"] =
-        [](const BackendContext& ctx) -> StatusOr<std::unique_ptr<QueryBackend>> {
-      RNE_RETURN_IF_ERROR(RequireGraph(ctx, "dijkstra"));
-      return std::unique_ptr<QueryBackend>(
-          new DijkstraBackend(*ctx.graph));
-    };
-    r->factories["ch"] =
-        [](const BackendContext& ctx) -> StatusOr<std::unique_ptr<QueryBackend>> {
-      RNE_RETURN_IF_ERROR(RequireGraph(ctx, "ch"));
-      return std::unique_ptr<QueryBackend>(
-          new SerializedBackend<ContractionHierarchy>(
-              ctx.graph->NumVertices(), *ctx.graph, ChOptions{}));
-    };
-    r->factories["h2h"] =
-        [](const BackendContext& ctx) -> StatusOr<std::unique_ptr<QueryBackend>> {
-      RNE_RETURN_IF_ERROR(RequireGraph(ctx, "h2h"));
-      return std::unique_ptr<QueryBackend>(new H2HBackend(*ctx.graph));
-    };
-    r->factories["alt"] =
-        [](const BackendContext& ctx) -> StatusOr<std::unique_ptr<QueryBackend>> {
-      RNE_RETURN_IF_ERROR(RequireGraph(ctx, "alt"));
-      Rng rng(ctx.seed);
-      return std::unique_ptr<QueryBackend>(new SerializedBackend<AltIndex>(
-          ctx.graph->NumVertices(), *ctx.graph, ctx.alt_landmarks, rng));
-    };
-    r->factories["gtree"] =
-        [](const BackendContext& ctx) -> StatusOr<std::unique_ptr<QueryBackend>> {
-      RNE_RETURN_IF_ERROR(RequireGraph(ctx, "gtree"));
-      GTreeOptions options;
-      options.seed = ctx.seed;
-      return std::unique_ptr<QueryBackend>(
-          new GTreeBackend(*ctx.graph, options));
-    };
-    return r;
-  }();
-  return *registry;
+Made MakeRne(const BackendContext& ctx) {
+  auto model = Rne::Load(ctx.model_path, ctx.load);
+  if (!model.ok()) return model.status();
+  // RneIndex construction reads every embedding row, so complete any
+  // deferred cold-map verification before building over garbage.
+  RNE_RETURN_IF_ERROR(model.value().VerifyMapped());
+  return std::unique_ptr<QueryBackend>(
+      new RneBackend(std::move(model).value(), ctx.num_workers));
 }
+
+Made MakeQuantizedRne(const BackendContext& ctx) {
+  auto model = QuantizedRne::Load(ctx.model_path, ctx.load);
+  if (!model.ok()) return model.status();
+  return std::unique_ptr<QueryBackend>(
+      new QuantizedRneBackend(std::move(model).value()));
+}
+
+Made MakeDijkstra(const BackendContext& ctx) {
+  RNE_RETURN_IF_ERROR(RequireGraph(ctx, "dijkstra"));
+  return std::unique_ptr<QueryBackend>(new DijkstraBackend(*ctx.graph));
+}
+
+Made MakeCh(const BackendContext& ctx) {
+  RNE_RETURN_IF_ERROR(RequireGraph(ctx, "ch"));
+  return std::unique_ptr<QueryBackend>(
+      new SerializedBackend<ContractionHierarchy>(ctx.graph->NumVertices(),
+                                                  *ctx.graph, ChOptions{}));
+}
+
+Made MakeH2H(const BackendContext& ctx) {
+  RNE_RETURN_IF_ERROR(RequireGraph(ctx, "h2h"));
+  return std::unique_ptr<QueryBackend>(new H2HBackend(*ctx.graph));
+}
+
+Made MakeAlt(const BackendContext& ctx) {
+  RNE_RETURN_IF_ERROR(RequireGraph(ctx, "alt"));
+  Rng rng(ctx.seed);
+  return std::unique_ptr<QueryBackend>(new SerializedBackend<AltIndex>(
+      ctx.graph->NumVertices(), *ctx.graph, ctx.alt_landmarks, rng));
+}
+
+Made MakeGTree(const BackendContext& ctx) {
+  RNE_RETURN_IF_ERROR(RequireGraph(ctx, "gtree"));
+  GTreeOptions options;
+  options.seed = ctx.seed;
+  return std::unique_ptr<QueryBackend>(new GTreeBackend(*ctx.graph, options));
+}
+
+/// The built-in backends, sorted by name.
+constexpr struct {
+  std::string_view name;
+  Made (*make)(const BackendContext&);
+} kBuiltins[] = {
+    {"alt", MakeAlt},
+    {"ch", MakeCh},
+    {"dijkstra", MakeDijkstra},
+    {"gtree", MakeGTree},
+    {"h2h", MakeH2H},
+    {"rne", MakeRne},
+    {"rne-quantized", MakeQuantizedRne},
+};
 
 }  // namespace
 
-void RegisterBackendFactory(const std::string& name, BackendFactory factory) {
-  Registry& registry = GlobalRegistry();
-  MutexLock lock(&registry.mu);
-  registry.factories[name] = std::move(factory);
-}
-
 StatusOr<std::unique_ptr<QueryBackend>> MakeBackend(const std::string& name,
                                                     const BackendContext& ctx) {
-  BackendFactory factory;
-  {
-    Registry& registry = GlobalRegistry();
-    MutexLock lock(&registry.mu);
-    const auto it = registry.factories.find(name);
-    if (it == registry.factories.end()) {
-      return Status::NotFound("no backend registered as '" + name + "'");
-    }
-    factory = it->second;
+  for (const auto& builtin : kBuiltins) {
+    if (builtin.name == name) return builtin.make(ctx);
   }
-  return factory(ctx);
+  return Status::NotFound("no backend named '" + name + "'");
 }
 
 std::unique_ptr<QueryBackend> MakeSharedModelBackend(const Rne& model) {
@@ -338,13 +322,8 @@ std::string_view InternBackendName(std::string_view name) {
 }
 
 std::vector<std::string> RegisteredBackendNames() {
-  Registry& registry = GlobalRegistry();
-  MutexLock lock(&registry.mu);
   std::vector<std::string> names;
-  names.reserve(registry.factories.size());
-  for (const auto& [name, factory] : registry.factories) {
-    names.push_back(name);
-  }
+  for (const auto& builtin : kBuiltins) names.emplace_back(builtin.name);
   return names;
 }
 

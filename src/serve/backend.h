@@ -1,8 +1,8 @@
 // Serving backends: thread-safe adapters that put the repo's distance
 // indexes (RNE, quantized RNE, CH, H2H, ALT/LT, G-tree, exact Dijkstra —
 // all DistanceMethod implementations) behind one concurrency-safe query
-// surface, plus a string-keyed factory registry so the QueryEngine, the
-// rne_server tool, and tests can assemble fallback chains by name.
+// surface, plus MakeBackend, which builds any of the seven by name so the
+// QueryEngine, the rne_server tool, and tests can assemble fallback chains.
 //
 // DistanceMethod::Query is documented as not thread-safe (search methods
 // reuse internal workspaces), so each adapter picks its own strategy:
@@ -17,7 +17,6 @@
 #define RNE_SERVE_BACKEND_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -78,7 +77,7 @@ class QueryBackend {
 /// without copying a string per request.
 std::string_view InternBackendName(std::string_view name);
 
-/// Everything a factory may need to materialize a backend. Pointees must
+/// Everything MakeBackend may need to materialize a backend. Pointees must
 /// outlive the backend.
 struct BackendContext {
   /// Road network; required by graph-built backends (dijkstra, ch, h2h,
@@ -97,21 +96,14 @@ struct BackendContext {
   uint64_t seed = 1;
 };
 
-using BackendFactory =
-    std::function<StatusOr<std::unique_ptr<QueryBackend>>(const BackendContext&)>;
-
-/// Registers `factory` under `name`, replacing any previous registration.
-/// Tests use this to inject stub backends; built-ins are pre-registered.
-void RegisterBackendFactory(const std::string& name, BackendFactory factory);
-
-/// Instantiates the backend registered under `name`. NotFound for unknown
-/// names; factory errors (missing model file, absent graph, ...) pass
-/// through.
+/// Builds the built-in backend named `name` on the calling thread. NotFound
+/// for unknown names; build errors (missing model file, absent graph, ...)
+/// pass through.
 StatusOr<std::unique_ptr<QueryBackend>> MakeBackend(const std::string& name,
                                                     const BackendContext& ctx);
 
-/// Sorted names of all registered backends ("alt", "ch", "dijkstra",
-/// "gtree", "h2h", "rne", "rne-quantized", plus test registrations).
+/// Sorted names MakeBackend accepts: "alt", "ch", "dijkstra", "gtree",
+/// "h2h", "rne", "rne-quantized".
 std::vector<std::string> RegisteredBackendNames();
 
 /// Wraps an in-process trained model the caller keeps alive (benchmarks,

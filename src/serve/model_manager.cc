@@ -140,16 +140,7 @@ Status ModelManager::Load(const std::string& path) {
   }
   RNE_COUNTER_ADD("serve.swap.success", 1);
   RNE_GAUGE_SET("serve.model.version", static_cast<double>(next_version_ - 1));
-  for (const auto& listener : publish_listeners_) {
-    listener(next_version_ - 1);
-  }
   return Status::Ok();
-}
-
-void ModelManager::AddPublishListener(
-    std::function<void(uint64_t version)> listener) {
-  MutexLock lock(&load_mu_);
-  publish_listeners_.push_back(std::move(listener));
 }
 
 Status ModelManager::Reload() {

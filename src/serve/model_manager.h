@@ -10,15 +10,15 @@
 // corrupt or mismatched replacement is rejected and the previous snapshot
 // keeps serving (rollback is the default because publish is the last step).
 //
-// The `RELOAD` verb in serve/server_loop.h is a thin wrapper over Load().
+// The `RELOAD` verb in serve/server_loop.h is a thin wrapper over Load(),
+// and the place a swap invalidates the serving ResultCache: a caller that
+// calls Load() directly and keeps a cache must invalidate it too.
 #ifndef RNE_SERVE_MODEL_MANAGER_H_
 #define RNE_SERVE_MODEL_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/rne.h"
 #include "core/rne_index.h"
@@ -83,15 +83,6 @@ class ModelManager {
   /// Version of the published snapshot (0 = none).
   uint64_t version() const;
 
-  /// Registers a callback invoked after every successful publish with the
-  /// new snapshot's version — the seam the serving stack uses to invalidate
-  /// its ResultCache on hot swap, so a RELOAD can never serve a stale
-  /// cached distance. Listeners run on the Load() caller's thread, after
-  /// the publish, while the load mutex is still held (so they
-  /// observe swaps in order). Register during setup: adding listeners
-  /// concurrently with Load() is not supported.
-  void AddPublishListener(std::function<void(uint64_t version)> listener);
-
   /// Backend adapter serving whatever snapshot is published at each call;
   /// its Pin() returns the published snapshot's backend, so a run of calls
   /// through the pin sees one generation (and one vertex count). The
@@ -114,8 +105,6 @@ class ModelManager {
   mutable Mutex load_mu_;
   uint64_t next_version_ RNE_GUARDED_BY(load_mu_) = 1;
   std::string last_path_ RNE_GUARDED_BY(load_mu_);
-  std::vector<std::function<void(uint64_t)>> publish_listeners_
-      RNE_GUARDED_BY(load_mu_);
 };
 
 }  // namespace rne::serve

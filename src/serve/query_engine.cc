@@ -50,15 +50,6 @@ QueryEngine::QueryEngine(const EngineOptions& options, ThreadPool* pool)
       pool_(pool == nullptr ? owned_pool_.get() : pool),
       start_(Clock::now()) {}
 
-QueryEngine::~QueryEngine() {
-  std::vector<std::thread> loaders;
-  {
-    MutexLock lock(&chain_mu_);
-    loaders.swap(loaders_);
-  }
-  for (auto& t : loaders) t.join();
-}
-
 std::unique_ptr<QueryEngine::BackendSlot> QueryEngine::MakeSlot(
     const std::string& name) {
   auto slot = std::make_unique<BackendSlot>();
@@ -71,52 +62,29 @@ std::unique_ptr<QueryEngine::BackendSlot> QueryEngine::MakeSlot(
 void QueryEngine::AddBackend(const std::string& name, BackendContext ctx) {
   ctx.num_workers = pool_->num_threads();
   auto slot = MakeSlot(name);
-  BackendSlot* raw = slot.get();
+  auto made = MakeBackend(name, ctx);
+  if (made.ok()) {
+    slot->backend = std::move(made).value();
+    slot->answer_name = InternBackendName(slot->backend->Name());
+  } else {
+    slot->load_status = made.status();
+  }
   MutexLock lock(&chain_mu_);
   chain_.push_back(std::move(slot));
-  // Loads run on dedicated threads, never on the serving pool: a query task
-  // blocked on a loading backend must not be able to starve the load itself.
-  loaders_.emplace_back([this, raw, name, ctx] {
-    auto result = MakeBackend(name, ctx);
-    {
-      MutexLock inner(&chain_mu_);
-      if (result.ok()) {
-        raw->backend = std::move(result).value();
-        raw->answer_name = InternBackendName(raw->backend->Name());
-        raw->state = SlotState::kReady;
-      } else {
-        raw->load_status = result.status();
-        raw->state = SlotState::kFailed;
-      }
-    }
-    chain_changed_.NotifyAll();
-  });
 }
 
 void QueryEngine::AddReadyBackend(std::unique_ptr<QueryBackend> backend) {
   auto slot = MakeSlot(backend->Name());
   slot->answer_name = InternBackendName(slot->name);
   slot->backend = std::move(backend);
-  slot->state = SlotState::kReady;
-  {
-    MutexLock lock(&chain_mu_);
-    chain_.push_back(std::move(slot));
-  }
-  chain_changed_.NotifyAll();
-}
-
-bool QueryEngine::AnyBackendLoading() const {
-  for (const auto& slot : chain_) {
-    if (slot->state == SlotState::kLoading) return true;
-  }
-  return false;
+  MutexLock lock(&chain_mu_);
+  chain_.push_back(std::move(slot));
 }
 
 Status QueryEngine::WaitUntilLoaded() {
   MutexLock lock(&chain_mu_);
-  while (AnyBackendLoading()) chain_changed_.Wait(&lock);
   for (const auto& slot : chain_) {
-    if (slot->state == SlotState::kFailed) return slot->load_status;
+    if (slot->backend == nullptr) return slot->load_status;
   }
   return Status::Ok();
 }
@@ -126,64 +94,34 @@ size_t QueryEngine::num_backends() const {
   return chain_.size();
 }
 
-void QueryEngine::FillView(SlotState state, SlotView* view) {
-  view->state = state;
-  if (state != SlotState::kReady) return;
-  view->backend = view->slot->backend->Pin();
-  view->num_vertices = view->backend->NumVertices();
-  view->exact = view->backend->IsExact();
-  view->supports_knn = view->backend->SupportsKnn();
-}
-
 void QueryEngine::ResolveChain(std::vector<SlotView>* chain) {
   {
     MutexLock lock(&chain_mu_);
     chain->resize(chain_.size());
     for (size_t i = 0; i < chain_.size(); ++i) {
       (*chain)[i].slot = chain_[i].get();
-      (*chain)[i].state = chain_[i]->state;
     }
   }
-  // Pinned outside the lock: a slot past kLoading never changes, and a
+  // Pinned outside the lock: a slot in the chain never changes, and a
   // managed backend's Pin() takes its manager's lock.
-  for (SlotView& view : *chain) FillView(view.state, &view);
-}
-
-void QueryEngine::AwaitSlot(Clock::time_point deadline, SlotView* view) {
-  const bool bounded = deadline != Clock::time_point::max();
-  SlotState state;
-  {
-    MutexLock lock(&chain_mu_);
-    // A still-loading backend is worth waiting for only until the
-    // request's deadline; past it, the request falls down the chain
-    // (learned -> exact) instead of stalling.
-    while (view->slot->state == SlotState::kLoading) {
-      if (!bounded) {
-        chain_changed_.Wait(&lock);
-      } else if (chain_changed_.WaitUntil(&lock, deadline) ==
-                 std::cv_status::timeout) {
-        break;
-      }
-    }
-    state = view->slot->state;
+  for (SlotView& view : *chain) {
+    if (view.slot->backend == nullptr) continue;
+    view.backend = view.slot->backend->Pin();
+    view.num_vertices = view.backend->NumVertices();
+    view.exact = view.backend->IsExact();
+    view.supports_knn = view.backend->SupportsKnn();
   }
-  FillView(state, view);
 }
 
-QueryEngine::SlotView* QueryEngine::ChooseBackend(
-    std::span<SlotView> chain, RequestKind kind, Clock::time_point deadline,
-    size_t start, FallbackFlags* flags, size_t* index) {
+QueryEngine::SlotView* QueryEngine::ChooseBackend(std::span<SlotView> chain,
+                                                  RequestKind kind,
+                                                  size_t start,
+                                                  bool* skipped_failed,
+                                                  size_t* index) {
   for (size_t i = start; i < chain.size(); ++i) {
     SlotView& view = chain[i];
-    if (view.state == SlotState::kLoading) AwaitSlot(deadline, &view);
-    if (view.state == SlotState::kLoading) {
-      flags->any = true;
-      flags->deadline = true;
-      continue;
-    }
-    if (view.state == SlotState::kFailed) {
-      flags->any = true;
-      flags->load = true;
+    if (view.backend == nullptr) {
+      *skipped_failed = true;
       continue;
     }
     if (kind == RequestKind::kKnn && !view.supports_knn) continue;
@@ -195,11 +133,12 @@ QueryEngine::SlotView* QueryEngine::ChooseBackend(
 
 void QueryEngine::ExecuteChunk(std::span<const Request> requests,
                                std::span<Response> out,
-                               Clock::time_point admitted,
-                               Clock::time_point deadline_default) {
+                               Clock::time_point started,
+                               Clock::time_point deadline) {
   std::vector<SlotView> chain;
   ResolveChain(&chain);
-  uint64_t served = 0, failed = 0, fb_load = 0, fb_deadline = 0;
+  const bool bounded = deadline != Clock::time_point::max();
+  uint64_t served = 0, failed = 0, fb_load = 0;
   uint64_t retries = 0, fast_fails = 0;
   bool exact_distance = false, learned_distance = false;
   // Per-backend call timing is SAMPLED 1-in-256 dispatches per thread: two
@@ -213,9 +152,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
   uint32_t sample_tick = backend_sample_tick;
   for (size_t i = 0; i < requests.size(); ++i) {
     const Request& request = requests[i];
-    Clock::time_point deadline = deadline_default;
-    if (request.deadline.count() > 0) deadline = admitted + request.deadline;
-    const bool bounded = deadline != Clock::time_point::max();
     // Reused from the caller's previous batch: reset every answer field in
     // place.
     Response& response = out[i];
@@ -234,23 +170,19 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
           Status::DeadlineExceeded("deadline expired while queued");
       ++fast_fails;
     } else {
-      FallbackFlags flags;
+      bool skipped_failed = false;
       size_t next = 0;
       bool attempted = false;
       while (true) {
         size_t index = 0;
-        SlotView* view =
-            ChooseBackend(chain, request.kind, deadline, next, &flags, &index);
+        SlotView* view = ChooseBackend(chain, request.kind, next,
+                                       &skipped_failed, &index);
         if (view == nullptr) {
           // Out of chain. Keep the last attempt's failure status if there
           // was one — it names the actual error.
           if (!attempted) {
             response.status =
-                flags.deadline
-                    ? Status::DeadlineExceeded(
-                          "deadline expired before any backend became ready")
-                    : Status::Unavailable(
-                          "no backend can serve this request");
+                Status::Unavailable("no backend can serve this request");
           }
           break;
         }
@@ -285,7 +217,7 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
             } else {
               response.knn = backend->Knn(request.s, request.k);
             }
-            // Backend-call time only: together with the admission-to-
+            // Backend-call time only: together with the batch-start-to-
             // completion histogram this splits queue wait from compute.
             if (timed) {
               slot.latency->Record(
@@ -299,7 +231,9 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
             if (request.kind == RequestKind::kDistance) {
               (view->exact ? exact_distance : learned_distance) = true;
             }
-            response.fell_back = flags.any || index > 0;
+            // A skipped failed slot, like a failed attempt, lies before
+            // `index`.
+            response.fell_back = index > 0;
             attempt_ok = true;
           }
         } catch (const std::exception& e) {
@@ -308,16 +242,14 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
               "' threw: " + e.what());
         } catch (...) {
           // A non-std::exception must not escape: it would unwind through
-          // the pool's TaskGroup, rethrow from QueryBatch, and skip the
-          // admission release — every per-request failure becomes a
-          // Response, never an exception.
+          // the pool's TaskGroup and rethrow from QueryBatch — every
+          // per-request failure becomes a Response, never an exception.
           response.status = Status::FailedPrecondition(
               std::string("backend '").append(slot.answer_name) +
               "' threw a non-standard exception");
         }
         if (attempt_ok) {
-          if (flags.load) ++fb_load;
-          if (flags.deadline) ++fb_deadline;
+          if (skipped_failed) ++fb_load;
           break;
         }
         // Retry down the chain while deadline budget remains; the last
@@ -338,7 +270,7 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
   // chunk (and batch) is done, so that is when every request completes.
   const int64_t latency_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           admitted)
+                                                           started)
           .count();
   if ((exact_distance || learned_distance) &&
       exact_distances_.load(std::memory_order_relaxed) != exact_distance) {
@@ -348,7 +280,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
   served_.Add(served);
   failed_.Add(failed);
   fell_back_load_.Add(fb_load);
-  fell_back_deadline_.Add(fb_deadline);
   retries_.Add(retries);
   fast_fails_.Add(fast_fails);
 }
@@ -357,38 +288,15 @@ Status QueryEngine::QueryBatch(std::span<const Request> requests,
                                std::vector<Response>* out) {
   out->resize(requests.size());
   if (requests.empty()) return Status::Ok();
-  const Clock::time_point admitted = Clock::now();
-  {
-    MutexLock lock(&admission_mu_);
-    if (outstanding_ + requests.size() > options_.queue_capacity) {
-      rejected_.Add(requests.size());
-      return Status::Unavailable(
-          "admission queue full: " + std::to_string(outstanding_) + " + " +
-          std::to_string(requests.size()) + " > capacity " +
-          std::to_string(options_.queue_capacity));
-    }
-    outstanding_ += requests.size();
-  }
-  // Admitted count must be released on EVERY exit path. Before this guard a
-  // chunk task that threw past ExecuteChunk (rethrown from TaskGroup::Wait)
-  // skipped the decrement, permanently shrinking admission capacity until
-  // the engine rejected all traffic.
-  struct AdmissionRelease {
-    QueryEngine* engine;
-    size_t count;
-    ~AdmissionRelease() {
-      MutexLock lock(&engine->admission_mu_);
-      engine->outstanding_ -= count;
-    }
-  } release{this, requests.size()};
-  const Clock::time_point deadline_default =
+  const Clock::time_point started = Clock::now();
+  const Clock::time_point deadline =
       options_.default_deadline.count() > 0
-          ? admitted + options_.default_deadline
+          ? started + options_.default_deadline
           : Clock::time_point::max();
   const size_t chunk = std::max<size_t>(1, options_.batch_chunk);
   // Requests that cost a search: every kNN request, and every distance
   // request while distance answers come from an exact backend (an exact
-  // chain, or a learned primary that is failing or still loading).
+  // chain, or a learned primary that is failing).
   const size_t searches =
       exact_distances_.load(std::memory_order_relaxed)
           ? requests.size()
@@ -400,18 +308,17 @@ Status QueryEngine::QueryBatch(std::span<const Request> requests,
     // A learned distance answer costs tens of nanoseconds, so a hand-off
     // to a worker and the wake-up back would cost more than the batch; at
     // most one chunk of searches is not worth splitting either.
-    ExecuteChunk(requests, *out, admitted, deadline_default);
+    ExecuteChunk(requests, *out, started, deadline);
     return Status::Ok();
   }
   {
     TaskGroup group(pool_);
     for (size_t begin = 0; begin < requests.size(); begin += chunk) {
       const size_t end = std::min(requests.size(), begin + chunk);
-      group.Submit([this, requests, out, begin, end, admitted,
-                    deadline_default] {
+      group.Submit([this, requests, out, begin, end, started, deadline] {
         ExecuteChunk(requests.subspan(begin, end - begin),
                      std::span<Response>(*out).subspan(begin, end - begin),
-                     admitted, deadline_default);
+                     started, deadline);
       });
     }
     group.Wait();
@@ -421,13 +328,9 @@ Status QueryEngine::QueryBatch(std::span<const Request> requests,
 
 Response QueryEngine::Query(const Request& request) {
   std::vector<Response> out;
-  const Status admitted = QueryBatch(std::span<const Request>(&request, 1),
-                                     &out);
-  if (!admitted.ok()) {
-    Response response;
-    response.status = admitted;
-    return response;
-  }
+  // Discard OK: QueryBatch always returns OK; the answer's own status is in
+  // out[0].
+  (void)QueryBatch(std::span<const Request>(&request, 1), &out);
   return std::move(out[0]);
 }
 
@@ -436,10 +339,8 @@ MetricsSnapshot QueryEngine::Metrics() const {
   snapshot.uptime_seconds =
       std::chrono::duration<double>(Clock::now() - start_).count();
   snapshot.served = served_.Value();
-  snapshot.rejected = rejected_.Value();
   snapshot.failed = failed_.Value();
   snapshot.fell_back_load = fell_back_load_.Value();
-  snapshot.fell_back_deadline = fell_back_deadline_.Value();
   snapshot.retries = retries_.Value();
   snapshot.fast_fails = fast_fails_.Value();
   snapshot.qps =
@@ -457,10 +358,8 @@ MetricsSnapshot QueryEngine::Metrics() const {
 
 void QueryEngine::CollectMetrics(obs::MetricsSample* out) const {
   out->counters["serve.served"] += served_.Value();
-  out->counters["serve.rejected"] += rejected_.Value();
   out->counters["serve.failed"] += failed_.Value();
   out->counters["serve.fallback_load"] += fell_back_load_.Value();
-  out->counters["serve.fallback_deadline"] += fell_back_deadline_.Value();
   out->counters["serve.retries"] += retries_.Value();
   out->counters["serve.fast_fails"] += fast_fails_.Value();
   out->histograms["serve.latency_ns"].Merge(latency_.Snapshot());

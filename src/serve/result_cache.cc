@@ -465,11 +465,11 @@ Status CachedEngine::QueryBatch(std::span<const Request> requests,
   }
   if (hits == requests.size()) return Status::Ok();
   if (hits == 0) {
-    const Status admitted = engine_->QueryBatch(requests, out);
-    if (admitted.ok()) {
-      InsertWorthCaching(cache_, requests, *out, generation);
-    }
-    return admitted;
+    // Discard OK: QueryEngine::QueryBatch always returns OK; failures are
+    // per response.
+    (void)engine_->QueryBatch(requests, out);
+    InsertWorthCaching(cache_, requests, *out, generation);
+    return Status::Ok();
   }
   // Some hits: the rest go to the engine as one smaller batch.
   thread_local Subset misses;
@@ -477,17 +477,8 @@ Status CachedEngine::QueryBatch(std::span<const Request> requests,
   for (size_t i = 0; i < requests.size(); ++i) {
     if (!(*out)[i].cached) misses.Add(requests[i], i);
   }
-  const Status admitted =
-      engine_->QueryBatch(misses.requests, &misses.responses);
-  if (!admitted.ok()) {
-    // Partial service: the hits already answered, so reject only the
-    // misses (per-response) instead of failing the whole batch.
-    for (const size_t i : misses.index) {
-      (*out)[i] = Response();
-      (*out)[i].status = admitted;
-    }
-    return Status::Ok();
-  }
+  // Discard OK: as above.
+  (void)engine_->QueryBatch(misses.requests, &misses.responses);
   InsertWorthCaching(cache_, misses.requests, misses.responses, generation);
   for (size_t m = 0; m < misses.index.size(); ++m) {
     (*out)[misses.index[m]] = std::move(misses.responses[m]);

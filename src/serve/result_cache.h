@@ -171,12 +171,6 @@ class ResultCache {
 /// lookups, so a batch that straddles an Invalidate() cannot cache a
 /// pre-swap answer. Learned distance answers are never looked up or
 /// inserted: they cost less than the lookup.
-///
-/// Unlike QueryEngine::QueryBatch's all-or-nothing admission, a batch that
-/// contains hits is never rejected whole: if the engine rejects the
-/// miss sub-batch, the hits still answer and only the misses carry the
-/// rejection status (per-response), with the call returning OK. A batch
-/// with no hits keeps the engine's semantics (the rejection is returned).
 class CachedEngine {
  public:
   /// Neither pointee is owned; both must outlive this object. `cache` may
@@ -184,6 +178,7 @@ class CachedEngine {
   CachedEngine(QueryEngine* engine, ResultCache* cache)
       : engine_(engine), cache_(cache) {}
 
+  /// As QueryEngine::QueryBatch: always OK, failures are per response.
   Status QueryBatch(std::span<const Request> requests,
                     std::vector<Response>* out);
 

@@ -150,17 +150,11 @@ LineProtocolHandler::LineProtocolHandler(QueryEngine& engine,
 
 void LineProtocolHandler::Flush(std::string* out) {
   if (pending_.empty()) return;
-  const Status admitted = cached_.QueryBatch(pending_, &responses_);
-  if (!admitted.ok()) {
-    for (size_t i = 0; i < pending_.size(); ++i) {
-      out->append("ERR ");
-      out->append(admitted.ToString());
-      out->push_back('\n');
-    }
-  } else {
-    for (size_t i = 0; i < pending_.size(); ++i) {
-      PrintResponse(pending_[i], responses_[i], out);
-    }
+  // Discard OK: CachedEngine::QueryBatch always returns OK; each failure is
+  // in its response and prints as an ERR line.
+  (void)cached_.QueryBatch(pending_, &responses_);
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    PrintResponse(pending_[i], responses_[i], out);
   }
   pending_.clear();
 }
@@ -265,9 +259,9 @@ void LineProtocolHandler::Reload(std::string_view path, std::string* out) {
     out->push_back('\n');
     return;
   }
-  // The publish listener wired at startup already invalidated the cache;
-  // repeating it here keeps handlers correct even when the manager was
-  // attached without the listener (tests, embedders).
+  // After startup every model swap comes through this verb, so this is the
+  // one place a swap invalidates the cache: no pre-swap answer stays
+  // reachable.
   if (options_.cache != nullptr) options_.cache->Invalidate();
   const auto snapshot = manager.Current();
   out->append("RELOAD OK version=");

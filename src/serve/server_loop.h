@@ -21,8 +21,9 @@
 //                      the last path; flushes pending batch first and
 //                      invalidates the result cache on success)
 //   anything else  ->  ERR <message>
-// Per-request failures print `ERR <status>`; a batch rejected by admission
-// control prints one ERR line per request in it (explicit backpressure).
+// Per-request failures print `ERR <status>`. Every QUERY and KNN gets one
+// answer line; a handler has at most one batch (`batch` requests) in the
+// engine at a time, which bounds what it holds.
 //
 // LineProtocolHandler is the per-connection state machine: it owns the
 // pending batch and turns one input line at a time into zero or more output

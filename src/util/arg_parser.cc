@@ -59,8 +59,9 @@ StatusOr<long> ArgParser::GetInt(const std::string& key, long fallback) const {
   char* end = nullptr;
   const long value = std::strtol(it->second.c_str(), &end, 10);
   if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("flag --" + key + " expects an integer, got '" +
-                                   it->second + "'");
+    return Status::InvalidArgument("flag --" + key +
+                                   " expects an integer, got '" + it->second +
+                                   "'");
   }
   return value;
 }
@@ -72,8 +73,9 @@ StatusOr<double> ArgParser::GetDouble(const std::string& key,
   char* end = nullptr;
   const double value = std::strtod(it->second.c_str(), &end);
   if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("flag --" + key + " expects a number, got '" +
-                                   it->second + "'");
+    return Status::InvalidArgument("flag --" + key +
+                                   " expects a number, got '" + it->second +
+                                   "'");
   }
   return value;
 }

@@ -140,7 +140,8 @@ Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out);
 
 /// Writes `bytes` to `path`, replacing any existing file (plain write — the
 /// point is to produce broken files, so no atomic-rename protocol here).
-Status WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes);
+Status WriteFileBytes(const std::string& path,
+                      const std::vector<uint8_t>& bytes);
 
 /// Copies the first `length` bytes of `src` to `dst`.
 Status TruncateCopy(const std::string& src, const std::string& dst,

@@ -69,7 +69,9 @@ Status TableWriter::WriteCsv(const std::string& path) const {
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) {
     std::filesystem::create_directories(parent, ec);
-    if (ec) return Status::IoError("cannot create directory " + parent.string());
+    if (ec) {
+      return Status::IoError("cannot create directory " + parent.string());
+    }
   }
   std::ofstream out(path);
   if (!out) return Status::IoError("cannot open " + path);

@@ -71,7 +71,8 @@ std::vector<uint8_t> RandomBytes(size_t n, Rng& rng) {
   for (uint8_t& x : v) {
     // Bias toward the extremes so |a-b| hits 0 and 255 often.
     const size_t r = rng.UniformIndex(4);
-    x = r == 0 ? 0 : (r == 1 ? 255 : static_cast<uint8_t>(rng.UniformIndex(256)));
+    x = r == 0 ? 0
+               : (r == 1 ? 255 : static_cast<uint8_t>(rng.UniformIndex(256)));
   }
   return v;
 }

@@ -89,7 +89,8 @@ TEST_P(MetricAxiomSweep, GradientMatchesFiniteDifference) {
     MetricGradient(a, b, p, dist, grad);
     const double eps = 1e-3;
     for (size_t i = 0; i < dim; ++i) {
-      if (std::abs(static_cast<double>(a[i]) - b[i]) < 0.05) continue;  // |.| kink
+      // |.| kink
+      if (std::abs(static_cast<double>(a[i]) - b[i]) < 0.05) continue;
       // Skip clamped magnitudes (MetricGradient caps per-dim gradients at 1
       // to keep p < 1 training stable).
       if (std::abs(grad[i]) >= 1.0 - 1e-12) continue;

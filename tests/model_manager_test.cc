@@ -245,9 +245,9 @@ TEST(ModelManagerTest, MmapReloadNeverServesStaleRows) {
 // CachedEngine regression for the same scenario: a cache hit recorded
 // before an mmap-model RELOAD must not outlive the swap. The requests are
 // kNN ones, the learned answers the cache keeps (a learned distance costs
-// less than a lookup and is never cached). The publish listener
-// invalidates the cache, so post-swap queries serve the new model's lists,
-// bit-identical to a direct query, never the stale ones.
+// less than a lookup and is never cached). The cache is invalidated after
+// the swap, as the RELOAD verb does, so post-swap queries serve the new
+// model's lists, bit-identical to a direct query, never the stale ones.
 TEST(ModelManagerTest, ReloadOfMmapModelInvalidatesResultCache) {
   const Graph g = SmallNetwork();
   const std::string path = TempPath("rne_mm_cache_swap.bin");
@@ -265,7 +265,6 @@ TEST(ModelManagerTest, ReloadOfMmapModelInvalidatesResultCache) {
   engine.AddReadyBackend(manager.MakeManagedBackend());
   ResultCache cache;
   CachedEngine cached(&engine, &cache);
-  manager.AddPublishListener([&cache](uint64_t) { cache.Invalidate(); });
   // Uncached reference: answers from whichever snapshot is published.
   const auto direct = manager.MakeManagedBackend();
 
@@ -307,6 +306,7 @@ TEST(ModelManagerTest, ReloadOfMmapModelInvalidatesResultCache) {
 
   ASSERT_TRUE(model_b.Save(path).ok());
   ASSERT_TRUE(manager.Reload().ok());
+  cache.Invalidate();
   ASSERT_TRUE(cached.QueryBatch(requests, &after).ok());
   size_t changed = 0;
   for (size_t i = 0; i < requests.size(); ++i) {

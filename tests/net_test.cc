@@ -177,7 +177,8 @@ TEST_F(NetTest, OversizedLineIsRejectedAndTheConnectionClosed) {
   // Server closes after the error line.
   auto eof = client.ReadLine();
   EXPECT_FALSE(eof.ok());
-  EXPECT_TRUE(WaitFor([this] { return server_->Stats().evicted_oversize > 0; }));
+  EXPECT_TRUE(
+      WaitFor([this] { return server_->Stats().evicted_oversize > 0; }));
 }
 
 TEST_F(NetTest, SlowClientIsEvictedWhenItsBacklogPassesTheCap) {
@@ -657,8 +658,6 @@ TEST_F(NetTest, ReloadOnOneConnectionNeverLeavesAPreSwapCachedAnswer) {
   manager_ = std::make_unique<serve::ModelManager>();
   ASSERT_TRUE(manager_->Load(path_a).ok());
   cache_ = std::make_unique<serve::ResultCache>();
-  manager_->AddPublishListener(
-      [cache = cache_.get()](uint64_t) { cache->Invalidate(); });
   serve::EngineOptions engine_options;
   engine_options.num_threads = 2;
   other_engine_ = std::make_unique<serve::QueryEngine>(engine_options);

@@ -115,8 +115,8 @@ TEST_F(ObsTest, MacrosRespectRuntimeToggle) {
   SetEnabled(true);
   RNE_COUNTER_ADD("test.toggle.count", 1);
   EXPECT_EQ(c->Value(), 3u);
-  EXPECT_DOUBLE_EQ(MetricsRegistry::Global().GetGauge("test.toggle.gauge")->Value(),
-                   0.0);
+  EXPECT_DOUBLE_EQ(
+      MetricsRegistry::Global().GetGauge("test.toggle.gauge")->Value(), 0.0);
   EXPECT_EQ(
       MetricsRegistry::Global().GetLatency("test.toggle.hist")->Snapshot()
           .TotalCount(),

@@ -56,8 +56,10 @@ Rne* RneMetricProperties::model_ = nullptr;
 TEST_F(RneMetricProperties, NonNegativityAndIdentity) {
   Rng rng(1);
   for (int i = 0; i < 200; ++i) {
-    const auto s = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
-    const auto t = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto s =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto t =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
     EXPECT_GE(model_->Query(s, t), 0.0);
     EXPECT_DOUBLE_EQ(model_->Query(s, s), 0.0);
   }
@@ -66,8 +68,10 @@ TEST_F(RneMetricProperties, NonNegativityAndIdentity) {
 TEST_F(RneMetricProperties, Symmetry) {
   Rng rng(2);
   for (int i = 0; i < 200; ++i) {
-    const auto s = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
-    const auto t = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto s =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto t =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
     EXPECT_NEAR(model_->Query(s, t), model_->Query(t, s), 1e-9);
   }
 }
@@ -77,9 +81,12 @@ TEST_F(RneMetricProperties, TriangleInequality) {
   // a property exact methods like LT bounds rely on.
   Rng rng(3);
   for (int i = 0; i < 300; ++i) {
-    const auto a = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
-    const auto b = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
-    const auto c = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto a =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto b =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto c =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
     EXPECT_LE(model_->Query(a, c),
               model_->Query(a, b) + model_->Query(b, c) + 1e-6);
   }

@@ -53,8 +53,10 @@ TEST_F(QuantizedTest, QueriesTrackTheFloatModelClosely) {
   Rng rng(23);
   double worst = 0.0;
   for (int i = 0; i < 500; ++i) {
-    const auto s = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
-    const auto t = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto s =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto t =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
     const double full = model_->Query(s, t);
     const double quant = q.Query(s, t);
     if (full > 100.0) {
@@ -87,9 +89,12 @@ TEST_F(QuantizedTest, MetricAxiomsSurviveQuantization) {
   const QuantizedRne q(*model_);
   Rng rng(25);
   for (int i = 0; i < 200; ++i) {
-    const auto a = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
-    const auto b = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
-    const auto c = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto a =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto b =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto c =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
     EXPECT_DOUBLE_EQ(q.Query(a, a), 0.0);
     EXPECT_DOUBLE_EQ(q.Query(a, b), q.Query(b, a));
     EXPECT_LE(q.Query(a, c), q.Query(a, b) + q.Query(b, c) + 1e-9);
@@ -105,8 +110,10 @@ TEST_F(QuantizedTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   Rng rng(26);
   for (int i = 0; i < 100; ++i) {
-    const auto s = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
-    const auto t = static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto s =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
+    const auto t =
+        static_cast<VertexId>(rng.UniformIndex(graph_->NumVertices()));
     EXPECT_EQ(loaded.value().Query(s, t), q.Query(s, t));
   }
   std::filesystem::remove(path);

@@ -658,14 +658,14 @@ TEST_F(CachedEngineTest, NullCacheIsAPassthrough) {
 }
 
 TEST_F(CachedEngineTest, ReloadNeverServesAStaleDistance) {
-  // The hot-swap contract: once a ModelManager publishes a new snapshot,
-  // previously cached answers are unreachable. Poison the cache with a
-  // deliberately wrong distance, fire a publish, and check the next answer
-  // comes from the engine, not the poisoned entry.
+  // The hot-swap contract: once a ModelManager publishes a new snapshot
+  // and the publisher invalidates (as the RELOAD verb does), previously
+  // cached answers are unreachable. Poison the cache with a deliberately
+  // wrong distance, publish, and check the next answer comes from the
+  // engine, not the poisoned entry.
   ResultCache cache;
   CachedEngine cached(&engine_, &cache);
   ModelManager manager;
-  manager.AddPublishListener([&cache](uint64_t) { cache.Invalidate(); });
 
   const Request probe = Dist(0, 5);
   std::vector<Response> out;
@@ -680,9 +680,9 @@ TEST_F(CachedEngineTest, ReloadNeverServesAStaleDistance) {
   ASSERT_TRUE(out[0].cached);
   ASSERT_EQ(out[0].distance, truth + 1000.0) << "poison must be in place";
 
-  // A successful Load() publishes and must flush the poisoned entry. The
-  // model file itself is irrelevant to the cache seam; build the cheapest
-  // valid one.
+  // A successful Load() publishes, and the invalidation after it must flush
+  // the poisoned entry. The model file itself is irrelevant to the cache
+  // seam; build the cheapest valid one.
   RneConfig config;
   config.dim = 8;
   config.hierarchical = false;
@@ -695,13 +695,14 @@ TEST_F(CachedEngineTest, ReloadNeverServesAStaleDistance) {
           .string();
   ASSERT_TRUE(model.Save(path).ok());
   ASSERT_TRUE(manager.Load(path).ok());
+  cache.Invalidate();
   std::filesystem::remove(path);
 
   ASSERT_TRUE(cached.QueryBatch({&probe, 1}, &out).ok());
   EXPECT_FALSE(out[0].cached) << "post-swap answer must bypass the cache";
   EXPECT_EQ(out[0].distance, truth);
   EXPECT_EQ(out[0].backend, "dijkstra");
-  EXPECT_GE(cache.Stats().invalidations, 2u);
+  EXPECT_EQ(cache.Stats().invalidations, 2u);
 }
 
 TEST_F(CachedEngineTest, LearnedDistancesNeitherLookUpNorInsert) {

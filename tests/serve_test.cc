@@ -1,7 +1,7 @@
-// Serving subsystem: batched correctness vs exact Dijkstra, backend
-// registry, admission-control rejection, load-failure and deadline-triggered
-// fallback down the chain, metrics accounting, and a multi-threaded hammer
-// over a shared engine (the test tier-1 CI also runs under TSan).
+// Serving subsystem: batched correctness vs exact Dijkstra, the built-in
+// backends, load-failure and dispatch-failure fallback down the chain, the
+// engine deadline's fast fail, metrics accounting, and a multi-threaded
+// hammer over a shared engine (the test tier-1 CI also runs under TSan).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -72,12 +72,9 @@ class StubBackend : public QueryBackend {
 };
 
 TEST(BackendRegistryTest, BuiltinsAreRegistered) {
-  const auto names = RegisteredBackendNames();
-  for (const char* expected :
-       {"rne", "rne-quantized", "dijkstra", "ch", "h2h", "alt", "gtree"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-  }
+  EXPECT_EQ(RegisteredBackendNames(),
+            (std::vector<std::string>{"alt", "ch", "dijkstra", "gtree", "h2h",
+                                      "rne", "rne-quantized"}));
   BackendContext ctx;
   EXPECT_EQ(MakeBackend("no-such-backend", ctx).status().code(),
             StatusCode::kNotFound);
@@ -165,7 +162,6 @@ TEST(QueryEngineTest, BatchedDistancesMatchExactDijkstra) {
   }
   const MetricsSnapshot metrics = engine.Metrics();
   EXPECT_EQ(metrics.served, requests.size());
-  EXPECT_EQ(metrics.rejected, 0u);
   EXPECT_EQ(metrics.failed, 0u);
   EXPECT_GT(metrics.p99_ns, 0.0);
   EXPECT_GE(metrics.p99_ns, metrics.p50_ns);
@@ -219,51 +215,11 @@ TEST(QueryEngineTest, InvalidVertexIdFailsPerRequestNotPerBatch) {
   EXPECT_EQ(metrics.failed, 1u);
 }
 
-TEST(QueryEngineTest, QueueFullBatchesAreRejectedWhole) {
-  EngineOptions options;
-  options.num_threads = 2;
-  options.queue_capacity = 4;
-  QueryEngine engine(options);
-  auto stub = std::make_unique<StubBackend>();
-  StubBackend* raw = stub.get();
-  std::promise<void> release;
-  raw->hold_ = release.get_future().share();
-  engine.AddReadyBackend(std::move(stub));
-
-  // Fill the admission window with a batch that blocks inside the backend.
-  std::vector<Request> big(4);
-  std::thread client([&engine, &big] {
-    std::vector<Response> responses;
-    EXPECT_TRUE(engine.QueryBatch(big, &responses).ok());
-  });
-  while (raw->calls_.load() == 0) std::this_thread::yield();
-
-  // Any further batch exceeds capacity and is rejected with backpressure.
-  std::vector<Request> one(1);
-  one[0].s = one[0].t = 0;
-  std::vector<Response> responses;
-  const Status admitted = engine.QueryBatch(one, &responses);
-  EXPECT_EQ(admitted.code(), StatusCode::kUnavailable);
-
-  release.set_value();
-  client.join();
-  const MetricsSnapshot metrics = engine.Metrics();
-  EXPECT_EQ(metrics.rejected, 1u);
-  EXPECT_EQ(metrics.served, 4u);
-
-  // Capacity is released once the batch finishes.
-  raw->hold_ = {};
-  EXPECT_TRUE(engine.QueryBatch(one, &responses).ok());
-  EXPECT_TRUE(responses[0].status.ok());
-}
-
 // Regression: a backend throwing a non-std::exception used to escape
 // ExecuteChunk's catch(const std::exception&), unwind through the pool's
-// TaskGroup, rethrow from QueryBatch, and skip the admission release —
-// permanently shrinking queue capacity until the engine rejected all
-// traffic. Both halves are covered: the throw becomes a per-request error
-// Response, and the admitted count is released on the unwind path.
-TEST(QueryEngineTest, ThrowingBackendDoesNotLeakAdmissionCapacity) {
+// TaskGroup and rethrow from QueryBatch. The throw must become a
+// per-request error Response.
+TEST(QueryEngineTest, NonStandardExceptionBecomesPerRequestError) {
   struct Boom {};  // deliberately not derived from std::exception
   class ThrowingBackend : public StubBackend {
    public:
@@ -272,7 +228,6 @@ TEST(QueryEngineTest, ThrowingBackendDoesNotLeakAdmissionCapacity) {
   };
   EngineOptions options;
   options.num_threads = 2;
-  options.queue_capacity = 4;  // == batch size: any leak blocks batch 2
   QueryEngine engine(options);
   engine.AddReadyBackend(std::make_unique<ThrowingBackend>());
 
@@ -285,12 +240,6 @@ TEST(QueryEngineTest, ThrowingBackendDoesNotLeakAdmissionCapacity) {
         << r.status.ToString();
   }
   EXPECT_EQ(engine.Metrics().failed, requests.size());
-
-  // The full admission window must be available again: a second batch of
-  // exactly queue_capacity requests is admitted, not rejected Unavailable.
-  const Status admitted = engine.QueryBatch(requests, &responses);
-  EXPECT_TRUE(admitted.ok()) << admitted.ToString();
-  EXPECT_EQ(engine.Metrics().rejected, 0u);
 }
 
 TEST(QueryEngineTest, LoadFailureFallsBackToExactBackend) {
@@ -321,84 +270,10 @@ TEST(QueryEngineTest, LoadFailureFallsBackToExactBackend) {
   EXPECT_EQ(metrics.served, requests.size());
 }
 
-TEST(QueryEngineTest, DeadlineMissOnLoadingPrimaryFallsBackToExact) {
-  const Graph g = SmallNetwork();
-  // A primary whose load we control: it stays kLoading until released.
-  std::promise<void> release_load;
-  std::shared_future<void> gate(release_load.get_future());
-  RegisterBackendFactory(
-      "held-primary",
-      [gate](const BackendContext&)
-          -> StatusOr<std::unique_ptr<QueryBackend>> {
-        gate.wait();
-        return std::unique_ptr<QueryBackend>(new StubBackend());
-      });
-  EngineOptions options;
-  options.num_threads = 2;
-  QueryEngine engine(options);
-  BackendContext ctx;
-  ctx.graph = &g;
-  ctx.num_workers = engine.pool().num_threads();
-  engine.AddBackend("held-primary", ctx);
-  // The exact fallback is added already-constructed so the test only races
-  // the primary's (held) load against the request deadline.
-  auto dijkstra = MakeBackend("dijkstra", ctx);
-  ASSERT_TRUE(dijkstra.ok());
-  engine.AddReadyBackend(std::move(dijkstra).value());
-
-  Request request;
-  request.s = 3;
-  request.t = 77;
-  request.deadline = std::chrono::microseconds(20000);
-  const Response response = engine.Query(request);
-  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-  EXPECT_EQ(response.backend, "dijkstra");
-  EXPECT_TRUE(response.fell_back);
-  EXPECT_TRUE(response.exact);
-  DijkstraSearch reference(g);
-  EXPECT_NEAR(response.distance, reference.Distance(3, 77), 1e-6);
-  EXPECT_GE(engine.Metrics().fell_back_deadline, 1u);
-
-  // Once the primary finishes loading it serves new queries directly.
-  release_load.set_value();
-  ASSERT_TRUE(engine.WaitUntilLoaded().ok());
-  const Response after = engine.Query(request);
-  ASSERT_TRUE(after.status.ok());
-  EXPECT_EQ(after.backend, "stub");
-  EXPECT_FALSE(after.fell_back);
-}
-
-TEST(QueryEngineTest, DeadlineWithNoFallbackReportsDeadlineExceeded) {
-  std::promise<void> never;
-  std::shared_future<void> gate(never.get_future());
-  RegisterBackendFactory(
-      "held-forever",
-      [gate](const BackendContext&)
-          -> StatusOr<std::unique_ptr<QueryBackend>> {
-        gate.wait();
-        return std::unique_ptr<QueryBackend>(new StubBackend());
-      });
-  EngineOptions options;
-  options.num_threads = 1;
-  QueryEngine engine(options);
-  BackendContext ctx;
-  engine.AddBackend("held-forever", ctx);
-  Request request;
-  request.deadline = std::chrono::microseconds(5000);
-  const Response response = engine.Query(request);
-  EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(engine.Metrics().failed, 1u);
-  never.set_value();  // let the loader thread finish before teardown
-  // Discard OK: only joining the loader thread before teardown; the
-  // load outcome is irrelevant once the deadline assertion ran.
-  (void)engine.WaitUntilLoaded();
-}
-
 TEST(QueryEngineTest, ConcurrentBatchHammerServesEverything) {
   const Graph g = SmallNetwork();
   EngineOptions options;
   options.num_threads = 4;
-  options.queue_capacity = 1 << 16;
   options.batch_chunk = 8;
   QueryEngine engine(options);
   BackendContext ctx;
@@ -434,24 +309,24 @@ TEST(QueryEngineTest, ConcurrentBatchHammerServesEverything) {
   const MetricsSnapshot metrics = engine.Metrics();
   EXPECT_EQ(metrics.served, kClients * kBatches * kBatchSize);
   EXPECT_EQ(metrics.failed, 0u);
-  EXPECT_EQ(metrics.rejected, 0u);
   EXPECT_GT(metrics.qps, 0.0);
 }
 
 // A request whose deadline expires while it sits in the pool queue must
 // fail fast without ever invoking a backend. One worker thread, one
-// blocking batch in front — the probe request's deadline (5ms) is long
-// gone by the time its chunk runs (>=30ms later).
+// blocking chunk in front — every chunk queued behind it runs long after
+// the engine deadline (20 ms) of its batch.
 TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
   // Only a batch with more searches than batch_chunk goes through the pool
   // queue (any other batch runs on its caller), and the stub's distance
   // answers are not searches, so both batches here are two
   // one-kNN-request chunks: the blocker's first chunk holds the only
-  // worker and everything else queues behind it.
+  // worker and everything else queues behind it, the blocker's second
+  // chunk included.
   EngineOptions options;
   options.num_threads = 1;
-  options.queue_capacity = 8;
   options.batch_chunk = 1;
+  options.default_deadline = std::chrono::milliseconds(20);
   QueryEngine engine(options);
   auto stub = std::make_unique<StubBackend>();
   StubBackend* raw = stub.get();
@@ -464,14 +339,14 @@ TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
     request.kind = RequestKind::kKnn;
     request.k = 1;
   }
-  std::thread client([&engine, &blocker] {
-    std::vector<Response> responses;
-    EXPECT_TRUE(engine.QueryBatch(blocker, &responses).ok());
+  std::vector<Response> blocked;
+  std::thread client([&engine, &blocker, &blocked] {
+    EXPECT_TRUE(engine.QueryBatch(blocker, &blocked).ok());
   });
   while (raw->calls_.load() == 0) std::this_thread::yield();
 
   std::thread releaser([&release] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
     release.set_value();
   });
   std::vector<Request> probes(2);
@@ -479,21 +354,22 @@ TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
     probe.kind = RequestKind::kKnn;
     probe.s = 1;
     probe.k = 1;
-    probe.deadline = std::chrono::microseconds(5000);
   }
   std::vector<Response> responses;
   ASSERT_TRUE(engine.QueryBatch(probes, &responses).ok());
   client.join();
   releaser.join();
 
+  EXPECT_TRUE(blocked[0].status.ok()) << blocked[0].status.ToString();
+  EXPECT_EQ(blocked[1].status.code(), StatusCode::kDeadlineExceeded);
   for (const Response& response : responses) {
     EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
   }
-  EXPECT_EQ(raw->calls_.load(), 2u) << "expired requests must not dispatch";
+  EXPECT_EQ(raw->calls_.load(), 1u) << "expired requests must not dispatch";
   const MetricsSnapshot metrics = engine.Metrics();
-  EXPECT_EQ(metrics.fast_fails, 2u);
-  EXPECT_EQ(metrics.failed, 2u);
-  EXPECT_EQ(metrics.served, 2u);  // the blocker
+  EXPECT_EQ(metrics.fast_fails, 3u);
+  EXPECT_EQ(metrics.failed, 3u);
+  EXPECT_EQ(metrics.served, 1u);  // the blocker's first chunk
 }
 
 /// A stub that counts the calls made on the caller's thread and on pool
@@ -543,7 +419,6 @@ TEST(QueryEngineTest, OneChunkBatchRunsOnTheCallingThread) {
   const auto run = [](size_t knn, WhereBackend** backend) {
     EngineOptions options;  // default batch_chunk
     options.num_threads = 2;
-    options.queue_capacity = kBatch;
     auto engine = std::make_unique<QueryEngine>(options);
     auto stub = std::make_unique<WhereBackend>();
     *backend = stub.get();
@@ -559,9 +434,6 @@ TEST(QueryEngineTest, OneChunkBatchRunsOnTheCallingThread) {
     EXPECT_TRUE(responses[0].status.ok());
     EXPECT_EQ(responses[kBatch - 1].status.code(),
               StatusCode::kInvalidArgument);
-    std::vector<Request> too_big(kBatch + 1);  // rejected whole
-    EXPECT_EQ(engine->QueryBatch(too_big, &responses).code(),
-              StatusCode::kUnavailable);
     return engine;
   };
   const size_t chunk = EngineOptions().batch_chunk;
@@ -581,16 +453,12 @@ TEST(QueryEngineTest, OneChunkBatchRunsOnTheCallingThread) {
   const MetricsSnapshot a = distance_engine->Metrics();
   EXPECT_EQ(a.served, kBatch - 1);
   EXPECT_EQ(a.failed, 1u);
-  EXPECT_EQ(a.rejected, kBatch + 1);
   for (const QueryEngine* engine :
        {one_chunk_engine.get(), fanned_engine.get()}) {
     const MetricsSnapshot b = engine->Metrics();
     EXPECT_EQ(a.served, b.served);
     EXPECT_EQ(a.failed, b.failed);
-    EXPECT_EQ(a.rejected, b.rejected);
     EXPECT_EQ(a.fell_back_load, b.fell_back_load);
-    EXPECT_EQ(a.fell_back_deadline, b.fell_back_deadline);
-    EXPECT_EQ(a.fell_back_breaker, b.fell_back_breaker);
     EXPECT_EQ(a.retries, b.retries);
     EXPECT_EQ(a.fast_fails, b.fast_fails);
   }
@@ -699,7 +567,6 @@ TEST(QueryEngineTest, PrimaryFailingMidChunkFallsDownTheChain) {
   EXPECT_EQ(metrics.failed, 0u);
   EXPECT_EQ(metrics.retries, fell);
   EXPECT_EQ(metrics.fell_back_load, fell);
-  EXPECT_EQ(metrics.fell_back_deadline, 0u);
   EXPECT_EQ(metrics.fast_fails, 0u);
 }
 
@@ -765,8 +632,13 @@ TEST(MetricsSnapshotTest, ToJsonIsWellFormed) {
   const std::string json = snapshot.ToJson();
   EXPECT_NE(json.find("\"served\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
-  // servebench reads this STATS key; it stays, always 0.
-  EXPECT_NE(json.find("\"fell_back_breaker\": 0"), std::string::npos);
+  // servebench reads these STATS keys; they stay, always 0.
+  for (const char* key : {"rejected", "fell_back_deadline",
+                          "fell_back_breaker"}) {
+    EXPECT_NE(json.find("\"" + std::string(key) + "\": 0"),
+              std::string::npos)
+        << key;
+  }
   EXPECT_EQ(json.find("\"shed\""), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));

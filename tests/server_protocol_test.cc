@@ -371,7 +371,8 @@ TEST_F(ServerProtocolTest, StatsReportsCacheAndConnectionShape) {
 
 TEST_F(ServerProtocolTest, ReloadInvalidatesTheAttachedCache) {
   // RELOAD through the protocol must flush the cache: the repeat query
-  // right after the swap is a miss (cached=0), not a stale hit.
+  // right after the swap is a miss (cached=0), not a stale hit. The verb is
+  // the only invalidation: one per successful RELOAD.
   RneConfig config;
   config.dim = 16;
   config.hierarchical = false;
@@ -386,7 +387,6 @@ TEST_F(ServerProtocolTest, ReloadInvalidatesTheAttachedCache) {
 
   ModelManager manager;
   ResultCache cache;
-  manager.AddPublishListener([&cache](uint64_t) { cache.Invalidate(); });
   std::istringstream in("QUERY 0 5\nQUERY 0 5\nRELOAD " + path +
                         "\nQUERY 0 5\nQUERY 0 5\n");
   std::ostringstream out;
@@ -405,7 +405,27 @@ TEST_F(ServerProtocolTest, ReloadInvalidatesTheAttachedCache) {
   EXPECT_NE(lines[3].find(" cached=0"), std::string::npos)
       << "stale hit served after RELOAD: " << lines[3];
   EXPECT_NE(lines[4].find(" cached=1"), std::string::npos) << lines[4];
-  EXPECT_GE(cache.Stats().invalidations, 1u);
+  EXPECT_EQ(cache.Stats().invalidations, 1u);
+}
+
+TEST_F(ServerProtocolTest, LargeBatchAnswersEveryQuery) {
+  // A flush of 5,000 QUERYs goes to the engine as one batch and is
+  // answered line for line.
+  constexpr size_t kQueries = 5000;
+  const size_t n = graph_.NumVertices();
+  std::string input;
+  for (size_t i = 0; i < kQueries; ++i) {
+    input += "QUERY " + std::to_string(i % n) + " " +
+             std::to_string((7 * i + 3) % n) + "\n";
+  }
+  const auto lines = Run(input, kQueries);
+  ASSERT_EQ(lines.size(), kQueries);
+  for (size_t i = 0; i < kQueries; ++i) {
+    ASSERT_EQ(lines[i].rfind("DIST ", 0), 0u) << i << ": " << lines[i];
+  }
+  const MetricsSnapshot metrics = engine_.Metrics();
+  EXPECT_EQ(metrics.served, kQueries);
+  EXPECT_EQ(metrics.failed, 0u);
 }
 
 TEST_F(ServerProtocolTest, StopFlagHaltsTheLoopBeforeNewReads) {

@@ -1,18 +1,24 @@
-// Resident query server: loads a fallback chain of distance backends once,
-// then serves batched requests — from stdin until EOF (default), or over
-// TCP with --listen — the serving counterpart of one-shot `rne_tool query`,
-// which pays a full index load per invocation.
+// Resident query server: builds a fallback chain of distance backends once,
+// one after another at startup, then serves batched requests — from stdin
+// until EOF (default), or over TCP with --listen — the serving counterpart
+// of one-shot `rne_tool query`, which pays a full index load per
+// invocation.
 //
 //   rne_server --model city.rne --gr net.gr [--co net.co]
-//              [--backends rne,dijkstra] [--threads 4] [--queue 4096]
+//              [--backends rne,dijkstra] [--threads 4]
 //              [--deadline-us 0] [--batch 64]
 //              [--listen <port>] [--max-conns 1024] [--idle-timeout-ms 0]
 //              [--cache 65536] [--cache-shards 16]
 //              [--mmap | --mmap-cold]
 //
 // --backends is the fallback chain, primary first: a request skips a
-// backend that failed to load, is still loading at its deadline, or fails
-// at dispatch, and is answered by the next one.
+// backend that failed to load or fails at dispatch, and is answered by the
+// next one. --deadline-us bounds each request from the start of its batch:
+// past it a still-queued request fails fast and retries stop.
+//
+// In flight: each stdin loop or connection has one batch (--batch
+// requests) in the engine at a time, which bounds what the engine holds;
+// every QUERY and KNN gets an answer line.
 //
 // --mmap serves model files zero-copy from a read-only mapping. --mmap-cold
 // additionally defers section checksums to first access — ModelManager
@@ -43,8 +49,8 @@
 // 512 KB for the default 65,536) is allocated at start; slots (88 bytes
 // each, up to 5.8 MB at the default) are touched only as entries are
 // stored, so a learned QUERY stream keeps none resident. Cached kNN lists
-// add their own size. A successful RELOAD invalidates the cache via the
-// ModelManager publish listener, so a swap never serves a stale answer.
+// add their own size. A successful RELOAD invalidates the cache, so a swap
+// never serves a stale answer.
 //
 // With --model the "rne" backend is served through a ModelManager, so the
 // RELOAD verb hot-swaps the model without restarting. SIGINT/SIGTERM drain
@@ -111,14 +117,13 @@ int Main(int argc, char** argv) {
   if (!parsed.ok()) return Fail(parsed.status().ToString());
   const ArgParser& args = parsed.value();
   const Status known = args.RequireKnown(
-      {"model", "gr", "co", "backends", "threads", "queue", "deadline-us",
-       "batch", "seed", "listen", "max-conns", "idle-timeout-ms", "cache",
+      {"model", "gr", "co", "backends", "threads", "deadline-us", "batch",
+       "seed", "listen", "max-conns", "idle-timeout-ms", "cache",
        "cache-shards", "mmap", "mmap-cold"});
   if (!known.ok()) return Fail(known.ToString());
   FlagReader flags(args);
   EngineOptions options;
   options.num_threads = static_cast<size_t>(flags.Int("threads", 0));
-  options.queue_capacity = static_cast<size_t>(flags.Int("queue", 4096));
   options.default_deadline =
       std::chrono::microseconds(flags.Int("deadline-us", 0));
   ServerLoopOptions loop_options;
@@ -193,9 +198,8 @@ int Main(int argc, char** argv) {
   if (managed_rne) loop_options.model_manager = &manager;
   loop_options.stop = &g_shutdown;
 
-  // Result cache, shared by both front ends. The publish listener ties hot
-  // swap to invalidation: a RELOAD (or any other Load) can never leave a
-  // pre-swap distance reachable.
+  // Result cache, shared by both front ends. After the initial load above,
+  // every model swap is a RELOAD, which invalidates it.
   std::unique_ptr<ResultCache> cache;
   if (cache_entries > 0) {
     ResultCacheOptions cache_options;
@@ -204,8 +208,6 @@ int Main(int argc, char** argv) {
         cache_shards <= 0 ? 1 : cache_shards);
     cache = std::make_unique<ResultCache>(cache_options);
     loop_options.cache = cache.get();
-    manager.AddPublishListener(
-        [cache = cache.get()](uint64_t) { cache->Invalidate(); });
   }
 
   InstallShutdownHandlers();

@@ -344,7 +344,9 @@ int Main(int argc, char** argv) {
                  "[--key value ...]\n");
     return 1;
   }
-  auto args = ArgParser::Parse(argc, argv, 2, /*switches=*/{"exact", "deep", "mmap", "mmap-cold"});
+  auto args =
+      ArgParser::Parse(argc, argv, 2,
+                       /*switches=*/{"exact", "deep", "mmap", "mmap-cold"});
   if (!args.ok()) return Fail(args.status().ToString());
   const std::string cmd = argv[1];
   if (cmd == "generate") return CmdGenerate(args.value());
