@@ -563,6 +563,82 @@ void BM_CachedEngineBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedEngineBatch)->Arg(0)->Arg(1)->UseRealTime();
 
+// The engine as rne_server runs knn_rne: 64-request `KNN s 10` batches
+// over uniform sources through QueryEngine::QueryBatch against a
+// ModelManager managed backend of the servebench model with a dijkstra
+// fallback, on an engine with 2 workers. Every batch fans out: the caller
+// and the pool helpers claim its blocks. At 2 threads two callers share
+// the engine, as two reactors do. ns_per_req as in BM_EngineBatch.
+void BM_EngineKnnBatch(benchmark::State& state) {
+  struct Served {
+    serve::ModelManager manager;
+    serve::QueryEngine engine{[] {
+      serve::EngineOptions options;
+      options.num_threads = 2;
+      return options;
+    }()};
+  };
+  static Served* served = [] {
+    auto* s = new Served();
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "bench_engine_knn.rne")
+            .string();
+    if (!ServeModel().Save(path).ok() || !s->manager.Load(path).ok()) {
+      std::abort();
+    }
+    std::filesystem::remove(path);
+    s->engine.AddReadyBackend(s->manager.MakeManagedBackend());
+    serve::BackendContext ctx;
+    ctx.graph = &ServeGraph();
+    s->engine.AddBackend("dijkstra", ctx);
+    if (!s->engine.WaitUntilLoaded().ok()) std::abort();
+    return s;
+  }();
+  constexpr size_t kBatch = 64;
+  Rng rng(47 + static_cast<uint64_t>(state.thread_index()));
+  const size_t n = ServeModel().NumVertices();
+  std::vector<serve::Request> requests(kBatch);
+  for (auto& r : requests) {
+    r.kind = serve::RequestKind::kKnn;
+    r.s = static_cast<VertexId>(rng.UniformIndex(n));
+    r.k = 10;
+  }
+  std::vector<serve::Response> responses;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        served->engine.QueryBatch(requests, &responses).ok());
+    benchmark::DoNotOptimize(responses.data());
+  }
+  const auto items = static_cast<double>(state.iterations() * kBatch);
+  state.SetItemsProcessed(static_cast<int64_t>(items));
+  state.counters["ns_per_req"] = benchmark::Counter(
+      items * 1e-9, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineKnnBatch)->Threads(1)->Threads(2)->UseRealTime();
+
+// One answer distance printed by AppendDistance, on values shaped like a
+// `KNN s 10` answer's: one 0.0 in ten (the source itself), the rest
+// uniform over [0, 2,000).
+void BM_AppendDistance(benchmark::State& state) {
+  Rng rng(53);
+  std::vector<double> values(1000);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = i % 10 == 0 ? 0.0 : rng.UniformReal(0.0, 2000.0);
+  }
+  std::string out;
+  size_t i = 0;
+  for (auto _ : state) {
+    if (i == values.size()) {
+      i = 0;
+      out.clear();
+    }
+    serve::AppendDistance(values[i++], &out);
+  }
+  benchmark::DoNotOptimize(out.data());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AppendDistance);
+
 // Result-cache miss path, the cost a uniform QUERY stream pays per request:
 // batches of 64 uniform (s, t) keys over 4096^2, each looked up (a miss in
 // all but ~0.4% of cases) and then inserted, against one shared cache of

@@ -13,10 +13,12 @@
 // connections' batches through the blocking QueryEngine::QueryBatch: a
 // batch of learned distance answers runs on the reactor itself, and only a
 // batch with more searches than one engine chunk (kNN requests, or
-// distance requests an exact backend answers) fans out onto the pool,
-// while the other reactors parse, format and write. Reactors are threads,
-// not pool tasks: a caller blocked in QueryBatch would otherwise wait on
-// workers parked in reactor loops. Pipelined clients amortize a whole batch per
+// distance requests an exact backend answers) fans out: the reactor and
+// pool helpers claim blocks of it from one counter, so the reactor
+// searches its own batch too while the other reactors parse, format and
+// write. Reactors are threads, not pool tasks: a caller waiting in
+// QueryBatch for its helpers' last blocks would otherwise wait on workers
+// parked in reactor loops. Pipelined clients amortize a whole batch per
 // read burst; a half-full batch is flushed as soon as the read side goes
 // dry, so a lone synchronous client never waits on a timer.
 //

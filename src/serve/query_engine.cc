@@ -1,6 +1,7 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <exception>
 #include <utility>
@@ -311,18 +312,35 @@ Status QueryEngine::QueryBatch(std::span<const Request> requests,
     ExecuteChunk(requests, *out, started, deadline);
     return Status::Ok();
   }
-  {
-    TaskGroup group(pool_);
-    for (size_t begin = 0; begin < requests.size(); begin += chunk) {
-      const size_t end = std::min(requests.size(), begin + chunk);
-      group.Submit([this, requests, out, begin, end, started, deadline] {
-        ExecuteChunk(requests.subspan(begin, end - begin),
-                     std::span<Response>(*out).subspan(begin, end - begin),
-                     started, deadline);
-      });
+  // Fan out by claiming: the caller and up to one helper per pool worker
+  // take kClaimBlock-request blocks off one counter until the batch runs
+  // out, so the caller searches too and nobody waits on a worker that wakes
+  // late (a helper that finds the counter spent returns at once). The
+  // counter starts past block 0, which is the caller's before any helper
+  // exists. It and the claim loop are declared before the TaskGroup, whose
+  // destructor waits for every helper.
+  const size_t blocks = (requests.size() + kClaimBlock - 1) / kClaimBlock;
+  std::atomic<size_t> next_block{1};
+  const auto run_block = [&](size_t block) {
+    const size_t begin = block * kClaimBlock;
+    const size_t count = std::min(kClaimBlock, requests.size() - begin);
+    ExecuteChunk(requests.subspan(begin, count),
+                 std::span<Response>(*out).subspan(begin, count), started,
+                 deadline);
+  };
+  const auto claim = [&] {
+    for (size_t block = next_block.fetch_add(1, std::memory_order_relaxed);
+         block < blocks;
+         block = next_block.fetch_add(1, std::memory_order_relaxed)) {
+      run_block(block);
     }
-    group.Wait();
-  }
+  };
+  TaskGroup group(pool_);
+  const size_t helpers = std::min(pool_->num_threads(), blocks - 1);
+  for (size_t i = 0; i < helpers; ++i) group.Submit(claim);
+  run_block(0);
+  claim();
+  group.Wait();
   return Status::Ok();
 }
 

@@ -8,28 +8,34 @@
 // requests (~7 us each), plus its distance requests while distance answers
 // come from an exact backend (a learned answer costs tens of nanoseconds
 // and never repays a thread hand-off; a Dijkstra one costs microseconds or
-// more). Such a batch fans out onto a shared ThreadPool in
-// `batch_chunk`-sized tasks, one TaskGroup per batch so concurrent batches
-// never wait on each other. QueryBatch is synchronous, so each caller has
-// at most one batch in flight: callers x batch size bounds the work the
-// engine holds. The engine enforces one failure policy:
+// more). Such a batch fans out by claiming: the caller and up to one helper
+// task per pool worker take kClaimBlock-request blocks off one atomic
+// counter until the batch runs out. The caller takes the first block
+// before any helper is submitted, so it always searches, and no thread
+// waits on a worker that wakes late. Each batch has its own TaskGroup, so
+// concurrent batches never wait on each other. QueryBatch is synchronous,
+// so each caller has at most one batch in flight: callers x batch size
+// bounds the work the engine holds. The engine enforces one failure
+// policy:
 //
 //  * Fallback on failure (DESIGN.md §12) — a backend that failed to load is
 //    skipped, and a dispatch that throws or hits an injected fault retries
 //    down the chain (learned backend -> exact Dijkstra).
 //  * An engine-wide deadline (`default_deadline`), measured from the start
-//    of QueryBatch — a request still queued past it fails fast without
-//    touching any backend, and retries down the chain stop once it passed.
+//    of QueryBatch — a request that no thread reaches before it passes
+//    fails fast without touching any backend, and retries down the chain
+//    stop once it passed.
 //  * Metrics — served/failed/fallback/retry counters plus a latency
-//    histogram (p50/p95/p99 over batch-start-to-chunk-completion
+//    histogram (p50/p95/p99 over batch-start-to-block-completion
 //    nanoseconds) and QPS since start, exported as a JSON-able snapshot.
 //    The same counters are the engine's METRICS source (serve.*), so STATS
 //    and METRICS read one copy of each count.
 //
-// Bookkeeping is per chunk, not per request: a chunk resolves the chain
-// once (one lock, one Pin() per ready backend, so a hot-swapped model is
-// read as one generation and ids are range-checked against it), reads the
-// clock once at its end, and adds its counters once.
+// Bookkeeping is per chunk, not per request (a chunk is a whole inline
+// batch or one claimed block): it resolves the chain once (one lock, one
+// Pin() per ready backend, so a hot-swapped model is read as one
+// generation and ids are range-checked against it), reads the clock once
+// at its end, and adds its counters once.
 #ifndef RNE_SERVE_QUERY_ENGINE_H_
 #define RNE_SERVE_QUERY_ENGINE_H_
 
@@ -53,15 +59,15 @@ struct EngineOptions {
   /// Workers for an engine-owned pool when none is shared in (0 = hardware
   /// concurrency).
   size_t num_threads = 0;
-  /// Searches worth one pool task. A batch with more searches than this
-  /// (kNN requests, and distance requests while an exact backend answers
-  /// them) fans out in chunks of this many requests; any other batch runs
-  /// on the caller's thread.
+  /// Searches worth a fan-out. A batch with more searches than this (kNN
+  /// requests, and distance requests while an exact backend answers them)
+  /// fans out in kClaimBlock-request blocks; any other batch runs on the
+  /// caller's thread.
   size_t batch_chunk = 32;
   /// Deadline of every request, measured from the start of its QueryBatch
-  /// call (0 = none). A request still queued past it fails fast with
-  /// DeadlineExceeded; a failed dispatch retries down the chain only while
-  /// it has not passed.
+  /// call (0 = none). A request that no thread reaches before it passes
+  /// fails fast with DeadlineExceeded; a failed dispatch retries down the
+  /// chain only while it has not passed.
   std::chrono::microseconds default_deadline{0};
 };
 
@@ -134,12 +140,21 @@ class QueryEngine {
   /// serves via the rest of the chain.
   Status WaitUntilLoaded();
 
+  /// Requests per claimed block of a fanned batch, chosen on knn_rne's
+  /// 64-request `KNN s 10` batches with 2 workers (4-vCPU VM; EXPERIMENTS.md
+  /// "Serving — callers search their own kNN batch"): 4 and 8 tied in
+  /// BM_EngineKnnBatch, 8 read 1.03x of 4 in servebench qps, and 16 and 32
+  /// were slower. Smaller blocks leave a shorter tail for the caller to
+  /// wait on; larger ones pay the per-chunk bookkeeping less often.
+  static constexpr size_t kClaimBlock = 8;
+
   /// Executes `requests` as one batch and returns once every response is
   /// filled. The batch runs on the calling thread unless it holds more than
   /// `batch_chunk` searches (kNN requests, and distance requests while the
   /// last chunk that answered distances answered one from an exact
-  /// backend); then it fans out onto the pool in `batch_chunk`-sized chunks
-  /// and the caller blocks until they finish. `out` is resized to
+  /// backend); then the caller and up to one pool helper per worker claim
+  /// kClaimBlock-request blocks until none is left, and the caller returns
+  /// once the helpers' blocks are done too. `out` is resized to
   /// requests.size() and its Response objects are reused; per-request
   /// failures land in Response::status. Always returns OK (the Status
   /// return is kept for callers that test it).
@@ -220,7 +235,8 @@ class QueryEngine {
   mutable Mutex chain_mu_;
   std::vector<std::unique_ptr<BackendSlot>> chain_ RNE_GUARDED_BY(chain_mu_);
 
-  /// Batch-start-to-chunk-completion latency, one weighted sample per chunk
+  /// Batch-start-to-chunk-completion latency (a fanned batch's chunks are
+  /// its blocks), one weighted sample per chunk
   /// (sharded, so concurrent chunks rarely share a lock).
   obs::LatencyStat latency_;
   /// Counters are registry-style atomics (TSan-clean, no lock on the update

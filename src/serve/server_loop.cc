@@ -1,6 +1,8 @@
 #include "serve/server_loop.h"
 
+#include <bit>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <istream>
 #include <limits>
@@ -132,8 +134,37 @@ void ParseRequestLine(std::string_view line, ParsedLine* out) {
 }
 
 void AppendDistance(double value, std::string* out) {
-  // Sign, DBL_MAX's 309 integer digits, the point and two decimals: every
-  // finite double fits, so to_chars cannot fail with value_too_large.
+  const auto bits = std::bit_cast<uint64_t>(value);
+  // The sign bit shifts in above the 11 exponent bits, so a negative value
+  // fails both tests below.
+  const uint64_t biased_exponent = bits >> 52;
+  if (bits == 0 || biased_exponent - 1 < 1074) {
+    // +0.0, or a positive normal below 2^52: value = m / 2^s exactly, with
+    // s >= 1. Print q = value * 100 rounded half to even as q / 100, a
+    // point and two digits, which is what printf("%.2f") prints.
+    // m * 100 < 2^60 cannot overflow; below 2^-11 (s >= 64) value * 100 is
+    // under 0.05, so q = 0.
+    const uint64_t m = (bits & ((uint64_t{1} << 52) - 1)) | (uint64_t{1} << 52);
+    const uint64_t s = 1075 - biased_exponent;
+    uint64_t q = 0;
+    if (s < 64) {
+      const uint64_t scaled = m * 100;
+      q = scaled >> s;
+      const uint64_t rest = scaled & ((uint64_t{1} << s) - 1);
+      const uint64_t half = uint64_t{1} << (s - 1);
+      if (rest > half || (rest == half && (q & 1) != 0)) ++q;
+    }
+    char buf[24];  // q / 100 < 2^52 has at most 16 digits
+    char* end = std::to_chars(buf, buf + sizeof(buf), q / 100).ptr;
+    *end++ = '.';
+    *end++ = static_cast<char>('0' + q % 100 / 10);
+    *end++ = static_cast<char>('0' + q % 10);
+    out->append(buf, end);
+    return;
+  }
+  // Negatives, subnormals, values from 2^52 up, inf and NaN. Sign, DBL_MAX's
+  // 309 integer digits, the point and two decimals: every finite double
+  // fits, so to_chars cannot fail with value_too_large.
   char buf[1 + 309 + 1 + 2];
   const auto result = std::to_chars(buf, buf + sizeof(buf), value,
                                     std::chars_format::fixed, 2);

@@ -173,7 +173,9 @@ class LineProtocolHandler {
 };
 
 /// Appends `value` exactly as printf("%.2f") renders it (the DIST and KNN
-/// answer format), via std::to_chars: no format-string parsing or locale.
+/// answer format): +0.0 and positive normals below 2^52 by exact integer
+/// rounding, everything else via std::to_chars; no format-string parsing
+/// or locale.
 void AppendDistance(double value, std::string* out);
 
 /// Reads protocol lines from `in` until EOF (or `options.stop`), writing

@@ -312,17 +312,16 @@ TEST(QueryEngineTest, ConcurrentBatchHammerServesEverything) {
   EXPECT_GT(metrics.qps, 0.0);
 }
 
-// A request whose deadline expires while it sits in the pool queue must
-// fail fast without ever invoking a backend. One worker thread, one
-// blocking chunk in front — every chunk queued behind it runs long after
-// the engine deadline (20 ms) of its batch.
+// A request that no thread reaches before the engine deadline (20 ms) of
+// its batch must fail fast without ever invoking a backend. The caller
+// claims the first block and its first request blocks for 60 ms; the only
+// pool worker is held by an unrelated task over the same time, so the
+// batch's helper cannot claim the second block before the deadline. Once
+// released, the rest of the first block and all of the second fail fast,
+// whichever thread claims the second block.
 TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
-  // Only a batch with more searches than batch_chunk goes through the pool
-  // queue (any other batch runs on its caller), and the stub's distance
-  // answers are not searches, so both batches here are two
-  // one-kNN-request chunks: the blocker's first chunk holds the only
-  // worker and everything else queues behind it, the blocker's second
-  // chunk included.
+  // Only a batch with more searches than batch_chunk fans out (the stub's
+  // distance answers are not searches), so the batch is kNN requests.
   EngineOptions options;
   options.num_threads = 1;
   options.batch_chunk = 1;
@@ -333,43 +332,33 @@ TEST(QueryEngineTest, DeadlineExpiredWhileQueuedFailsFastWithoutDispatch) {
   std::promise<void> release;
   raw->hold_ = release.get_future().share();
   engine.AddReadyBackend(std::move(stub));
+  engine.pool().Submit([hold = raw->hold_] { hold.wait(); });
 
-  std::vector<Request> blocker(2);
-  for (Request& request : blocker) {
+  constexpr size_t kBatch = 2 * QueryEngine::kClaimBlock;
+  std::vector<Request> batch(kBatch);
+  for (Request& request : batch) {
     request.kind = RequestKind::kKnn;
     request.k = 1;
   }
-  std::vector<Response> blocked;
-  std::thread client([&engine, &blocker, &blocked] {
-    EXPECT_TRUE(engine.QueryBatch(blocker, &blocked).ok());
-  });
-  while (raw->calls_.load() == 0) std::this_thread::yield();
-
   std::thread releaser([&release] {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
     release.set_value();
   });
-  std::vector<Request> probes(2);
-  for (Request& probe : probes) {
-    probe.kind = RequestKind::kKnn;
-    probe.s = 1;
-    probe.k = 1;
-  }
   std::vector<Response> responses;
-  ASSERT_TRUE(engine.QueryBatch(probes, &responses).ok());
-  client.join();
+  ASSERT_TRUE(engine.QueryBatch(batch, &responses).ok());
   releaser.join();
+  engine.pool().Wait();
 
-  EXPECT_TRUE(blocked[0].status.ok()) << blocked[0].status.ToString();
-  EXPECT_EQ(blocked[1].status.code(), StatusCode::kDeadlineExceeded);
-  for (const Response& response : responses) {
-    EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
+  for (size_t i = 1; i < kBatch; ++i) {
+    EXPECT_EQ(responses[i].status.code(), StatusCode::kDeadlineExceeded)
+        << i;
   }
   EXPECT_EQ(raw->calls_.load(), 1u) << "expired requests must not dispatch";
   const MetricsSnapshot metrics = engine.Metrics();
-  EXPECT_EQ(metrics.fast_fails, 3u);
-  EXPECT_EQ(metrics.failed, 3u);
-  EXPECT_EQ(metrics.served, 1u);  // the blocker's first chunk
+  EXPECT_EQ(metrics.fast_fails, kBatch - 1);
+  EXPECT_EQ(metrics.failed, kBatch - 1);
+  EXPECT_EQ(metrics.served, 1u);  // the caller's first request
 }
 
 /// A stub that counts the calls made on the caller's thread and on pool
@@ -397,11 +386,25 @@ class WhereBackend : public StubBackend {
   std::atomic<size_t> on_caller{0};
   std::atomic<size_t> on_worker{0};
   std::atomic<bool> down{false};
+  /// A call on the caller's thread waits (up to 10 s) until the workers
+  /// have made at least this many calls, so a fanned batch's helpers are
+  /// sure to claim a block before the caller claims them all.
+  std::atomic<size_t> caller_awaits_worker_calls{0};
 
  private:
   void Count() {
     const size_t w = ThreadPool::CurrentWorkerIndex();
-    (w == ThreadPool::kNotAWorker ? on_caller : on_worker).fetch_add(1);
+    if (w == ThreadPool::kNotAWorker) {
+      on_caller.fetch_add(1);
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (on_worker.load() < caller_awaits_worker_calls.load() &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    } else {
+      on_worker.fetch_add(1);
+    }
     if (down.load()) throw std::runtime_error("backend down");
   }
 
@@ -412,9 +415,10 @@ class WhereBackend : public StubBackend {
 TEST(QueryEngineTest, OneChunkBatchRunsOnTheCallingThread) {
   // A learned distance batch of any size, and a batch of at most
   // batch_chunk kNN requests, skip the pool: the backend is called from the
-  // caller's thread. A batch with batch_chunk + 1 kNN requests fans out
-  // onto the workers. Every counter must come out exactly the same either
-  // way.
+  // caller's thread. A batch with batch_chunk + 1 kNN requests fans out:
+  // the caller claims the first block before any helper exists, so it
+  // serves at least that block, and the workers may claim the rest. Every
+  // counter must come out exactly the same either way.
   constexpr size_t kBatch = 64;  // rne_server's default --batch
   const auto run = [](size_t knn, WhereBackend** backend) {
     EngineOptions options;  // default batch_chunk
@@ -447,8 +451,10 @@ TEST(QueryEngineTest, OneChunkBatchRunsOnTheCallingThread) {
   EXPECT_EQ(distance_backend->on_worker.load(), 0u);
   EXPECT_EQ(one_chunk_backend->on_caller.load(), kBatch - 1);
   EXPECT_EQ(one_chunk_backend->on_worker.load(), 0u);
-  EXPECT_EQ(fanned_backend->on_caller.load(), 0u);
-  EXPECT_EQ(fanned_backend->on_worker.load(), kBatch - 1);
+  EXPECT_GE(fanned_backend->on_caller.load(), QueryEngine::kClaimBlock);
+  EXPECT_EQ(fanned_backend->on_caller.load() +
+                fanned_backend->on_worker.load(),
+            kBatch - 1);
 
   const MetricsSnapshot a = distance_engine->Metrics();
   EXPECT_EQ(a.served, kBatch - 1);
@@ -468,9 +474,10 @@ TEST(QueryEngineTest, OneChunkBatchRunsOnTheCallingThread) {
 // learned primary answers, and fans out while an exact backend answers it
 // (here: the primary is down and every request falls back). The rule
 // follows the answers of the last chunk, so it switches one batch late
-// each way; answers and counters never depend on it.
+// each way; answers and counters never depend on it. An inline batch
+// never reaches a worker; in a fanned one the caller waits on its first
+// call until a worker has called too, so the workers' share shows.
 TEST(QueryEngineTest, DistanceBatchesFanOutWhileAnExactBackendAnswers) {
-  using Where = std::pair<size_t, size_t>;
   constexpr size_t kBatch = 64;
   EngineOptions options;  // default batch_chunk (32)
   options.num_threads = 2;
@@ -484,33 +491,140 @@ TEST(QueryEngineTest, DistanceBatchesFanOutWhileAnExactBackendAnswers) {
 
   const std::vector<Request> batch(kBatch);
   std::vector<Response> responses;
-  const auto serve = [&](std::string_view answered_by) {
+  // Serves the batch and checks who answered and whether any worker
+  // called `backend`; the caller always calls it.
+  const auto serve = [&](std::string_view answered_by, WhereBackend* backend,
+                         bool fans_out) {
+    const auto [caller_before, worker_before] = backend->Where();
+    backend->caller_awaits_worker_calls =
+        fans_out ? worker_before + 1 : 0;
     ASSERT_TRUE(engine.QueryBatch(batch, &responses).ok());
     for (const Response& response : responses) {
       ASSERT_TRUE(response.status.ok()) << response.status.ToString();
       EXPECT_EQ(response.backend, answered_by);
     }
+    const auto [caller_after, worker_after] = backend->Where();
+    EXPECT_EQ(caller_after + worker_after - caller_before - worker_before,
+              kBatch);
+    EXPECT_GT(caller_after, caller_before);
+    if (fans_out) {
+      EXPECT_GT(worker_after, worker_before);
+    } else {
+      EXPECT_EQ(worker_after, worker_before);
+    }
   };
-  serve("stub");  // learned answers: on the caller
-  EXPECT_EQ(primary->Where(), Where(kBatch, 0));
+  const auto calls = [](const WhereBackend* backend) {
+    return backend->on_caller.load() + backend->on_worker.load();
+  };
+  serve("stub", primary, false);  // learned answers: on the caller
   primary->down = true;
-  serve("exact-stub");  // the last answers were learned: still inline
-  EXPECT_EQ(primary->Where(), Where(2 * kBatch, 0));
-  EXPECT_EQ(exact->Where(), Where(kBatch, 0));
-  serve("exact-stub");  // the last answers were exact: fans out
-  EXPECT_EQ(primary->Where(), Where(2 * kBatch, kBatch));
-  EXPECT_EQ(exact->Where(), Where(kBatch, kBatch));
+  // The last answers were learned: still inline.
+  serve("exact-stub", exact, false);
+  EXPECT_EQ(primary->on_worker.load(), 0u);
+  serve("exact-stub", exact, true);  // the last answers were exact: fans out
+  EXPECT_EQ(calls(primary), 3 * kBatch);
   primary->down = false;
-  serve("stub");  // the last answers were exact: still fans out
-  EXPECT_EQ(primary->Where(), Where(2 * kBatch, 2 * kBatch));
-  serve("stub");  // learned answers again: back on the caller
-  EXPECT_EQ(primary->Where(), Where(3 * kBatch, 2 * kBatch));
-  EXPECT_EQ(exact->Where(), Where(kBatch, kBatch));
+  serve("stub", primary, true);  // the last answers were exact: still fans out
+  serve("stub", primary, false);  // learned answers again: back on the caller
+  EXPECT_EQ(calls(primary), 5 * kBatch);
+  EXPECT_EQ(calls(exact), 2 * kBatch);
 
   const MetricsSnapshot metrics = engine.Metrics();
   EXPECT_EQ(metrics.served, 5 * kBatch);
   EXPECT_EQ(metrics.failed, 0u);
   EXPECT_EQ(metrics.retries, 2 * kBatch);
+}
+
+// A fanned kNN batch whose searches take uneven time (a stub that sleeps
+// on some sources) is claimed block by block by the caller and the pool
+// helpers, with two callers sharing the engine: every request is answered
+// exactly once, and every answer and counter equals a serial run's.
+TEST(QueryEngineTest, FannedKnnBatchAnswersEveryRequestOnceLikeASerialRun) {
+  class SleepyKnnBackend : public StubBackend {
+   public:
+    explicit SleepyKnnBackend(size_t n) : calls_per_source(n) {
+      num_vertices_ = n;
+    }
+    std::vector<std::pair<VertexId, double>> Knn(VertexId s,
+                                                 size_t k) override {
+      calls_per_source[s].fetch_add(1);
+      if (s % 5 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      std::vector<std::pair<VertexId, double>> answer;
+      for (size_t i = 0; i < k; ++i) {
+        answer.emplace_back(static_cast<VertexId>((s + i) % num_vertices_),
+                            0.25 * static_cast<double>(s + i));
+      }
+      return answer;
+    }
+    std::vector<std::atomic<int>> calls_per_source;
+  };
+  constexpr size_t kCallers = 2;
+  constexpr size_t kPerCaller = 203;  // not a whole number of blocks
+  constexpr size_t kVertices = kCallers * kPerCaller;
+  // Each caller's batch: its own sources, each once, plus one bad id.
+  std::vector<std::vector<Request>> batches(kCallers);
+  for (size_t c = 0; c < kCallers; ++c) {
+    for (size_t i = 0; i < kPerCaller; ++i) {
+      Request request;
+      request.kind = RequestKind::kKnn;
+      request.s = static_cast<VertexId>(c * kPerCaller + i);
+      request.k = 1 + i % 4;
+      batches[c].push_back(request);
+    }
+    Request bad;
+    bad.kind = RequestKind::kKnn;
+    bad.s = static_cast<VertexId>(kVertices);
+    bad.k = 1;
+    batches[c].insert(batches[c].begin() + 100, bad);
+  }
+  const auto make_engine = [&](size_t batch_chunk, SleepyKnnBackend** raw) {
+    EngineOptions options;
+    options.num_threads = 2;
+    options.batch_chunk = batch_chunk;
+    auto engine = std::make_unique<QueryEngine>(options);
+    auto stub = std::make_unique<SleepyKnnBackend>(kVertices);
+    *raw = stub.get();
+    engine->AddReadyBackend(std::move(stub));
+    return engine;
+  };
+  SleepyKnnBackend* serial_stub = nullptr;
+  SleepyKnnBackend* fanned_stub = nullptr;
+  const auto serial = make_engine(1000, &serial_stub);  // every batch inline
+  const auto fanned = make_engine(8, &fanned_stub);
+  std::vector<std::vector<Response>> want(kCallers);
+  std::vector<std::vector<Response>> got(kCallers);
+  for (size_t c = 0; c < kCallers; ++c) {
+    ASSERT_TRUE(serial->QueryBatch(batches[c], &want[c]).ok());
+  }
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      EXPECT_TRUE(fanned->QueryBatch(batches[c], &got[c]).ok());
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  for (size_t v = 0; v < kVertices; ++v) {
+    EXPECT_EQ(fanned_stub->calls_per_source[v].load(), 1) << v;
+  }
+  for (size_t c = 0; c < kCallers; ++c) {
+    ASSERT_EQ(got[c].size(), want[c].size());
+    for (size_t i = 0; i < want[c].size(); ++i) {
+      EXPECT_EQ(got[c][i].status.code(), want[c][i].status.code()) << i;
+      EXPECT_EQ(got[c][i].knn, want[c][i].knn) << i;
+      EXPECT_EQ(got[c][i].backend, want[c][i].backend) << i;
+    }
+  }
+  const MetricsSnapshot a = serial->Metrics();
+  const MetricsSnapshot b = fanned->Metrics();
+  EXPECT_EQ(b.served, kVertices);
+  EXPECT_EQ(b.failed, kCallers);
+  EXPECT_EQ(a.served, b.served);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.fast_fails, b.fast_fails);
 }
 
 // A chunk resolves the chain once, but each request still walks it: when

@@ -442,16 +442,42 @@ TEST_F(ServerProtocolTest, StopFlagHaltsTheLoopBeforeNewReads) {
 
 TEST(AppendDistanceTest, MatchesPrintfFixedTwoDecimals) {
   // The answer format is pinned byte-for-byte to the printf("%.2f") it
-  // replaced, including round-half-even on exact ties and the widest
-  // finite value.
+  // replaced, including round-half-even on exact ties, the widest finite
+  // value, and both sides of every edge of the exact integer path.
   std::vector<double> values = {0.0,     -0.0,     0.005,    0.015,
                                 0.125,   0.375,    0.625,    2.875,
                                 1.005,   2.675,    1e-300,   DBL_MIN,
                                 DBL_MAX, -DBL_MAX, 1e15 + 0.125,
                                 INFINITY, -INFINITY};
   for (int i = 0; i < 4000; ++i) {
-    values.push_back(i / 8.0);           // exact .x25/.x75 ties
-    values.push_back(i / 1000.0 + 0.005);  // nearest double to a .xx5 tie
+    for (const double tie : {i / 8.0,  // exact .x25/.x75 ties
+                             i / 1000.0 + 0.005}) {  // nearest to a .xx5
+      values.push_back(tie);
+      values.push_back(std::nextafter(tie, 0.0));
+      values.push_back(std::nextafter(tie, INFINITY));
+      values.push_back(-tie);  // negatives take the to_chars path
+    }
+  }
+  // The exact integer path covers +0.0 and positive normals below 2^52;
+  // it computes value * 100 with a shift of s bits, and s reaches 64 just
+  // below 2^-11. Probe both sides of each edge, and the subnormals the
+  // to_chars path keeps.
+  for (const double edge : {0x1p52, 0x1p-11, 0x1p53, DBL_MIN}) {
+    double below = edge, above = edge;
+    for (int i = 0; i < 64; ++i) {
+      values.push_back(below);
+      values.push_back(above);
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, INFINITY);
+    }
+  }
+  for (const double v : {0x1p52 - 0.5, 0x1p52 - 0.25, 0x1p52 + 1.0,
+                         0x1p52 - 0.005, 4503599627370495.875, 0x1p-11 * 5.0,
+                         0.0049999999999999, 0.00500000000000001,
+                         DBL_TRUE_MIN, 2 * DBL_TRUE_MIN, 1e-310, -1e-310,
+                         -DBL_MIN, -0x1p-11, -0x1p52,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    values.push_back(v);
   }
   Rng rng(20261017);
   for (int i = 0; i < 50000; ++i) {
