@@ -1,11 +1,12 @@
 // Envelope fuzzer: arbitrary bytes through BinaryReader (header, section
-// table, CRC paths), MappedEnvelope::Open, and every typed Load — Rne,
-// QuantizedRne, ContractionHierarchy, H2HIndex, AltIndex, GTree,
-// PartitionHierarchy — across heap / mmap / cold-mmap modes.
+// table, CRC paths), MappedEnvelope::Open, and both typed Loads — Rne
+// (which embeds the PartitionHierarchy stream) and QuantizedRne — across
+// heap / mmap / cold-mmap modes.
 //
-// Input layout: byte 0 selects the index kind and load modes; the rest is
-// the file image. The image is exercised twice: once raw (header rejection
-// paths stay covered) and once after FixupEnvelope() re-seals the outer
+// Input layout: byte 0 selects the index kind (byte % kNumKinds) and the
+// load modes (byte / kNumKinds); the rest is the file image. The image is
+// exercised twice: once raw (header rejection paths stay covered) and once
+// after FixupEnvelope() re-seals the outer
 // magic, version, payload size, and the three CRC layers — so mutations of
 // the *inner* metadata survive the envelope's checksums and reach the typed
 // parsers, which is where the depth is. The libFuzzer build applies the
@@ -23,14 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/alt.h"
-#include "baselines/ch.h"
-#include "baselines/gtree.h"
-#include "baselines/h2h.h"
 #include "core/quantized.h"
 #include "core/rne.h"
-#include "graph/generators.h"
-#include "partition/hierarchy.h"
 #include "util/crc32c.h"
 #include "util/mmap_file.h"
 #include "util/serialize.h"
@@ -40,24 +35,11 @@
 namespace rne {
 namespace {
 
-constexpr uint32_t kKindMagics[] = {
-    kRneMagic, kQuantMagic, kChMagic,        kH2hMagic,
-    kAltMagic, kGTreeMagic, kHierarchyMagic,
-};
+// The selector layout is committed input data: byte 0 of every corpus and
+// regression input is kind + kNumKinds * modes, so a change to this list
+// must re-encode those bytes.
+constexpr uint32_t kKindMagics[] = {kRneMagic, kQuantMagic};
 constexpr size_t kNumKinds = sizeof(kKindMagics) / sizeof(kKindMagics[0]);
-
-// Small connected graph for the loaders that cross-check against one
-// (ALT, G-tree). Built once; loads never mutate it.
-const Graph& FuzzGraph() {
-  static const Graph* g = [] {
-    RoadNetworkConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    cfg.seed = 7;
-    return new Graph(MakeRoadNetwork(cfg));
-  }();
-  return *g;
-}
 
 // One scratch file per process, overwritten per input (the file-based
 // loaders and mmap need a real path).
@@ -131,26 +113,10 @@ void DriveTypedLoads(size_t kind, uint8_t modes) {
       if (modes & 1) (void)Rne::Load(path, LoadMode::kMmap);
       if (modes & 2) (void)Rne::Load(path, LoadMode::kMmapCold);
       break;
-    case 1:
+    default:
       (void)QuantizedRne::Load(path);
       if (modes & 1) (void)QuantizedRne::Load(path, LoadMode::kMmap);
       if (modes & 2) (void)QuantizedRne::Load(path, LoadMode::kMmapCold);
-      break;
-    case 2:
-      (void)ContractionHierarchy::Load(path);
-      break;
-    case 3:
-      (void)H2HIndex::Load(path);
-      break;
-    case 4:
-      (void)AltIndex::Load(path, FuzzGraph());
-      break;
-    case 5:
-      (void)GTree::Load(path, FuzzGraph());
-      if (modes & 1) (void)GTree::Load(path, FuzzGraph(), LoadMode::kMmap);
-      break;
-    default:
-      (void)PartitionHierarchy::Load(path);
       break;
   }
 }

@@ -1,5 +1,5 @@
 // Seed-corpus generator. Writes the committed seed inputs under
-// fuzz/corpus/<target>/ from *real* artifacts: every persistable index kind
+// fuzz/corpus/<target>/ from *real* artifacts: both persistable index kinds
 // built on a small generator graph and saved through the production writers,
 // plus protocol transcripts shaped like bench_serve client traffic and
 // realistic tool argv vectors. Run from the repo root after changing the
@@ -26,10 +26,7 @@ namespace rne {
 namespace {
 
 // Must match envelope_fuzzer.cc's selector layout.
-constexpr uint32_t kKindMagics[] = {
-    kRneMagic, kQuantMagic, kChMagic,        kH2hMagic,
-    kAltMagic, kGTreeMagic, kHierarchyMagic,
-};
+constexpr uint32_t kKindMagics[] = {kRneMagic, kQuantMagic};
 constexpr size_t kNumKinds = sizeof(kKindMagics) / sizeof(kKindMagics[0]);
 
 size_t KindIndex(uint32_t magic) {

@@ -6,7 +6,6 @@
 #include "algo/dijkstra.h"
 #include "algo/landmarks.h"
 #include "obs/trace.h"
-#include "util/serialize.h"
 
 namespace rne {
 
@@ -56,38 +55,6 @@ double AltIndex::Query(VertexId s, VertexId t) {
   }
   if (ub == kInfDistance) return kInfDistance;
   return 0.5 * (lb + ub);
-}
-
-Status AltIndex::Save(const std::string& path) const {
-  BinaryWriter w(path, kAltMagic);
-  if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
-  w.WritePod<uint64_t>(num_landmarks_);
-  w.WritePod<uint64_t>(num_vertices_);
-  w.WriteVector(landmarks_);
-  w.WriteVector(landmark_dist_);
-  return w.Finish();
-}
-
-StatusOr<AltIndex> AltIndex::Load(const std::string& path, const Graph& g) {
-  BinaryReader r(path, kAltMagic);
-  if (!r.ok()) return r.status();
-  AltIndex alt;
-  uint64_t landmarks = 0, vertices = 0;
-  if (!r.ReadPod(&landmarks) || !r.ReadPod(&vertices) ||
-      !r.ReadVector(&alt.landmarks_) || !r.ReadVector(&alt.landmark_dist_)) {
-    return r.ReadError("corrupt ALT index " + path);
-  }
-  RNE_RETURN_IF_ERROR(r.Finish());
-  alt.num_landmarks_ = landmarks;
-  alt.num_vertices_ = vertices;
-  // Check `landmarks` against data actually read before forming the product,
-  // which could overflow on a corrupt count.
-  if (alt.landmarks_.size() != landmarks || vertices != g.NumVertices() ||
-      alt.landmark_dist_.size() != landmarks * vertices) {
-    return Status::Corruption("ALT index does not match graph: " + path);
-  }
-  alt.astar_ = std::make_unique<AStarSearch>(g);
-  return alt;
 }
 
 double AltIndex::ExactDistance(VertexId s, VertexId t) {

@@ -15,7 +15,6 @@
 #include "algo/astar.h"
 #include "baselines/method.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace rne {
 
@@ -47,13 +46,7 @@ class AltIndex : public DistanceMethod {
   size_t num_landmarks() const { return num_landmarks_; }
   const std::vector<VertexId>& landmarks() const { return landmarks_; }
 
-  /// Persists the landmark matrix; Load re-binds to `g` (which must be the
-  /// graph the index was built on) for the A* search path.
-  Status Save(const std::string& path) const;
-  static StatusOr<AltIndex> Load(const std::string& path, const Graph& g);
-
  private:
-  AltIndex() = default;
   double LandmarkDist(size_t landmark, VertexId v) const {
     return landmark_dist_[landmark * num_vertices_ + v];
   }

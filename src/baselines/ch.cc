@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
-#include "util/serialize.h"
 #include "util/thread_pool.h"
 
 namespace rne {
@@ -453,43 +452,6 @@ std::vector<VertexId> ContractionHierarchy::Path(VertexId s, VertexId t) {
 size_t ContractionHierarchy::IndexBytes() const {
   return up_offsets_.size() * sizeof(uint32_t) +
          up_edges_.size() * sizeof(UpEdge) + rank_.size() * sizeof(uint32_t);
-}
-
-Status ContractionHierarchy::Save(const std::string& path) const {
-  BinaryWriter w(path, kChMagic);
-  if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
-  w.WritePod(options_.epsilon);
-  w.WritePod<uint64_t>(n_);
-  w.WritePod<uint64_t>(num_shortcuts_);
-  w.WriteVector(rank_);
-  w.WriteVector(up_offsets_);
-  w.WriteVector(up_edges_);
-  return w.Finish();
-}
-
-StatusOr<ContractionHierarchy> ContractionHierarchy::Load(
-    const std::string& path) {
-  BinaryReader r(path, kChMagic);
-  if (!r.ok()) return r.status();
-  ContractionHierarchy ch;
-  uint64_t n = 0, shortcuts = 0;
-  if (!r.ReadPod(&ch.options_.epsilon) || !r.ReadPod(&n) ||
-      !r.ReadPod(&shortcuts) || !r.ReadVector(&ch.rank_) ||
-      !r.ReadVector(&ch.up_offsets_) || !r.ReadVector(&ch.up_edges_)) {
-    return r.ReadError("corrupt CH index " + path);
-  }
-  RNE_RETURN_IF_ERROR(r.Finish());
-  ch.n_ = n;
-  ch.num_shortcuts_ = shortcuts;
-  if (ch.rank_.size() != n || ch.up_offsets_.size() != n + 1 ||
-      ch.up_offsets_.back() != ch.up_edges_.size()) {
-    return Status::Corruption("inconsistent CH index " + path);
-  }
-  for (int side = 0; side < 2; ++side) {
-    ch.dist_[side].assign(n, kInfDistance);
-    ch.version_[side].assign(n, 0);
-  }
-  return ch;
 }
 
 }  // namespace rne

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "baselines/method.h"
-#include "util/status.h"
 
 namespace rne {
 
@@ -62,13 +61,7 @@ class ContractionHierarchy : public DistanceMethod {
   /// epsilon == 0; for ACH it is the path realizing Query()'s distance.
   std::vector<VertexId> Path(VertexId s, VertexId t);
 
-  /// Persists the contracted index (order + upward graph); loading skips
-  /// the expensive contraction entirely.
-  Status Save(const std::string& path) const;
-  static StatusOr<ContractionHierarchy> Load(const std::string& path);
-
  private:
-  ContractionHierarchy() = default;
   struct UpEdge {
     VertexId to;
     double weight;

@@ -120,9 +120,8 @@ void GTree::ComputeMatrices(const Graph& g, const GTreeOptions& options) {
   }
   num_leaf_borders_ = sources.size();
 
-  // Allocate all matrices as one pool (concatenated in node-id order) so a
-  // save can emit them as a single mmap-servable section; each node's
-  // span views its slice.
+  // Allocate all matrices as one pool (concatenated in node-id order): one
+  // allocation for the whole build, and each node's span views its slice.
   std::vector<uint64_t> lens(nodes_.size(), 0);
   std::vector<uint64_t> offsets(nodes_.size(), 0);
   uint64_t total = 0;
@@ -275,9 +274,6 @@ size_t GTree::ChildSlot(uint32_t parent, uint32_t child) const {
 
 double GTree::Distance(VertexId s, VertexId t) {
   RNE_CHECK(s < g_->NumVertices() && t < g_->NumVertices());
-  // Cold-mapped trees verify deferred section checksums before the first
-  // matrix access; throws CorruptionError on a bad file.
-  if (mapping_ != nullptr) mapping_->EnsureAllVerifiedOrThrow();
   if (s == t) return 0.0;
   const uint32_t leaf_s = hier_->LeafOf(s);
   const uint32_t leaf_t = hier_->LeafOf(t);
@@ -364,7 +360,6 @@ std::vector<std::pair<VertexId, double>> GTree::BestFirst(VertexId s, size_t k,
                                                           double tau) {
   std::vector<std::pair<VertexId, double>> result;
   if (k == 0) return result;
-  if (mapping_ != nullptr) mapping_->EnsureAllVerifiedOrThrow();
 
   // d(s, B(n)) for ancestors of s, used to seed the off-path subtrees.
   const auto climb = ClimbFrom(s);
@@ -496,94 +491,6 @@ std::vector<std::pair<VertexId, double>> GTree::BestFirst(VertexId s, size_t k,
   return result;
 }
 
-Status GTree::Save(const std::string& path) const {
-  BinaryWriter w(path, kGTreeMagic);
-  if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
-  uint64_t total = 0;
-  for (const NodeData& data : nodes_) total += data.matrix.size();
-  const double* pool =
-      matrix_pool_.empty() ? pool_view_ : matrix_pool_.data();
-  // All node matrices, concatenated in node-id order, in one aligned
-  // lazy-verify section; the meta stream keeps only per-node lengths.
-  w.AddSection(kSecGTreeMatrixPool, pool, total * sizeof(double),
-               kSectionFlagLazyVerify);
-  hier_->WriteTo(w);
-  w.WritePod<uint64_t>(num_leaf_borders_);
-  w.WriteVector(vertex_pos_in_leaf_);
-  w.WritePod<uint64_t>(nodes_.size());
-  for (const NodeData& data : nodes_) {
-    w.WriteVector(data.borders);
-    w.WriteVector(data.junction);
-    w.WritePod<uint64_t>(data.matrix.size());
-    w.WriteVector(data.border_in_junction);
-    w.WritePod<uint64_t>(data.child_border_in_junction.size());
-    for (const auto& child : data.child_border_in_junction) {
-      w.WriteVector(child);
-    }
-    w.WriteVector(data.targets);
-  }
-  return w.Finish();
-}
-
-Status GTree::ParseMeta(BinaryReader& r, const std::string& path,
-                        std::vector<uint64_t>* matrix_lens) {
-  hier_ = std::make_unique<PartitionHierarchy>();
-  if (!PartitionHierarchy::ReadFrom(r, hier_.get())) {
-    return r.ReadError("corrupt G-tree index " + path);
-  }
-  uint64_t num_borders = 0, num_nodes = 0;
-  if (!r.ReadPod(&num_borders) || !r.ReadVector(&vertex_pos_in_leaf_) ||
-      !r.ReadPod(&num_nodes)) {
-    return r.ReadError("corrupt G-tree index " + path);
-  }
-  // Every serialized node holds at least five 8-byte length prefixes plus a
-  // child count (48 bytes), so a corrupt node count fails here before a huge
-  // resize.
-  if (num_nodes > r.remaining() / 48) {
-    return Status::Corruption("inconsistent G-tree index " + path);
-  }
-  // Per-node lengths must tile the CRC-protected matrix section exactly,
-  // which bounds them before any allocation. An absent section is an empty
-  // pool (a tree whose matrices are all empty writes no section); every
-  // per-node length must then be 0.
-  const SectionInfo* sec = r.FindSection(kSecGTreeMatrixPool);
-  if (sec != nullptr && sec->size % sizeof(double) != 0) {
-    return Status::Corruption("inconsistent G-tree index " + path);
-  }
-  const uint64_t pool_doubles = sec == nullptr ? 0 : sec->size / sizeof(double);
-  num_leaf_borders_ = num_borders;
-  nodes_.resize(num_nodes);
-  uint64_t total = 0;
-  for (NodeData& data : nodes_) {
-    uint64_t len = 0, num_children = 0;
-    if (!r.ReadVector(&data.borders) || !r.ReadVector(&data.junction) ||
-        !r.ReadPod(&len) || len > pool_doubles - total) {
-      return r.ReadError("corrupt G-tree index " + path);
-    }
-    matrix_lens->push_back(len);
-    total += len;
-    if (!r.ReadVector(&data.border_in_junction) || !r.ReadPod(&num_children)) {
-      return r.ReadError("corrupt G-tree index " + path);
-    }
-    if (num_children > r.remaining() / 8) {
-      return Status::Corruption("inconsistent G-tree index " + path);
-    }
-    data.child_border_in_junction.resize(num_children);
-    for (auto& child : data.child_border_in_junction) {
-      if (!r.ReadVector(&child)) {
-        return r.ReadError("corrupt G-tree index " + path);
-      }
-    }
-    if (!r.ReadVector(&data.targets)) {
-      return r.ReadError("corrupt G-tree index " + path);
-    }
-  }
-  if (total != pool_doubles) {
-    return Status::Corruption("inconsistent G-tree index " + path);
-  }
-  return Status::Ok();
-}
-
 void GTree::BindMatrixSpans(const double* pool,
                             const std::vector<uint64_t>& matrix_lens) {
   RNE_DCHECK(matrix_lens.size() == nodes_.size());
@@ -593,55 +500,6 @@ void GTree::BindMatrixSpans(const double* pool,
         std::span<const double>(pool + offset, matrix_lens[id]);
     offset += matrix_lens[id];
   }
-}
-
-StatusOr<GTree> GTree::Load(const std::string& path, const Graph& g,
-                            LoadMode mode) {
-  if (mode != LoadMode::kHeap) {
-    auto opened = MappedEnvelope::Open(path, kGTreeMagic, mode);
-    if (!opened.ok()) return opened.status();
-    std::shared_ptr<const MappedEnvelope> env = std::move(opened).value();
-    BinaryReader r(env->file().data(), env->file().size(), path, kGTreeMagic);
-    if (!r.ok()) return r.status();
-    GTree tree;
-    tree.g_ = &g;
-    std::vector<uint64_t> lens;
-    RNE_RETURN_IF_ERROR(tree.ParseMeta(r, path, &lens));
-    RNE_RETURN_IF_ERROR(r.Finish());
-    tree.pool_view_ =
-        reinterpret_cast<const double*>(env->SectionData(kSecGTreeMatrixPool));
-    tree.BindMatrixSpans(tree.pool_view_, lens);
-    tree.mapping_ = std::move(env);
-    RNE_RETURN_IF_ERROR(tree.CheckConsistent(path, g));
-    return tree;
-  }
-
-  BinaryReader r(path, kGTreeMagic);
-  if (!r.ok()) return r.status();
-  GTree tree;
-  tree.g_ = &g;
-  std::vector<uint64_t> lens;
-  RNE_RETURN_IF_ERROR(tree.ParseMeta(r, path, &lens));
-  RNE_RETURN_IF_ERROR(r.Finish());
-  uint64_t total = 0;
-  for (const uint64_t len : lens) total += len;
-  tree.matrix_pool_.resize(total);
-  if (total > 0) {
-    RNE_RETURN_IF_ERROR(r.ReadSectionInto(kSecGTreeMatrixPool,
-                                          tree.matrix_pool_.data(),
-                                          total * sizeof(double)));
-  }
-  tree.BindMatrixSpans(tree.matrix_pool_.data(), lens);
-  RNE_RETURN_IF_ERROR(tree.CheckConsistent(path, g));
-  return tree;
-}
-
-Status GTree::CheckConsistent(const std::string& path, const Graph& g) const {
-  if (hier_->num_vertices() != g.NumVertices() ||
-      nodes_.size() != hier_->num_nodes()) {
-    return Status::Corruption("G-tree index does not match graph: " + path);
-  }
-  return Status::Ok();
 }
 
 size_t GTree::IndexBytes() const {

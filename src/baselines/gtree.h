@@ -29,8 +29,6 @@
 
 #include "baselines/method.h"
 #include "partition/hierarchy.h"
-#include "util/mmap_file.h"
-#include "util/serialize.h"
 
 namespace rne {
 
@@ -70,32 +68,13 @@ class GTree : public DistanceMethod {
   const PartitionHierarchy& hierarchy() const { return *hier_; }
   size_t num_borders() const { return num_leaf_borders_; }
 
-  /// Persists the tree + all distance matrices; Load re-binds to `g` (must
-  /// be the graph the index was built on) and skips every search. Every
-  /// node's matrix is concatenated into one aligned lazy-verify section so
-  /// the file can be served via mmap.
-  Status Save(const std::string& path) const;
-  /// Loads an index. kHeap reads the matrices into owned storage; kMmap /
-  /// kMmapCold serve them zero-copy from a read-only mapping.
-  static StatusOr<GTree> Load(const std::string& path, const Graph& g,
-                              LoadMode mode = LoadMode::kHeap);
-
-  /// True when the matrices are views into an mmap'd file.
-  bool IsMapped() const { return mapping_ != nullptr; }
-  /// Completes any deferred (cold-map) section verification. Ok for heap
-  /// models.
-  Status VerifyMapped() const {
-    return mapping_ == nullptr ? Status::Ok() : mapping_->EnsureAllVerified();
-  }
-
  private:
-  GTree() = default;
   struct NodeData {
     std::vector<VertexId> borders;      // B(node)
     std::vector<VertexId> junction;     // U(node): union of children borders
                                         // (empty for leaves)
     /// leaf: |B| x |V(leaf)|; internal: |U| x |U|, row-major. A view into
-    /// matrix_pool_ (heap loads/builds) or the mapped file's matrix section.
+    /// matrix_pool_.
     std::span<const double> matrix;
     std::vector<uint32_t> border_in_junction;  // index of B(node)[i] in U
     /// Per child (ordered as hierarchy children): junction indices of that
@@ -107,14 +86,9 @@ class GTree : public DistanceMethod {
   void ComputeBorders(const Graph& g);
   void ComputeMatrices(const Graph& g, const GTreeOptions& options);
 
-  /// Reads everything but the matrix section; per-node matrix lengths (in
-  /// doubles) land in `matrix_lens`.
-  Status ParseMeta(BinaryReader& r, const std::string& path,
-                   std::vector<uint64_t>* matrix_lens);
   /// Points every node's matrix span at its slice of `pool`.
   void BindMatrixSpans(const double* pool,
                        const std::vector<uint64_t>& matrix_lens);
-  Status CheckConsistent(const std::string& path, const Graph& g) const;
 
   /// Shared best-first engine behind Knn (tau = inf) and Range (k = all).
   std::vector<std::pair<VertexId, double>> BestFirst(VertexId s, size_t k,
@@ -140,12 +114,10 @@ class GTree : public DistanceMethod {
   std::vector<NodeData> nodes_;
   std::vector<uint32_t> vertex_pos_in_leaf_;
   size_t num_leaf_borders_ = 0;
-  /// All node matrices concatenated in node-id order (heap storage). Node
-  /// spans alias this pool, so GTree is move-only (vector data is stable
-  /// under move).
+  /// All node matrices concatenated in node-id order, allocated once by
+  /// the build. Node spans alias this pool, so GTree is move-only (vector
+  /// data is stable under move).
   std::vector<double> matrix_pool_;
-  const double* pool_view_ = nullptr;  // mmap loads: view into mapping_
-  std::shared_ptr<const MappedEnvelope> mapping_;
 };
 
 }  // namespace rne

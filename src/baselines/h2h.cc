@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "obs/trace.h"
-#include "util/serialize.h"
 #include "util/thread_pool.h"
 
 namespace rne {
@@ -263,65 +262,6 @@ double H2HIndex::Distance(VertexId s, VertexId t) const {
     if (d < best) best = d;
   }
   return best;
-}
-
-Status H2HIndex::Save(const std::string& path) const {
-  BinaryWriter w(path, kH2hMagic);
-  if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
-  w.WritePod<uint64_t>(n_);
-  w.WritePod<uint64_t>(max_bag_size_);
-  w.WritePod<uint64_t>(tree_height_);
-  w.WriteVector(parent_);
-  w.WriteVector(depth_);
-  w.WriteVector(root_of_);
-  w.WritePod<uint64_t>(up_.size());
-  for (const auto& level : up_) w.WriteVector(level);
-  for (const auto& l : label_) w.WriteVector(l);
-  for (const auto& p : pos_) w.WriteVector(p);
-  return w.Finish();
-}
-
-StatusOr<H2HIndex> H2HIndex::Load(const std::string& path) {
-  BinaryReader r(path, kH2hMagic);
-  if (!r.ok()) return r.status();
-  H2HIndex h;
-  uint64_t n = 0, bag = 0, height = 0, levels = 0;
-  if (!r.ReadPod(&n) || !r.ReadPod(&bag) || !r.ReadPod(&height) ||
-      !r.ReadVector(&h.parent_) || !r.ReadVector(&h.depth_) ||
-      !r.ReadVector(&h.root_of_) || !r.ReadPod(&levels)) {
-    return r.ReadError("corrupt H2H index " + path);
-  }
-  // Validate the counts against data actually read before sizing anything by
-  // them: each of the `levels`/`n` per-entry vectors below needs at least an
-  // 8-byte length prefix, so corrupt counts cannot drive a huge resize.
-  if (h.parent_.size() != n || h.depth_.size() != n ||
-      h.root_of_.size() != n || levels > r.remaining() / 8 ||
-      n > r.remaining() / 16) {
-    return Status::Corruption("inconsistent H2H index " + path);
-  }
-  h.n_ = n;
-  h.max_bag_size_ = bag;
-  h.tree_height_ = height;
-  h.up_.resize(levels);
-  for (auto& level : h.up_) {
-    if (!r.ReadVector(&level)) {
-      return r.ReadError("corrupt H2H index " + path);
-    }
-  }
-  h.label_.resize(n);
-  for (auto& l : h.label_) {
-    if (!r.ReadVector(&l)) {
-      return r.ReadError("corrupt H2H index " + path);
-    }
-  }
-  h.pos_.resize(n);
-  for (auto& p : h.pos_) {
-    if (!r.ReadVector(&p)) {
-      return r.ReadError("corrupt H2H index " + path);
-    }
-  }
-  RNE_RETURN_IF_ERROR(r.Finish());
-  return h;
 }
 
 size_t H2HIndex::IndexBytes() const {

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "baselines/method.h"
-#include "util/status.h"
 
 namespace rne {
 
@@ -55,12 +54,7 @@ class H2HIndex : public DistanceMethod {
   /// Lowest common ancestor in the elimination tree (exposed for tests).
   VertexId Lca(VertexId u, VertexId v) const;
 
-  /// Persists the labels + tree; loading skips the elimination entirely.
-  Status Save(const std::string& path) const;
-  static StatusOr<H2HIndex> Load(const std::string& path);
-
  private:
-  H2HIndex() = default;
   void Build(const Graph& g, const H2HOptions& options);
 
   size_t n_ = 0;

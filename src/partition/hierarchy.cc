@@ -197,22 +197,4 @@ bool PartitionHierarchy::ReadFrom(BinaryReader& r, PartitionHierarchy* out) {
   return out->FinishConstruction();
 }
 
-Status PartitionHierarchy::Save(const std::string& path) const {
-  BinaryWriter w(path, kHierarchyMagic);
-  if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
-  WriteTo(w);
-  return w.Finish();
-}
-
-StatusOr<PartitionHierarchy> PartitionHierarchy::Load(const std::string& path) {
-  BinaryReader r(path, kHierarchyMagic);
-  if (!r.ok()) return r.status();
-  PartitionHierarchy h;
-  if (!ReadFrom(r, &h)) {
-    return r.ReadError("corrupt hierarchy file " + path);
-  }
-  RNE_RETURN_IF_ERROR(r.Finish());
-  return h;
-}
-
 }  // namespace rne

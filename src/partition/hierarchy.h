@@ -10,7 +10,6 @@
 #define RNE_PARTITION_HIERARCHY_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/graph.h"
@@ -86,11 +85,8 @@ class PartitionHierarchy {
   /// paper's P_l for ragged trees.
   std::vector<uint32_t> PartitionAtLevel(uint32_t level) const;
 
-  /// Persistence (used by the saved RNE model).
-  Status Save(const std::string& path) const;
-  static StatusOr<PartitionHierarchy> Load(const std::string& path);
-
-  /// Streaming forms for embedding the hierarchy inside a larger file.
+  /// Streaming persistence inside a saved RNE model (Rne::Save/Load); the
+  /// hierarchy has no file of its own.
   void WriteTo(BinaryWriter& w) const;
   static bool ReadFrom(BinaryReader& r, PartitionHierarchy* out);
 

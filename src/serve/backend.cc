@@ -4,15 +4,12 @@
 #include <set>
 
 #include "algo/dijkstra.h"
-#include "baselines/alt.h"
-#include "baselines/ch.h"
 #include "baselines/gtree.h"
 #include "baselines/h2h.h"
 #include "core/quantized.h"
 #include "core/rne.h"
 #include "core/rne_index.h"
 #include "util/annotations.h"
-#include "util/rng.h"
 
 namespace rne::serve {
 namespace {
@@ -182,50 +179,39 @@ class DijkstraBackend : public QueryBackend {
       RNE_GUARDED_BY(spares_mu_);
 };
 
-/// Mutex-serialized adapter for search-based DistanceMethods whose Query()
-/// mutates an internal workspace (CH, LT, G-tree). Parallelism is
-/// sacrificed; use per-worker or shared-read backends on hot chains.
-template <typename MethodT>
-class SerializedBackend : public QueryBackend {
+/// Exact G-tree: Distance() and Knn() reuse the tree's internal search
+/// state, so one mutex serializes every call. Parallelism is sacrificed;
+/// use shared-read backends on hot chains.
+class GTreeBackend : public QueryBackend {
  public:
-  template <typename... Args>
-  explicit SerializedBackend(size_t num_vertices, Args&&... args)
-      : method_(std::forward<Args>(args)...), num_vertices_(num_vertices) {}
+  GTreeBackend(const Graph& g, const GTreeOptions& options)
+      : tree_(g, options), num_vertices_(g.NumVertices()) {}
 
   std::string Name() const override {
     MutexLock lock(&mu_);
-    return method_.Name();
+    return tree_.Name();
   }
-  bool IsExact() const override {
-    MutexLock lock(&mu_);
-    return method_.IsExact();
-  }
+  bool IsExact() const override { return true; }
   size_t NumVertices() const override { return num_vertices_; }
   size_t IndexBytes() const override {
     MutexLock lock(&mu_);
-    return method_.IndexBytes();
+    return tree_.IndexBytes();
   }
   double Distance(VertexId s, VertexId t) override {
     MutexLock lock(&mu_);
-    return method_.Query(s, t);
+    return tree_.Distance(s, t);
   }
-
- protected:
-  mutable Mutex mu_;
-  MethodT method_ RNE_GUARDED_BY(mu_);
-  size_t num_vertices_ = 0;
-};
-
-class GTreeBackend : public SerializedBackend<GTree> {
- public:
-  GTreeBackend(const Graph& g, const GTreeOptions& options)
-      : SerializedBackend<GTree>(g.NumVertices(), g, options) {}
   bool SupportsKnn() const override { return true; }
   std::vector<std::pair<VertexId, double>> Knn(VertexId s,
                                                size_t k) override {
     MutexLock lock(&mu_);
-    return method_.Knn(s, k);
+    return tree_.Knn(s, k);
   }
+
+ private:
+  mutable Mutex mu_;
+  GTree tree_ RNE_GUARDED_BY(mu_);
+  const size_t num_vertices_;
 };
 
 using Made = StatusOr<std::unique_ptr<QueryBackend>>;
@@ -252,23 +238,9 @@ Made MakeDijkstra(const BackendContext& ctx) {
   return std::unique_ptr<QueryBackend>(new DijkstraBackend(*ctx.graph));
 }
 
-Made MakeCh(const BackendContext& ctx) {
-  RNE_RETURN_IF_ERROR(RequireGraph(ctx, "ch"));
-  return std::unique_ptr<QueryBackend>(
-      new SerializedBackend<ContractionHierarchy>(ctx.graph->NumVertices(),
-                                                  *ctx.graph, ChOptions{}));
-}
-
 Made MakeH2H(const BackendContext& ctx) {
   RNE_RETURN_IF_ERROR(RequireGraph(ctx, "h2h"));
   return std::unique_ptr<QueryBackend>(new H2HBackend(*ctx.graph));
-}
-
-Made MakeAlt(const BackendContext& ctx) {
-  RNE_RETURN_IF_ERROR(RequireGraph(ctx, "alt"));
-  Rng rng(ctx.seed);
-  return std::unique_ptr<QueryBackend>(new SerializedBackend<AltIndex>(
-      ctx.graph->NumVertices(), *ctx.graph, ctx.alt_landmarks, rng));
 }
 
 Made MakeGTree(const BackendContext& ctx) {
@@ -283,8 +255,6 @@ constexpr struct {
   std::string_view name;
   Made (*make)(const BackendContext&);
 } kBuiltins[] = {
-    {"alt", MakeAlt},
-    {"ch", MakeCh},
     {"dijkstra", MakeDijkstra},
     {"gtree", MakeGTree},
     {"h2h", MakeH2H},

@@ -1,8 +1,10 @@
-// Serving backends: thread-safe adapters that put the repo's distance
-// indexes (RNE, quantized RNE, CH, H2H, ALT/LT, G-tree, exact Dijkstra —
-// all DistanceMethod implementations) behind one concurrency-safe query
-// surface, plus MakeBackend, which builds any of the seven by name so the
+// Serving backends: thread-safe adapters that put the repo's servable
+// distance indexes (RNE, quantized RNE, H2H, G-tree, exact Dijkstra — all
+// DistanceMethod implementations) behind one concurrency-safe query
+// surface, plus MakeBackend, which builds any of the five by name so the
 // QueryEngine, the rne_server tool, and tests can assemble fallback chains.
+// The other exact comparators (CH, ALT/LT) are benchmarked in process and
+// have no serving adapter.
 //
 // DistanceMethod::Query is documented as not thread-safe (search methods
 // reuse internal workspaces), so each adapter picks its own strategy:
@@ -11,8 +13,8 @@
 //   * pooled scratch   — a mutex-guarded free list of reusable search
 //                        workspaces, one per concurrent caller (exact
 //                        Dijkstra);
-//   * serialized       — an internal mutex around the index (CH, LT,
-//                        G-tree), trading parallelism for correctness.
+//   * serialized       — an internal mutex around the index (G-tree),
+//                        trading parallelism for correctness.
 #ifndef RNE_SERVE_BACKEND_H_
 #define RNE_SERVE_BACKEND_H_
 
@@ -80,8 +82,8 @@ std::string_view InternBackendName(std::string_view name);
 /// Everything MakeBackend may need to materialize a backend. Pointees must
 /// outlive the backend.
 struct BackendContext {
-  /// Road network; required by graph-built backends (dijkstra, ch, h2h,
-  /// alt, gtree) and ignored by model-file backends.
+  /// Road network; required by graph-built backends (dijkstra, h2h,
+  /// gtree) and ignored by model-file backends.
   const Graph* graph = nullptr;
   /// Serialized model path; required by "rne" / "rne-quantized".
   std::string model_path;
@@ -91,8 +93,6 @@ struct BackendContext {
   /// Worker count of the serving pool (parallelizes the "rne" kNN-index
   /// build).
   size_t num_workers = 1;
-  /// Landmark count for the "alt" backend.
-  size_t alt_landmarks = 16;
   uint64_t seed = 1;
 };
 
@@ -102,8 +102,8 @@ struct BackendContext {
 StatusOr<std::unique_ptr<QueryBackend>> MakeBackend(const std::string& name,
                                                     const BackendContext& ctx);
 
-/// Sorted names MakeBackend accepts: "alt", "ch", "dijkstra", "gtree",
-/// "h2h", "rne", "rne-quantized".
+/// Sorted names MakeBackend accepts: "dijkstra", "gtree", "h2h", "rne",
+/// "rne-quantized".
 std::vector<std::string> RegisteredBackendNames();
 
 /// Wraps an in-process trained model the caller keeps alive (benchmarks,

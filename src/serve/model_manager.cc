@@ -1,5 +1,6 @@
 #include "serve/model_manager.h"
 
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -71,10 +72,17 @@ StatusOr<EnvelopeInfo> VerifyIndexFile(const std::string& path,
                                        uint32_t expected_magic) {
   auto info = InspectEnvelope(path);
   if (!info.ok()) return info.status();
-  if (expected_magic != 0 && info.value().index_magic != expected_magic) {
+  const uint32_t magic = info.value().index_magic;
+  if (magic != kRneMagic && magic != kQuantMagic) {
+    char hex[16];
+    std::snprintf(hex, sizeof(hex), "0x%08x", magic);
+    return Status::InvalidArgument(path + ": index kind " + hex +
+                                   " is not a model kind this build reads");
+  }
+  if (expected_magic != 0 && magic != expected_magic) {
     return Status::InvalidArgument(
-        path + ": index kind is " + IndexKindName(info.value().index_magic) +
-        ", expected " + IndexKindName(expected_magic));
+        path + ": index kind is " + IndexKindName(magic) + ", expected " +
+        IndexKindName(expected_magic));
   }
   return info;
 }

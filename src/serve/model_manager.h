@@ -31,7 +31,9 @@ namespace rne::serve {
 
 /// Structural verification shared with `rne_tool verify`: envelope header
 /// fields, file size, header and payload checksums — without deserializing.
-/// When `expected_magic` is nonzero the index kind must match it too.
+/// The index kind must be an RNE or quantized RNE model (any other kind,
+/// retired ones included, is InvalidArgument); when `expected_magic` is
+/// nonzero it must match that kind too.
 StatusOr<EnvelopeInfo> VerifyIndexFile(const std::string& path,
                                        uint32_t expected_magic = 0);
 

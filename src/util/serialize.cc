@@ -65,16 +65,6 @@ const char* IndexKindName(uint32_t magic) {
       return "RNE model";
     case kQuantMagic:
       return "quantized RNE model";
-    case kChMagic:
-      return "CH index";
-    case kH2hMagic:
-      return "H2H index";
-    case kAltMagic:
-      return "ALT index";
-    case kGTreeMagic:
-      return "G-tree index";
-    case kHierarchyMagic:
-      return "partition hierarchy";
     default:
       return "unknown";
   }

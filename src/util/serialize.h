@@ -64,20 +64,21 @@ inline constexpr uint64_t kMaxSectionAlignment = 1ull << 20;
 inline constexpr size_t kSectionEntrySize = 32;
 
 // Registered index-kind magics (the third header field). Keep unique.
-inline constexpr uint32_t kRneMagic = 0x524e4531;        // "RNE1" RNE model
-inline constexpr uint32_t kQuantMagic = 0x524e5138;      // "RNQ8" quantized RNE
-inline constexpr uint32_t kChMagic = 0x524e4348;         // "RNCH" CH index
-inline constexpr uint32_t kH2hMagic = 0x524e4832;        // "RNH2" H2H index
-inline constexpr uint32_t kAltMagic = 0x524e414c;        // "RNAL" ALT index
-inline constexpr uint32_t kGTreeMagic = 0x524e4754;      // "RNGT" G-tree index
-inline constexpr uint32_t kHierarchyMagic = 0x524e4548;  // "RNEH" partition
+// The model is the only persisted artefact: the exact comparators build
+// from the graph in process.
+inline constexpr uint32_t kRneMagic = 0x524e4531;    // "RNE1" RNE model
+inline constexpr uint32_t kQuantMagic = 0x524e5138;  // "RNQ8" quantized RNE
+// Retired, never to be reused: 0x524e4348 "RNCH" (CH), 0x524e4832 "RNH2"
+// (H2H), 0x524e414c "RNAL" (ALT), 0x524e4754 "RNGT" (G-tree) and
+// 0x524e4548 "RNEH" (standalone partition hierarchy) index kinds, and the
+// G-tree matrix-pool section tag 0x04. Old files of those kinds are
+// rejected as unknown kinds.
 
 // Registered section tags. Unique across index kinds so a section can be
 // identified without knowing which loader wrote it.
 inline constexpr uint32_t kSecRneVertexEmb = 0x01;
 inline constexpr uint32_t kSecRneNodeEmb = 0x02;
 inline constexpr uint32_t kSecQuantCodes = 0x03;
-inline constexpr uint32_t kSecGTreeMatrixPool = 0x04;
 
 // Section flags.
 /// The section may be verified lazily (on first access) by cold-map loads

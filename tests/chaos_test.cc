@@ -81,7 +81,7 @@ TEST(ChaosTest, RandomizedFaultScheduleKeepsInvariants) {
   ctx.graph = &g;
   engine.AddBackend("dijkstra", ctx);
   engine.AddBackend("gtree", ctx);
-  engine.AddBackend("ch", ctx);
+  engine.AddBackend("h2h", ctx);
   ASSERT_TRUE(engine.WaitUntilLoaded().ok());
 
   constexpr int kRounds = 5;

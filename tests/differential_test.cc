@@ -1,10 +1,9 @@
 // Differential correctness harness: every backend in the serving registry is
 // fuzzed against an exact Dijkstra oracle on small generator graphs. Exact
-// backends (dijkstra, ch, h2h, gtree) must match the oracle to float
-// epsilon. Approximate backends split three ways: "alt" serves the LT
-// triangle-bound estimate (sanity checks only), the learned model must stay
-// inside a loose aggregate error envelope, and the quantized model must stay
-// within the analytic quantization bound of the model it was derived from.
+// backends (dijkstra, h2h, gtree) must match the oracle to float epsilon.
+// Approximate backends split two ways: the learned model must stay inside a
+// loose aggregate error envelope, and the quantized model must stay within
+// the analytic quantization bound of the model it was derived from.
 //
 // Every fuzz loop derives its pairs from one seed, printed at start-up and
 // attached to each failure; set RNE_DIFF_SEED=<n> to replay a failure.
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "algo/dijkstra.h"
-#include "baselines/gtree.h"
 #include "core/quantized.h"
 #include "core/rne.h"
 #include "graph/generators.h"
@@ -151,7 +149,7 @@ std::map<std::string, std::unique_ptr<QueryBackend>>*
 
 TEST_F(DifferentialTest, EveryBuiltinBackendIsUnderTest) {
   for (const char* name :
-       {"rne", "rne-quantized", "dijkstra", "ch", "h2h", "alt", "gtree"}) {
+       {"rne", "rne-quantized", "dijkstra", "h2h", "gtree"}) {
     EXPECT_TRUE(backends_->count(name)) << name;
   }
 }
@@ -210,10 +208,7 @@ TEST_F(DifferentialTest, ExactBackendsAgreeOnSecondGenerator) {
   BackendContext ctx;
   ctx.graph = &g;
   Rng rng(seed);
-  // "alt" is absent: AltIndex::Query is the approximate LT estimate (only
-  // its A* entry point is exact), and the first fuzz test already covers it
-  // through the IsExact() split.
-  for (const char* name : {"dijkstra", "ch", "h2h", "gtree"}) {
+  for (const char* name : {"dijkstra", "h2h", "gtree"}) {
     auto backend = MakeBackend(name, ctx);
     ASSERT_TRUE(backend.ok()) << name;
     for (int i = 0; i < 60; ++i) {
@@ -277,8 +272,8 @@ TEST_F(DifferentialTest, CachedAnswersAreBitIdenticalPerBackend) {
   // registered backend a cache hit must reproduce the uncached response
   // bit for bit (memcmp on the doubles, not EXPECT_NEAR). Exact distances
   // and every kNN list are cached; an approximate distance (rne,
-  // rne-quantized, alt's landmark estimate) is not, and the second pass
-  // recomputes it to the same bits.
+  // rne-quantized) is not, and the second pass recomputes it to the same
+  // bits.
   const uint64_t seed = FuzzSeed() + 4;
   const size_t n = graph_->NumVertices();
   for (const std::string& name : RegisteredBackendNames()) {
@@ -418,35 +413,6 @@ TEST_F(DifferentialTest, MmapServedQuantizedBitIdenticalToHeap) {
     ExpectBitIdentical(reference, mapped.value().Query(s, t), "mmap", s, t);
     ExpectBitIdentical(reference, cold.value().Query(s, t), "cold", s, t);
   }
-}
-
-TEST_F(DifferentialTest, MmapServedGTreeBitIdenticalToHeap) {
-  GTreeOptions options;
-  options.fanout = 4;
-  options.leaf_size = 16;
-  const GTree built(*graph_, options);
-  const std::string path = TempPath("differential_gtree.bin");
-  ASSERT_TRUE(built.Save(path).ok());
-
-  auto heap = GTree::Load(path, *graph_);
-  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  auto mapped = GTree::Load(path, *graph_, LoadMode::kMmap);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped.value().IsMapped());
-  auto cold = GTree::Load(path, *graph_, LoadMode::kMmapCold);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-
-  Rng rng(FuzzSeed() + 12);
-  const size_t n = graph_->NumVertices();
-  for (int i = 0; i < 200; ++i) {
-    const auto s = static_cast<VertexId>(rng.UniformIndex(n));
-    const auto t = static_cast<VertexId>(rng.UniformIndex(n));
-    const double reference = heap.value().Distance(s, t);
-    ExpectBitIdentical(reference, mapped.value().Distance(s, t), "mmap", s,
-                       t);
-    ExpectBitIdentical(reference, cold.value().Distance(s, t), "cold", s, t);
-  }
-  std::filesystem::remove(path);
 }
 
 TEST_F(DifferentialTest, MmapBackendsServeBitIdenticalAnswers) {

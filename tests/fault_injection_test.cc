@@ -58,16 +58,14 @@ class FaultInjectionTest : public ::testing::TestWithParam<IndexKindParam> {
     return GetParam().load(path, *graph_);
   }
 
-  /// True when the heap loader AND (if the kind has one) the cold-map
-  /// loader both reject `path`. The cold path defers lazy-section CRCs to
-  /// the VerifyMapped() step inside load_mapped, so a flip inside a
-  /// lazily-mapped section must still surface as a non-OK Status here —
-  /// never a crash or a silently-wrong index.
+  /// True when the heap loader AND the cold-map loader both reject `path`.
+  /// The cold path defers lazy-section CRCs to the VerifyMapped() step
+  /// inside load_mapped, so a flip inside a lazily-mapped section must
+  /// still surface as a non-OK Status here — never a crash or a
+  /// silently-wrong index.
   bool EveryLoaderRejects(const std::string& path) {
-    if (Load(path).ok()) return false;
-    const auto& mapped = GetParam().load_mapped;
-    return mapped == nullptr ||
-           !mapped(path, *graph_, LoadMode::kMmapCold).ok();
+    return !Load(path).ok() &&
+           !GetParam().load_mapped(path, *graph_, LoadMode::kMmapCold).ok();
   }
 
   static Graph* graph_;

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <set>
 
 #include "algo/dijkstra.h"
@@ -137,45 +136,6 @@ TEST(GTreeTest, SelfQueryAndAdjacents) {
   ASSERT_EQ(knn1.size(), 1u);
   EXPECT_EQ(knn1[0].first, 5u);
   EXPECT_DOUBLE_EQ(knn1[0].second, 0.0);
-}
-
-TEST(GTreeTest, SaveLoadRoundTrip) {
-  const Graph g = TestNetwork(9, 10);
-  GTree original(g);
-  std::vector<VertexId> targets = {1, 8, 22, 47, 90};
-  original.SetTargets(targets);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rne_gtree_test.bin").string();
-  ASSERT_TRUE(original.Save(path).ok());
-  auto loaded = GTree::Load(path, g);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  GTree& copy = loaded.value();
-  EXPECT_EQ(copy.num_borders(), original.num_borders());
-  Rng rng(9);
-  for (int i = 0; i < 30; ++i) {
-    const auto s = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
-    const auto t = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
-    EXPECT_EQ(copy.Distance(s, t), original.Distance(s, t));
-  }
-  const auto knn_a = original.Knn(5, 3);
-  const auto knn_b = copy.Knn(5, 3);
-  ASSERT_EQ(knn_a.size(), knn_b.size());
-  for (size_t i = 0; i < knn_a.size(); ++i) {
-    EXPECT_EQ(knn_a[i].second, knn_b[i].second);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(GTreeTest, LoadRejectsWrongGraph) {
-  const Graph g = TestNetwork(10, 8);
-  GTree tree(g);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rne_gtree_wrong.bin")
-          .string();
-  ASSERT_TRUE(tree.Save(path).ok());
-  const Graph other = MakeGridNetwork(4, 4);
-  EXPECT_FALSE(GTree::Load(path, other).ok());
-  std::filesystem::remove(path);
 }
 
 TEST(GTreeTest, ReportsIndexSizeAndBorders) {

@@ -1,8 +1,9 @@
 // Shared catalogue of persistable index kinds for persistence/robustness
 // tests: each entry knows how to build-and-save a small index of its kind
-// and how to load one, reporting only the Status. Covers all seven index
-// kinds. Used by the parameterized envelope sweep (persistence_test.cc), the
-// corruption harness (fault_injection_test.cc) and the fuzz seed generator.
+// and how to load one, reporting only the Status. Covers both persisted
+// kinds (the RNE model and its quantized form). Used by the parameterized
+// envelope sweep (persistence_test.cc), the corruption harness
+// (fault_injection_test.cc) and the fuzz seed generator.
 #ifndef RNE_TESTS_INDEX_KINDS_H_
 #define RNE_TESTS_INDEX_KINDS_H_
 
@@ -10,15 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "baselines/alt.h"
-#include "baselines/ch.h"
-#include "baselines/gtree.h"
-#include "baselines/h2h.h"
 #include "core/quantized.h"
 #include "core/rne.h"
 #include "graph/graph.h"
-#include "partition/hierarchy.h"
-#include "util/rng.h"
 #include "util/serialize.h"
 #include "util/status.h"
 
@@ -32,8 +27,7 @@ struct IndexKindParam {
   /// Zero-copy load in the given mode (kMmap or kMmapCold) followed by full
   /// lazy-section verification, collapsed to one Status: either the
   /// open-time structural checks or the deferred checksum pass must reject
-  /// a corrupt file — never crash. Null for kinds without a zero-copy load
-  /// path.
+  /// a corrupt file — never crash.
   std::function<Status(const std::string&, const Graph&, LoadMode)>
       load_mapped;
 };
@@ -73,56 +67,6 @@ inline std::vector<IndexKindParam> AllIndexKinds() {
          if (!model.ok()) return model.status();
          return model.value().VerifyMapped();
        }},
-      {"ContractionHierarchy", kChMagic,
-       [](const Graph& g, const std::string& path) {
-         return ContractionHierarchy(g).Save(path);
-       },
-       [](const std::string& path, const Graph&) {
-         return ContractionHierarchy::Load(path).status();
-       },
-       nullptr},
-      {"H2HIndex", kH2hMagic,
-       [](const Graph& g, const std::string& path) {
-         return H2HIndex(g).Save(path);
-       },
-       [](const std::string& path, const Graph&) {
-         return H2HIndex::Load(path).status();
-       },
-       nullptr},
-      {"AltIndex", kAltMagic,
-       [](const Graph& g, const std::string& path) {
-         Rng rng(11);
-         return AltIndex(g, 4, rng).Save(path);
-       },
-       [](const std::string& path, const Graph& g) {
-         return AltIndex::Load(path, g).status();
-       },
-       nullptr},
-      {"GTree", kGTreeMagic,
-       [](const Graph& g, const std::string& path) {
-         GTreeOptions options;
-         options.fanout = 4;
-         options.leaf_size = 8;
-         return GTree(g, options).Save(path);
-       },
-       [](const std::string& path, const Graph& g) {
-         return GTree::Load(path, g).status();
-       },
-       [](const std::string& path, const Graph& g, LoadMode mode) {
-         auto tree = GTree::Load(path, g, mode);
-         if (!tree.ok()) return tree.status();
-         return tree.value().VerifyMapped();
-       }},
-      {"PartitionHierarchy", kHierarchyMagic,
-       [](const Graph& g, const std::string& path) {
-         HierarchyOptions options;
-         options.leaf_threshold = 8;
-         return PartitionHierarchy::Build(g, options).Save(path);
-       },
-       [](const std::string& path, const Graph&) {
-         return PartitionHierarchy::Load(path).status();
-       },
-       nullptr},
   };
 }
 

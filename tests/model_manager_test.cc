@@ -4,10 +4,15 @@
 // queries through a swapping engine never observe a failed response.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,10 +70,47 @@ TEST(VerifyIndexFileTest, AcceptsValidFileAndChecksMagic) {
   EXPECT_EQ(info.value().index_magic, kRneMagic);
   EXPECT_TRUE(VerifyIndexFile(path, kRneMagic).ok());
   // Same file, wrong expected kind: structural pass, magic gate fails.
-  const auto wrong = VerifyIndexFile(path, kChMagic);
+  const auto wrong = VerifyIndexFile(path, kQuantMagic);
   EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(VerifyIndexFile("/nonexistent/model.rne").ok());
   std::filesystem::remove(path);
+}
+
+TEST(VerifyIndexFileTest, RetiredIndexKindIsRejectedCleanly) {
+  // A well-formed envelope of the retired CH kind ("RNCH"): every checksum
+  // holds, so only the kind gate can reject it.
+  const std::string path = TempPath("rne_mm_retired_ch.bin");
+  {
+    BinaryWriter w(path, 0x524e4348);
+    w.WritePod<uint64_t>(7);
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  ASSERT_TRUE(InspectEnvelope(path).ok());
+  for (const uint32_t expected : {0u, kRneMagic}) {
+    const auto info = VerifyIndexFile(path, expected);
+    EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument)
+        << info.status().ToString();
+    EXPECT_NE(info.status().message().find("0x524e4348"), std::string::npos)
+        << info.status().ToString();
+  }
+  ModelManager manager;
+  EXPECT_EQ(manager.Load(path).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager.Current(), nullptr);
+
+  // `rne_tool verify` runs the same check and exits 1 with the status, not
+  // a signal.
+  const std::string out = TempPath("rne_mm_retired_ch.out");
+  const std::string cmd = std::string(RNE_TOOL_PATH) + " verify " + path +
+                          " > " + out + " 2>&1";
+  const int rc = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(rc)) << cmd;
+  EXPECT_EQ(WEXITSTATUS(rc), 1) << cmd;
+  std::ifstream in(out);
+  const std::string printed((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_NE(printed.find("INVALID_ARGUMENT"), std::string::npos) << printed;
+  std::filesystem::remove(path);
+  std::filesystem::remove(out);
 }
 
 TEST(ModelManagerTest, LoadPublishesSnapshotAndBumpsVersion) {

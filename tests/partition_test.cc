@@ -8,6 +8,7 @@
 #include "graph/generators.h"
 #include "partition/hierarchy.h"
 #include "partition/partitioner.h"
+#include "util/serialize.h"
 
 namespace rne {
 namespace {
@@ -185,7 +186,11 @@ TEST(HierarchyTest, MaxLevelsCapRespected) {
   EXPECT_LE(h.max_level(), 2u);
 }
 
-TEST(HierarchyTest, SaveLoadRoundTrip) {
+TEST(HierarchyTest, StreamRoundTrip) {
+  // The hierarchy persists only as a stream inside an RNE model file;
+  // round-trip it through WriteTo/ReadFrom in an envelope of a test-local
+  // kind.
+  constexpr uint32_t kStreamMagic = 0x54534548;  // "HEST"
   const Graph g = MakeGridNetwork(10, 10, 100.0, 0.2, 0.1, 10);
   HierarchyOptions opt;
   opt.fanout = 4;
@@ -193,10 +198,15 @@ TEST(HierarchyTest, SaveLoadRoundTrip) {
   const PartitionHierarchy h = PartitionHierarchy::Build(g, opt);
   const std::string path =
       (std::filesystem::temp_directory_path() / "rne_hier_test.bin").string();
-  ASSERT_TRUE(h.Save(path).ok());
-  auto loaded = PartitionHierarchy::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const PartitionHierarchy& h2 = loaded.value();
+  {
+    BinaryWriter w(path, kStreamMagic);
+    h.WriteTo(w);
+    ASSERT_TRUE(w.Finish().ok());
+  }
+  BinaryReader r(path, kStreamMagic);
+  PartitionHierarchy h2;
+  ASSERT_TRUE(PartitionHierarchy::ReadFrom(r, &h2)) << r.status().ToString();
+  ASSERT_TRUE(r.Finish().ok());
   ASSERT_EQ(h2.num_nodes(), h.num_nodes());
   ASSERT_EQ(h2.num_vertices(), h.num_vertices());
   EXPECT_EQ(h2.max_level(), h.max_level());

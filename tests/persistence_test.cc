@@ -1,6 +1,6 @@
-// Persistence round-trips for the baseline indexes (CH, H2H, ALT) and the
-// extended Rne APIs (QueryOneToMany / QueryKnn / RefineOnline), plus a
-// parameterized envelope-robustness sweep over every index kind.
+// The extended Rne APIs (QueryOneToMany / QueryKnn / RefineOnline), plus a
+// parameterized envelope-robustness sweep over both persisted index kinds
+// and the sectioned-layout contracts of the model file.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,12 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "algo/dijkstra.h"
 #include "algo/distance_sampler.h"
-#include "baselines/alt.h"
-#include "baselines/ch.h"
-#include "baselines/h2h.h"
-#include "core/quantized.h"
 #include "core/rne.h"
 #include "graph/generators.h"
 #include "index_kinds.h"
@@ -42,92 +37,6 @@ Graph TestNetwork(uint64_t seed) {
   cfg.cols = 12;
   cfg.seed = seed;
   return MakeRoadNetwork(cfg);
-}
-
-TEST(ChPersistenceTest, SaveLoadQueriesIdentical) {
-  const Graph g = TestNetwork(1);
-  ContractionHierarchy ch(g);
-  const std::string path = TempPath("rne_ch_test.bin");
-  ASSERT_TRUE(ch.Save(path).ok());
-  auto loaded = ContractionHierarchy::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().num_shortcuts(), ch.num_shortcuts());
-  EXPECT_EQ(loaded.value().IndexBytes(), ch.IndexBytes());
-  EXPECT_TRUE(loaded.value().IsExact());
-  Rng rng(1);
-  for (int i = 0; i < 40; ++i) {
-    const auto s = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
-    const auto t = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
-    EXPECT_EQ(loaded.value().Query(s, t), ch.Query(s, t));
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(ChPersistenceTest, AchRoundTripKeepsEpsilon) {
-  const Graph g = TestNetwork(2);
-  ChOptions opt;
-  opt.epsilon = 0.2;
-  ContractionHierarchy ach(g, opt);
-  const std::string path = TempPath("rne_ach_test.bin");
-  ASSERT_TRUE(ach.Save(path).ok());
-  auto loaded = ContractionHierarchy::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_FALSE(loaded.value().IsExact());
-  EXPECT_EQ(loaded.value().Name(), "ACH");
-  std::filesystem::remove(path);
-}
-
-TEST(H2hPersistenceTest, SaveLoadQueriesIdentical) {
-  const Graph g = TestNetwork(3);
-  H2HIndex h2h(g);
-  const std::string path = TempPath("rne_h2h_test.bin");
-  ASSERT_TRUE(h2h.Save(path).ok());
-  auto loaded = H2HIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().max_bag_size(), h2h.max_bag_size());
-  EXPECT_EQ(loaded.value().tree_height(), h2h.tree_height());
-  Rng rng(3);
-  for (int i = 0; i < 40; ++i) {
-    const auto s = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
-    const auto t = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
-    EXPECT_EQ(loaded.value().Query(s, t), h2h.Query(s, t));
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(AltPersistenceTest, SaveLoadQueriesIdentical) {
-  const Graph g = TestNetwork(4);
-  Rng rng(4);
-  AltIndex alt(g, 8, rng);
-  const std::string path = TempPath("rne_alt_test.bin");
-  ASSERT_TRUE(alt.Save(path).ok());
-  auto loaded = AltIndex::Load(path, g);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().landmarks(), alt.landmarks());
-  for (int i = 0; i < 40; ++i) {
-    const auto s = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
-    const auto t = static_cast<VertexId>(rng.UniformIndex(g.NumVertices()));
-    EXPECT_EQ(loaded.value().Query(s, t), alt.Query(s, t));
-    EXPECT_EQ(loaded.value().LowerBound(s, t), alt.LowerBound(s, t));
-  }
-  // The reloaded index still answers exact A* queries.
-  DijkstraSearch dij(g);
-  EXPECT_NEAR(loaded.value().ExactDistance(0, 100), dij.Distance(0, 100),
-              1e-9);
-  std::filesystem::remove(path);
-}
-
-TEST(AltPersistenceTest, LoadRejectsWrongGraph) {
-  const Graph g = TestNetwork(5);
-  Rng rng(5);
-  AltIndex alt(g, 4, rng);
-  const std::string path = TempPath("rne_alt_wrong.bin");
-  ASSERT_TRUE(alt.Save(path).ok());
-  const Graph other = MakeGridNetwork(5, 5);
-  auto loaded = AltIndex::Load(path, other);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  std::filesystem::remove(path);
 }
 
 // ----------------------------------------------------- extended Rne APIs
@@ -235,7 +144,8 @@ TEST_P(EnvelopeSweepTest, LegacyMagicRejected) {
 
 TEST_P(EnvelopeSweepTest, WrongIndexKindRejected) {
   const std::string path = Path("_kind.bin");
-  const uint32_t other = GetParam().magic == kChMagic ? kH2hMagic : kChMagic;
+  const uint32_t other =
+      GetParam().magic == kRneMagic ? kQuantMagic : kRneMagic;
   {
     BinaryWriter w(path, other);
     w.WritePod<uint64_t>(0);
@@ -257,19 +167,14 @@ TEST_P(EnvelopeSweepTest, ZeroLengthFileRejected) {
 TEST_P(EnvelopeSweepTest, MissingFileIsNotFound) {
   const Status st = GetParam().load(Path("_does_not_exist.bin"), *graph_);
   EXPECT_EQ(st.code(), StatusCode::kNotFound) << st.ToString();
-  if (GetParam().load_mapped != nullptr) {
-    EXPECT_EQ(GetParam()
-                  .load_mapped(Path("_does_not_exist.bin"), *graph_,
-                               LoadMode::kMmapCold)
-                  .code(),
-              StatusCode::kNotFound);
-  }
+  EXPECT_EQ(GetParam()
+                .load_mapped(Path("_does_not_exist.bin"), *graph_,
+                             LoadMode::kMmapCold)
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST_P(EnvelopeSweepTest, ColdMapRoundTripLoadsAndVerifies) {
-  if (GetParam().load_mapped == nullptr) {
-    GTEST_SKIP() << GetParam().name << " has no zero-copy load path";
-  }
   const std::string path = Path("_cold.bin");
   ASSERT_TRUE(GetParam().build_and_save(*graph_, path).ok());
   const Status st =
@@ -301,11 +206,9 @@ TEST_P(EnvelopeSweepTest, OtherFormatVersionsRejected) {
         {"InspectEnvelope", InspectEnvelope(bad).status()},
         {"MappedEnvelope::Open", opened},
     };
-    if (GetParam().load_mapped != nullptr) {
-      for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMmapCold}) {
-        results.emplace_back(LoadModeName(mode),
-                             GetParam().load_mapped(bad, *graph_, mode));
-      }
+    for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMmapCold}) {
+      results.emplace_back(LoadModeName(mode),
+                           GetParam().load_mapped(bad, *graph_, mode));
     }
     const std::string named =
         "unsupported format version " + std::to_string(version);
@@ -391,34 +294,6 @@ TEST_F(V2LayoutTest, ColdMapDefersLazySectionCorruptionToVerify) {
   // The hot query path has no Status channel; it must throw the dedicated
   // exception (which the serving chain converts into a backend fallback).
   EXPECT_THROW(cold.value().Query(0, 1), CorruptionError);
-  std::filesystem::remove(bad);
-}
-
-TEST_F(V2LayoutTest, ColdMapDefersGTreeMatrixCorruptionToVerify) {
-  GTreeOptions options;
-  options.fanout = 4;
-  options.leaf_size = 8;
-  const std::string path = TempPath("rne_v2_gtree_lazy.bin");
-  ASSERT_TRUE(GTree(*graph_, options).Save(path).ok());
-  const auto info = InspectEnvelope(path);
-  ASSERT_TRUE(info.ok());
-  const SectionInfo* pool = nullptr;
-  for (const SectionInfo& sec : info.value().sections) {
-    if (sec.tag == kSecGTreeMatrixPool) pool = &sec;
-  }
-  ASSERT_NE(pool, nullptr);
-  ASSERT_NE(pool->flags & kSectionFlagLazyVerify, 0u);
-  const std::string bad = TempPath("rne_v2_gtree_flip.bin");
-  ASSERT_TRUE(
-      fault::FlipBitCopy(path, bad, pool->offset + pool->size / 2, 2).ok());
-
-  EXPECT_EQ(GTree::Load(bad, *graph_).status().code(),
-            StatusCode::kCorruption);
-  auto cold = GTree::Load(bad, *graph_, LoadMode::kMmapCold);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_EQ(cold.value().VerifyMapped().code(), StatusCode::kCorruption);
-  EXPECT_THROW(cold.value().Distance(0, 5), CorruptionError);
-  std::filesystem::remove(path);
   std::filesystem::remove(bad);
 }
 

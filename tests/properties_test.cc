@@ -228,6 +228,10 @@ TEST(DimacsFuzzTest, CommentsAndBlankLinesTolerated) {
 
 // ------------------------------------------- envelope format properties
 
+// The envelope properties hold for any index kind; a test-local magic keeps
+// them independent of which kinds the build registers.
+constexpr uint32_t kPropMagic = 0x504f5250;  // "PROP"
+
 std::string PropTempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
@@ -246,7 +250,7 @@ TEST(EnvelopeFuzzTest, SectionTableRoundTripsRandomSizesAndAlignments) {
     std::vector<std::vector<uint8_t>> payloads(num_sections);
     std::vector<uint64_t> alignments(num_sections);
     {
-      BinaryWriter w(path, kHierarchyMagic);
+      BinaryWriter w(path, kPropMagic);
       for (size_t i = 0; i < num_sections; ++i) {
         payloads[i].resize(1 + rng.UniformIndex(5000));
         for (auto& b : payloads[i]) {
@@ -266,7 +270,7 @@ TEST(EnvelopeFuzzTest, SectionTableRoundTripsRandomSizesAndAlignments) {
     }
 
     // Streaming reader: structure, payload, then every section.
-    BinaryReader r(path, kHierarchyMagic);
+    BinaryReader r(path, kPropMagic);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r.info().format_version, kFormatVersion);
     ASSERT_EQ(r.sections().size(), num_sections);
@@ -287,7 +291,7 @@ TEST(EnvelopeFuzzTest, SectionTableRoundTripsRandomSizesAndAlignments) {
 
     // Zero-copy reader: the mapped view serves the same bytes in place.
     for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMmapCold}) {
-      auto env = MappedEnvelope::Open(path, kHierarchyMagic, mode);
+      auto env = MappedEnvelope::Open(path, kPropMagic, mode);
       ASSERT_TRUE(env.ok()) << env.status().ToString();
       ASSERT_TRUE(env.value()->EnsureAllVerified().ok());
       for (size_t i = 0; i < num_sections; ++i) {
@@ -309,7 +313,7 @@ TEST(EnvelopeFuzzTest, SectionlessWriterEmitsV2WithEmptyTable) {
   // payload, and nothing after the payload CRC.
   const std::string path = PropTempPath("rne_sectionless.bin");
   {
-    BinaryWriter w(path, kHierarchyMagic);
+    BinaryWriter w(path, kPropMagic);
     w.WritePod<uint64_t>(7);
     ASSERT_TRUE(w.Finish().ok());
   }
@@ -323,7 +327,7 @@ TEST(EnvelopeFuzzTest, SectionlessWriterEmitsV2WithEmptyTable) {
                 kEnvelopeTrailerSize);
   // The mapper accepts it like any other file; it just has no sections.
   for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMmapCold}) {
-    auto env = MappedEnvelope::Open(path, kHierarchyMagic, mode);
+    auto env = MappedEnvelope::Open(path, kPropMagic, mode);
     ASSERT_TRUE(env.ok()) << LoadModeName(mode) << ": "
                           << env.status().ToString();
     EXPECT_TRUE(env.value()->info().sections.empty());

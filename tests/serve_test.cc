@@ -73,11 +73,21 @@ class StubBackend : public QueryBackend {
 
 TEST(BackendRegistryTest, BuiltinsAreRegistered) {
   EXPECT_EQ(RegisteredBackendNames(),
-            (std::vector<std::string>{"alt", "ch", "dijkstra", "gtree", "h2h",
-                                      "rne", "rne-quantized"}));
+            (std::vector<std::string>{"dijkstra", "gtree", "h2h", "rne",
+                                      "rne-quantized"}));
   BackendContext ctx;
   EXPECT_EQ(MakeBackend("no-such-backend", ctx).status().code(),
             StatusCode::kNotFound);
+  // The CH and ALT serving adapters are deleted: unknown names, even with
+  // a graph to build from.
+  const Graph g = SmallNetwork();
+  BackendContext with_graph;
+  with_graph.graph = &g;
+  for (const char* retired : {"ch", "alt"}) {
+    EXPECT_EQ(MakeBackend(retired, with_graph).status().code(),
+              StatusCode::kNotFound)
+        << retired;
+  }
   // Graph-built backends refuse a context without a graph.
   EXPECT_EQ(MakeBackend("dijkstra", ctx).status().code(),
             StatusCode::kInvalidArgument);
@@ -89,7 +99,7 @@ TEST(BackendRegistryTest, GraphBackendsAgreeWithDijkstra) {
   ctx.graph = &g;
   ctx.num_workers = 2;
   DijkstraSearch reference(g);
-  for (const char* name : {"dijkstra", "ch", "h2h", "gtree"}) {
+  for (const char* name : {"dijkstra", "h2h", "gtree"}) {
     auto backend = MakeBackend(name, ctx);
     ASSERT_TRUE(backend.ok()) << name;
     EXPECT_TRUE(backend.value()->IsExact()) << name;

@@ -325,15 +325,17 @@ TEST(SerializeTest, CorruptVectorLengthFailsWithoutHugeAllocation) {
 TEST(SerializeTest, WrongIndexKindNamesBothKinds) {
   const std::string path = TempPath("rne_serialize_kind.bin");
   {
-    BinaryWriter w(path, kChMagic);
+    BinaryWriter w(path, kQuantMagic);
     w.WritePod<uint32_t>(1);
     ASSERT_TRUE(w.Finish().ok());
   }
-  BinaryReader r(path, kH2hMagic);
+  BinaryReader r(path, kRneMagic);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(r.status().message().find("CH index"), std::string::npos);
-  EXPECT_NE(r.status().message().find("H2H index"), std::string::npos);
+  EXPECT_NE(r.status().message().find("quantized RNE model"),
+            std::string::npos);
+  EXPECT_NE(r.status().message().find("expected a RNE model"),
+            std::string::npos);
   std::filesystem::remove(path);
 }
 

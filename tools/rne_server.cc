@@ -36,9 +36,10 @@
 // distance answers itself, with no pool hand-off. A batch of more than 32
 // searches (one engine chunk: KNN requests, or QUERYs an exact backend
 // answers, as under --backends dijkstra or while the rne primary fails)
-// fans out onto the workers, and the reactor waits for it while the other
-// reactors parse, format and write. The stdin loop runs
-// on the main thread.
+// fans out: the reactor and pool helpers claim blocks of it from one
+// counter, so the reactor searches its own batch too while the other
+// reactors parse, format and write. The stdin loop runs on the main
+// thread and claims blocks of its fanned batches the same way.
 //
 // --cache puts a sharded LRU result cache (serve/result_cache.h) in front
 // of the engine for both front ends; 0 disables it. It caches only answers
