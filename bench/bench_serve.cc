@@ -6,34 +6,31 @@
 // and writes bench_results/serve_report.json. (Open-loop latency under an
 // offered load is servebench's measurement.)
 //
-// A brownout leg injects a 100% error rate into the learned primary,
-// reports the throughput dip while the exact fallback carries traffic, and
-// measures the time from clearing the fault to the first 20 ms window back
-// at 90% of healthy throughput.
-//
 // Socket legs (in-process net::TcpServer on an ephemeral loopback port)
 // measure the epoll front end with the same Zipf-skewed generator:
 //   * cache A/B — an open-loop pipelined stream against a Dijkstra-backed
 //     server with and without the sharded LRU result cache; reports the
 //     cached/uncached throughput ratio and the hit rate;
-//   * socket brownout — the primary-outage drill over the socket path.
+//   * socket brownout — a 100% error rate injected into the learned
+//     primary mid-run; reports the throughput dip while the exact fallback
+//     carries traffic, and whether the server kept answering through it.
 // --connect host:port turns the binary into a pure client driving an
 // external rne_server (the CI socket smoke leg).
 //
 // An mmap leg re-loads the trained model in a child process per load mode
-// (heap / mmap / mmap-cold; --mmap-probe <mode> is the child entry point)
-// and reports load time, cold-map first-query latency, resident-set ceiling
-// (VmHWM) and load-time RSS growth from /proc/self/status, plus a CRC over
-// the answer bytes — the parent asserts the CRC is bit-identical across all
-// modes, so zero-copy serving provably returns the heap path's answers.
+// (heap / mmap; --mmap-probe <mode> is the child entry point) and reports
+// load time, first-query latency, resident-set ceiling (VmHWM) and
+// load-time RSS growth from /proc/self/status, plus a CRC over the answer
+// bytes — the parent asserts the CRC is bit-identical across both modes,
+// so zero-copy serving provably returns the heap path's answers.
 //
 //   bench_serve [--rows 64] [--cols 64] [--dim 32] [--seconds 1.0]
 //               [--threads 1,2,4] [--batches 1,16,64,256] [--out <path>]
-//               [--brownout-seconds 1.5]   (0 skips both brownout legs)
+//               [--brownout-seconds 1.5]   (0 skips the socket brownout)
 //               [--zipf 0] [--socket-seconds <seconds>] [--pipeline 64]
 //   bench_serve --connect 127.0.0.1:7777 [--queries 1000] [--pipeline 64]
 //               [--vertices 4096] [--zipf 1.0]
-//   bench_serve --mmap-probe heap|mmap|cold --model city.rne
+//   bench_serve --mmap-probe heap|mmap --model city.rne
 //               [--probe-queries 512]
 //
 // Smoke run (CI): bench_serve --seconds 0.2 --threads 2 --batches 64
@@ -107,7 +104,7 @@ size_t PairUniverse(size_t num_vertices) {
 /// `zipf_s` > 0 draws (s, t) pairs Zipf-skewed over PairUniverse ranks;
 /// 0 keeps the historical uniform independent-endpoint stream.
 std::vector<serve::Request> RandomRequests(const Graph& g, size_t n,
-                                           uint64_t seed, double zipf_s = 0.0) {
+                                           uint64_t seed, double zipf_s) {
   Rng rng(seed);
   std::vector<serve::Request> out(n);
   if (zipf_s > 0.0) {
@@ -128,7 +125,7 @@ std::vector<serve::Request> RandomRequests(const Graph& g, size_t n,
   return out;
 }
 
-/// Fresh engine per sweep point (and brownout leg) so its metrics cover
+/// Fresh engine per sweep point so its metrics cover
 /// exactly that run: learned primary (already resident) with an exact
 /// Dijkstra fallback, mirroring the rne_server default chain.
 std::unique_ptr<serve::QueryEngine> MakeEngine(const Rne& model,
@@ -178,68 +175,6 @@ SweepPoint RunClosedLoop(const Rne& model, const Graph& g, size_t threads,
   point.achieved_qps = static_cast<double>(served.load()) / elapsed;
   point.metrics = engine.Metrics();
   return point;
-}
-
-/// Brownout leg: drive a closed loop, inject a 100% error rate into the
-/// learned primary mid-run, then disarm and measure how long the engine
-/// takes to climb back to 90% of its healthy throughput, in 20 ms windows.
-/// During the fault every request fails on the primary and falls down the
-/// chain to the exact fallback (throughput dips, it does not zero) — that
-/// dip and the recovery time are the fallback chain's headline numbers.
-struct BrownoutReport {
-  double healthy_qps = 0.0;
-  double faulted_qps = 0.0;
-  double recovered_qps = 0.0;
-  double recovery_ms = -1.0;  // disarm -> recovered; -1 = never recovered
-  uint64_t retries = 0;
-};
-
-BrownoutReport RunBrownout(const Rne& model, const Graph& g, size_t threads,
-                           size_t batch, double seconds) {
-  auto engine = MakeEngine(model, g, threads);
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < threads; ++c) {
-    clients.emplace_back([&, c] {
-      const auto requests = RandomRequests(g, batch, 3000 + c);
-      std::vector<serve::Response> responses;
-      while (!stop.load(std::memory_order_relaxed)) {
-        // Discard OK: failures are per response, in the engine metrics.
-        (void)engine->QueryBatch(requests, &responses);
-      }
-    });
-  }
-  const auto measure_qps = [&](double secs) {
-    const uint64_t before = engine->Metrics().served;
-    Timer timer;
-    std::this_thread::sleep_for(std::chrono::duration<double>(secs));
-    return static_cast<double>(engine->Metrics().served - before) /
-           timer.ElapsedSeconds();
-  };
-
-  BrownoutReport report;
-  const double phase = seconds / 3.0;
-  report.healthy_qps = measure_qps(phase);
-  fault::RuntimeFaultConfig outage;
-  outage.error_probability = 1.0;
-  fault::ArmRuntimeFaultsAt("serve.backend.rne", outage);
-  report.faulted_qps = measure_qps(phase);
-  fault::DisarmRuntimeFaults();
-  Timer recovery;
-  while (recovery.ElapsedSeconds() < std::max(phase * 4.0, 2.0)) {
-    const double window_qps = measure_qps(0.02);
-    if (window_qps >= 0.9 * report.healthy_qps) {
-      report.recovery_ms = recovery.ElapsedSeconds() * 1000.0;
-      break;
-    }
-  }
-  report.recovered_qps = measure_qps(phase);
-  stop.store(true);
-  for (auto& t : clients) t.join();
-
-  report.retries = engine->Metrics().retries;
-  return report;
 }
 
 /// A TcpServer + engine (+ optional result cache) serving on an ephemeral
@@ -654,15 +589,11 @@ ProcessRss ReadProcessRss() {
 /// parent's cross-mode equality check is bit-exact, never tolerance-based.
 int RunMmapProbe(const std::string& mode, const std::string& model_path,
                  size_t queries) {
-  LoadMode load = LoadMode::kHeap;
-  if (mode == "mmap") {
-    load = LoadMode::kMmap;
-  } else if (mode == "cold") {
-    load = LoadMode::kMmapCold;
-  } else if (mode != "heap") {
-    std::fprintf(stderr, "error: --mmap-probe expects heap|mmap|cold\n");
+  if (mode != "heap" && mode != "mmap") {
+    std::fprintf(stderr, "error: --mmap-probe expects heap|mmap\n");
     return 1;
   }
+  const LoadMode load = mode == "mmap" ? LoadMode::kMmap : LoadMode::kHeap;
   const ProcessRss before = ReadProcessRss();
   Timer load_timer;
   auto model = Rne::Load(model_path, load);
@@ -673,7 +604,7 @@ int RunMmapProbe(const std::string& mode, const std::string& model_path,
   const double load_ms = load_timer.ElapsedSeconds() * 1000.0;
   const ProcessRss after_load = ReadProcessRss();
   const size_t n = model.value().NumVertices();
-  // First query: cold maps pay their deferred section verification here.
+  // First query: a mapped model pages its first rows back in here.
   const auto [s0, t0] = PairForRank(0, n);
   Timer first_timer;
   double answer = model.value().Query(s0, t0);
@@ -846,25 +777,20 @@ int Main(int argc, char** argv) {
       RunMmapProbeChild(argv[0], "heap", model_path, probe_queries);
   const MmapProbeResult probe_mmap =
       RunMmapProbeChild(argv[0], "mmap", model_path, probe_queries);
-  const MmapProbeResult probe_cold =
-      RunMmapProbeChild(argv[0], "cold", model_path, probe_queries);
-  const bool ran_mmap = probe_heap.ok && probe_mmap.ok && probe_cold.ok;
+  const bool ran_mmap = probe_heap.ok && probe_mmap.ok;
   if (ran_mmap) {
     std::printf(
         "mmap leg (%zu queries): heap load %.1fms rss+%lldkB | mmap load "
-        "%.1fms rss+%lldkB | cold load %.1fms rss+%lldkB first-query "
-        "%.0fus\n",
+        "%.1fms rss+%lldkB first-query %.0fus\n",
         probe_queries, probe_heap.load_ms, probe_heap.load_rss_delta_kb,
-        probe_mmap.load_ms, probe_mmap.load_rss_delta_kb, probe_cold.load_ms,
-        probe_cold.load_rss_delta_kb, probe_cold.first_query_us);
-    if (probe_heap.answer_crc != probe_mmap.answer_crc ||
-        probe_heap.answer_crc != probe_cold.answer_crc) {
+        probe_mmap.load_ms, probe_mmap.load_rss_delta_kb,
+        probe_mmap.first_query_us);
+    if (probe_heap.answer_crc != probe_mmap.answer_crc) {
       std::fprintf(stderr,
                    "error: mmap-served answers are not bit-identical to the "
-                   "heap path (crc heap=%s mmap=%s cold=%s)\n",
+                   "heap path (crc heap=%s mmap=%s)\n",
                    probe_heap.answer_crc.c_str(),
-                   probe_mmap.answer_crc.c_str(),
-                   probe_cold.answer_crc.c_str());
+                   probe_mmap.answer_crc.c_str());
       return 1;
     }
   } else {
@@ -892,21 +818,6 @@ int Main(int argc, char** argv) {
       best_threads = p.threads;
       best_batch = p.batch;
     }
-  }
-
-  BrownoutReport brownout;
-  bool ran_brownout = false;
-  if (brownout_seconds > 0.0) {
-    brownout =
-        RunBrownout(model, g, best_threads, best_batch, brownout_seconds);
-    ran_brownout = true;
-    std::printf(
-        "brownout: healthy %.0f q/s -> faulted %.0f q/s -> recovered %.0f "
-        "q/s; recovery %.0f ms, retries %llu\n",
-        brownout.healthy_qps, brownout.faulted_qps, brownout.recovered_qps,
-        brownout.recovery_ms,
-        static_cast<unsigned long long>(brownout.retries));
-    std::fflush(stdout);
   }
 
   // Socket legs: the same engine behind the epoll front end, driven over
@@ -959,17 +870,6 @@ int Main(int argc, char** argv) {
     json += i + 1 < points.size() ? ",\n" : "\n";
   }
   json += "  ],\n";
-  if (ran_brownout) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"brownout\": {\"healthy_qps\": %.1f, \"faulted_qps\": %.1f, "
-        "\"recovered_qps\": %.1f, \"recovery_ms\": %.1f, "
-        "\"retries\": %llu},\n",
-        brownout.healthy_qps, brownout.faulted_qps, brownout.recovered_qps,
-        brownout.recovery_ms,
-        static_cast<unsigned long long>(brownout.retries));
-    json += buf;
-  }
   if (ran_socket_cache) {
     std::snprintf(
         buf, sizeof(buf),
@@ -1001,8 +901,6 @@ int Main(int argc, char** argv) {
     AppendProbeJson(&json, "heap", probe_heap);
     json += ",\n";
     AppendProbeJson(&json, "mmap", probe_mmap);
-    json += ",\n";
-    AppendProbeJson(&json, "cold", probe_cold);
     json += "\n  },\n";
   }
   // Process-global registry (per-backend latency histograms, persistence

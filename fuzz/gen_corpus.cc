@@ -7,7 +7,13 @@
 //
 //   ./build/fuzz/gen_fuzz_corpus fuzz/corpus
 //
-// Regenerated files are committed; determinism comes from fixed seeds.
+// Regenerated files are committed. Fixed seeds make every byte repeat
+// except in Rne_v2.bin, whose metadata payload ends with the model's build
+// provenance: the 8-byte build wall time (build_seconds) differs on every
+// run, and so does the 4-byte payload CRC that follows and covers it; the
+// 4-byte build_threads before it follows the machine's hardware threads.
+// Two regenerations therefore differ in those 12 (or 16) bytes only, and a
+// seed whose other bytes change means the writer's format changed.
 #include <sys/stat.h>
 
 #include <cerrno>

@@ -46,7 +46,7 @@ Status QuantizedRne::Save(const std::string& path) const {
   BinaryWriter w(path, kQuantMagic);
   if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
   const uint8_t* codes = codes_view_ != nullptr ? codes_view_ : codes_.data();
-  w.AddSection(kSecQuantCodes, codes, rows_ * dim_, kSectionFlagLazyVerify);
+  w.AddSection(kSecQuantCodes, codes, rows_ * dim_);
   w.WritePod<uint64_t>(rows_);
   w.WritePod<uint64_t>(dim_);
   w.WritePod(scale_);
@@ -79,8 +79,8 @@ Status QuantizedRne::ParseMeta(BinaryReader& r, const std::string& path) {
 
 StatusOr<QuantizedRne> QuantizedRne::Load(const std::string& path,
                                           LoadMode mode) {
-  if (mode != LoadMode::kHeap) {
-    auto opened = MappedEnvelope::Open(path, kQuantMagic, mode);
+  if (mode == LoadMode::kMmap) {
+    auto opened = MappedEnvelope::Open(path, kQuantMagic);
     if (!opened.ok()) return opened.status();
     std::shared_ptr<const MappedEnvelope> env = std::move(opened).value();
     BinaryReader r(env->file().data(), env->file().size(), path,

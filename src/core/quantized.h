@@ -28,13 +28,9 @@ class QuantizedRne {
   /// The model must use the L1 metric (p == 1).
   explicit QuantizedRne(const Rne& model);
 
-  /// Approximate shortest-path distance in the edge-weight unit. Cold-map
-  /// models verify deferred section checksums on first access and throw
-  /// CorruptionError on a bad file, which the serving layer converts into a
-  /// backend error.
+  /// Approximate shortest-path distance in the edge-weight unit.
   double Query(VertexId s, VertexId t) const {
     RNE_DCHECK(s < rows_ && t < rows_);
-    if (mapping_ != nullptr) mapping_->EnsureAllVerifiedOrThrow();
     return QuantizedL1Kernel(RowPtr(s), RowPtr(t), steps_.data(), dim_) *
            scale_;
   }
@@ -48,15 +44,12 @@ class QuantizedRne {
 
   /// True when the code matrix is a view into an mmap'd file.
   bool IsMapped() const { return mapping_ != nullptr; }
-  /// Completes any deferred (cold-map) section verification.
-  Status VerifyMapped() const {
-    return mapping_ == nullptr ? Status::Ok() : mapping_->EnsureAllVerified();
-  }
 
-  /// Saves the code matrix in an aligned lazy-verify section.
+  /// Saves the code matrix in an aligned section.
   Status Save(const std::string& path) const;
-  /// Loads a model. kHeap reads the codes into owned storage; kMmap /
-  /// kMmapCold serve them zero-copy from a read-only mapping.
+  /// Loads a model. kHeap reads the codes into owned storage; kMmap serves
+  /// them zero-copy from a read-only mapping. Both verify every checksum
+  /// before returning.
   static StatusOr<QuantizedRne> Load(const std::string& path,
                                      LoadMode mode = LoadMode::kHeap);
 

@@ -84,7 +84,6 @@ Rne Rne::Build(const Graph& g, const RneConfig& config, RneBuildStats* stats) {
 void Rne::QueryOneToMany(VertexId s, std::span<const VertexId> targets,
                          std::span<double> out) const {
   RNE_CHECK(out.size() == targets.size());
-  EnsureVerified();
   const auto src = vertex_emb_.Row(s);
   for (size_t i = 0; i < targets.size(); ++i) {
     out[i] = MetricDist(src, vertex_emb_.Row(targets[i]), p_) * scale_;
@@ -163,11 +162,9 @@ Status Rne::Save(const std::string& path) const {
   BinaryWriter w(path, kRneMagic);
   if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
   // The matrices live in aligned sections so an mmap load can serve rows
-  // zero-copy; lazy-verify lets cold maps defer their CRC to first use.
-  w.AddSection(kSecRneVertexEmb, vertex_emb_.raw(), vertex_emb_.MemoryBytes(),
-               kSectionFlagLazyVerify);
-  w.AddSection(kSecRneNodeEmb, node_emb_.raw(), node_emb_.MemoryBytes(),
-               kSectionFlagLazyVerify);
+  // zero-copy.
+  w.AddSection(kSecRneVertexEmb, vertex_emb_.raw(), vertex_emb_.MemoryBytes());
+  w.AddSection(kSecRneNodeEmb, node_emb_.raw(), node_emb_.MemoryBytes());
   w.WritePod(p_);
   w.WritePod(scale_);
   vertex_emb_.WriteMeta(w);
@@ -213,7 +210,7 @@ Status Rne::CheckConsistent(const std::string& path) const {
 }
 
 StatusOr<Rne> Rne::Load(const std::string& path, LoadMode mode) {
-  if (mode != LoadMode::kHeap) return LoadMapped(path, mode);
+  if (mode == LoadMode::kMmap) return LoadMapped(path);
   BinaryReader r(path, kRneMagic);
   if (!r.ok()) return r.status();
   Rne model;
@@ -237,8 +234,8 @@ StatusOr<Rne> Rne::Load(const std::string& path, LoadMode mode) {
   return model;
 }
 
-StatusOr<Rne> Rne::LoadMapped(const std::string& path, LoadMode mode) {
-  auto opened = MappedEnvelope::Open(path, kRneMagic, mode);
+StatusOr<Rne> Rne::LoadMapped(const std::string& path) {
+  auto opened = MappedEnvelope::Open(path, kRneMagic);
   if (!opened.ok()) return opened.status();
   std::shared_ptr<const MappedEnvelope> env = std::move(opened).value();
   BinaryReader r(env->file().data(), env->file().size(), path, kRneMagic);

@@ -69,11 +69,7 @@ class Rne {
                    RneBuildStats* stats = nullptr);
 
   /// Approximate shortest-path distance in the edge-weight unit.
-  /// Cold-mapped models verify deferred section checksums on first access
-  /// and throw CorruptionError if the file is bad (the serving layer turns
-  /// that into a backend error); heap models pay one null-pointer branch.
   double Query(VertexId s, VertexId t) const {
-    EnsureVerified();
     return MetricDist(vertex_emb_.Row(s), vertex_emb_.Row(t), p_) * scale_;
   }
 
@@ -118,34 +114,21 @@ class Rne {
   void RefineOnline(const std::vector<DistanceSample>& samples, size_t epochs,
                     double lr0, uint64_t seed = 17);
 
-  /// Saves the model with the embedding matrices in aligned,
-  /// lazily-verifiable sections so the file can be served via mmap.
+  /// Saves the model with the embedding matrices in aligned sections so the
+  /// file can be served via mmap.
   Status Save(const std::string& path) const;
-  /// Loads a model. kHeap reads the matrices into owned storage; kMmap /
-  /// kMmapCold serve them zero-copy from a read-only mapping.
+  /// Loads a model. kHeap reads the matrices into owned storage; kMmap
+  /// serves them zero-copy from a read-only mapping. Both verify every
+  /// checksum before returning, so a loaded model is a verified model.
   static StatusOr<Rne> Load(const std::string& path,
                             LoadMode mode = LoadMode::kHeap);
 
-  /// The per-access gate of Query(): completes a cold-mapped model's
-  /// deferred verification, throwing CorruptionError if the file is bad.
-  /// Readers that take rows straight from the matrices (RneIndex) call it
-  /// once per operation.
-  void EnsureVerified() const {
-    if (mapping_ != nullptr) mapping_->EnsureAllVerifiedOrThrow();
-  }
-
   /// True when the matrices are views into an mmap'd file.
   bool IsMapped() const { return mapping_ != nullptr; }
-  /// Completes any deferred (cold-map) section verification. Ok for heap
-  /// models. Call before bulk row access that bypasses Query(), e.g.
-  /// building an RneIndex over a cold-mapped model.
-  Status VerifyMapped() const {
-    return mapping_ == nullptr ? Status::Ok() : mapping_->EnsureAllVerified();
-  }
 
  private:
   Rne() = default;
-  static StatusOr<Rne> LoadMapped(const std::string& path, LoadMode mode);
+  static StatusOr<Rne> LoadMapped(const std::string& path);
   Status ParseMeta(BinaryReader& r, const std::string& path,
                    std::shared_ptr<PartitionHierarchy>* hierarchy);
   Status CheckConsistent(const std::string& path) const;

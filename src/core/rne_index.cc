@@ -160,7 +160,6 @@ std::vector<VertexId> RneIndex::Range(VertexId source, double tau) const {
   RNE_COUNTER_ADD("index.range.queries", 1);
   // Distances are never negative, so a negative (or NaN) tau matches none.
   if (!(tau >= 0.0) || num_targets() == 0) return result;
-  model_->EnsureVerified();
   const PartitionHierarchy& hier = model_->hierarchy();
   const auto src = model_->vertex_embeddings().Row(source);
   std::vector<uint32_t>& stack = LocalScratch().stack;
@@ -199,7 +198,6 @@ std::vector<std::pair<VertexId, double>> RneIndex::Knn(VertexId source,
   std::vector<std::pair<VertexId, double>> result;
   if (k == 0 || num_targets() == 0) return result;
   RNE_COUNTER_ADD("index.knn.queries", 1);
-  model_->EnsureVerified();
   const PartitionHierarchy& hier = model_->hierarchy();
   const auto src = model_->vertex_embeddings().Row(source);
   Scratch& scratch = LocalScratch();

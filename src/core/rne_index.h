@@ -35,15 +35,13 @@ class RneIndex {
   RneIndex(const Rne* model, std::vector<VertexId> targets,
            size_t num_threads = 1);
 
-  /// All targets t with Query(source, t) <= tau, unordered. Throws
-  /// CorruptionError when a cold-mapped model fails verification.
+  /// All targets t with Query(source, t) <= tau, unordered.
   std::vector<VertexId> Range(VertexId source, double tau) const;
 
   /// The min(k, num_targets()) targets with the smallest
   /// (Query(source, t), t), as (vertex, distance) in (distance, vertex id)
   /// order: equal distances come out by ascending id. The source vertex
-  /// itself is included if it is a target. Throws CorruptionError when a
-  /// cold-mapped model fails verification.
+  /// itself is included if it is a target.
   std::vector<std::pair<VertexId, double>> Knn(VertexId source,
                                                size_t k) const;
 

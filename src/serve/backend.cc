@@ -219,9 +219,6 @@ using Made = StatusOr<std::unique_ptr<QueryBackend>>;
 Made MakeRne(const BackendContext& ctx) {
   auto model = Rne::Load(ctx.model_path, ctx.load);
   if (!model.ok()) return model.status();
-  // RneIndex construction reads every embedding row, so complete any
-  // deferred cold-map verification before building over garbage.
-  RNE_RETURN_IF_ERROR(model.value().VerifyMapped());
   return std::unique_ptr<QueryBackend>(
       new RneBackend(std::move(model).value(), ctx.num_workers));
 }

@@ -87,8 +87,8 @@ struct BackendContext {
   const Graph* graph = nullptr;
   /// Serialized model path; required by "rne" / "rne-quantized".
   std::string model_path;
-  /// How model-file backends open model_path: heap (default), or zero-copy
-  /// mmap / cold mmap.
+  /// How model-file backends open model_path: heap (default) or zero-copy
+  /// mmap.
   LoadMode load = LoadMode::kHeap;
   /// Worker count of the serving pool (parallelizes the "rne" kNN-index
   /// build).

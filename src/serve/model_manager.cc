@@ -118,14 +118,6 @@ Status ModelManager::Load(const std::string& path) {
         " vertices, published model has " +
         std::to_string(previous->model->NumVertices()));
   }
-  // Cold-mapped loads defer section CRCs; settle them before the kNN index
-  // reads every row (stage 1 already streamed the checks, this just marks
-  // the mapping verified so queries skip the lazy gate).
-  const Status verified = model.value().VerifyMapped();
-  if (!verified.ok()) {
-    RNE_COUNTER_ADD("serve.swap.rejected", 1);
-    return verified;
-  }
   // Stage 3: materialize the snapshot (kNN index build is the expensive
   // part) while the old generation keeps serving.
   auto snapshot = std::make_shared<Snapshot>();

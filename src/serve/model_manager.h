@@ -45,9 +45,7 @@ class ModelManager {
     /// Reject a replacement whose vertex count differs from the published
     /// model (ids in flight would silently change meaning).
     bool require_same_vertex_count = true;
-    /// How Load() opens model files (heap or mmap). Stage-1 verification
-    /// checks every section up front, so even kMmapCold snapshots publish
-    /// fully verified.
+    /// How Load() opens model files (heap or mmap).
     LoadMode load = LoadMode::kHeap;
   };
 

@@ -83,8 +83,8 @@ struct BatchPlan {
   std::vector<size_t> begin;  // shard i's run is order[begin[i], begin[i+1])
 };
 
-bool Storable(const Response& response, bool cache_fallback) {
-  return response.status.ok() && (cache_fallback || !response.fell_back);
+bool Storable(const Response& response) {
+  return response.status.ok() && !response.fell_back;
 }
 
 }  // namespace
@@ -220,7 +220,6 @@ std::string CacheStats::ToJson() const {
 
 ResultCache::ResultCache(const ResultCacheOptions& options)
     : capacity_(std::max<size_t>(1, options.capacity)),
-      cache_fallback_(options.cache_fallback),
       shards_([this, &options] {
         const size_t shards =
             RoundUpPow2(std::max<size_t>(1, options.num_shards));
@@ -299,7 +298,7 @@ void ResultCache::InsertBatch(std::span<const Request> requests,
     for (size_t j = first; j < last; ++j) {
       const size_t i = plan.order[j];
       const Response& response = responses[i];
-      if (!Storable(response, cache_fallback_)) continue;
+      if (!Storable(response)) continue;
       ++shard.insertions;
       const Key key = MakeKey(requests[i], generation);
       const uint32_t hash_hi = HighHash(plan.hash[i]);

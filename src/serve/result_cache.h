@@ -44,9 +44,8 @@
 // (~70 ns), cheaper than the lookup and insert that would save it, so it
 // bypasses the cache. Hits are answered locally, the rest go to the engine
 // as one (smaller) batch, and OK non-fallback answers worth caching are
-// inserted on the way out. Fallback answers are not cached by default:
-// during a primary brownout they would pin the fallback's answers past
-// recovery.
+// inserted on the way out. Fallback answers are never cached: during a
+// primary brownout they would pin the fallback's answers past recovery.
 #ifndef RNE_SERVE_RESULT_CACHE_H_
 #define RNE_SERVE_RESULT_CACHE_H_
 
@@ -67,10 +66,6 @@ struct ResultCacheOptions {
   size_t capacity = 1 << 16;
   /// Rounded up to the next power of two; clamped to at least 1.
   size_t num_shards = 16;
-  /// Cache responses that were served by a fallback backend. Off by
-  /// default: a brownout would otherwise pin the fallback's answers until
-  /// they age out, long after the primary recovered.
-  bool cache_fallback = false;
 };
 
 /// Point-in-time counters; `hit_rate` is hits / (hits + misses). Under
@@ -111,8 +106,9 @@ class ResultCache {
   /// evicting the least-recently-used entry of the key's shard at
   /// capacity. Answers whose generation was retired by Invalidate()
   /// meanwhile are dropped: they may come from the pre-swap model. Failed
-  /// responses are never stored; fallback responses only when
-  /// options.cache_fallback. Re-inserting a present key refreshes its LRU
+  /// and fallback responses are never stored: a brownout would otherwise
+  /// pin the fallback's answers until they age out, long after the primary
+  /// recovered. Re-inserting a present key refreshes its LRU
   /// position and keeps the stored value. Thread-safe.
   void InsertBatch(std::span<const Request> requests,
                    std::span<const Response> responses, uint64_t generation);
@@ -148,7 +144,6 @@ class ResultCache {
   void CollectMetrics(obs::MetricsSample* out) const;
 
   const size_t capacity_;
-  const bool cache_fallback_;
   /// Built in the initialiser list and never resized: metrics_source_ reads
   /// it from any thread.
   const std::vector<std::unique_ptr<Shard>> shards_;

@@ -12,7 +12,6 @@
 #include <cstring>
 
 #include "obs/metrics.h"
-#include "util/crc32c.h"
 
 namespace rne {
 
@@ -88,46 +87,24 @@ void MmapFile::AdviseRange(uint64_t offset, uint64_t length,
 // --------------------------------------------------------- MappedEnvelope
 
 StatusOr<std::shared_ptr<const MappedEnvelope>> MappedEnvelope::Open(
-    const std::string& path, uint32_t index_magic, LoadMode mode) {
+    const std::string& path, uint32_t index_magic) {
   auto mapped = MmapFile::Map(path);
   if (!mapped.ok()) return mapped.status();
   std::shared_ptr<MmapFile> file = std::move(mapped).value();
   // Same validation as the streaming loader, run against the mapping: the
-  // header, section table and metadata checksum are always verified before
-  // Open returns, so the only deferrable cost is section-data CRCs.
+  // header, section table, metadata checksum and every section checksum
+  // are verified before Open returns.
   BinaryReader r(file->data(), file->size(), path, index_magic);
   if (!r.ok()) return r.status();
-  {
-    const Status meta = r.Finish();
-    if (!meta.ok()) return meta;
-  }
+  RNE_RETURN_IF_ERROR(r.Finish());
+  RNE_RETURN_IF_ERROR(r.VerifyAllSections());
+  // Verification just streamed every page; drop them from the resident set
+  // so a freshly-opened mmap model starts near zero RSS and pages back in
+  // on demand.
+  file->Advise(MmapFile::Advice::kDontNeed);
   auto env = std::shared_ptr<MappedEnvelope>(new MappedEnvelope());
   env->file_ = std::move(file);
-  env->path_ = path;
   env->info_ = r.info();
-  env->verify_ =
-      std::make_unique<VerifyState[]>(env->info_.sections.size());
-  bool deferred = false;
-  for (size_t i = 0; i < env->info_.sections.size(); ++i) {
-    const SectionInfo& s = env->info_.sections[i];
-    const bool lazy = (s.flags & kSectionFlagLazyVerify) != 0 &&
-                      mode == LoadMode::kMmapCold;
-    if (lazy) {
-      deferred = true;
-      continue;
-    }
-    const Status st = env->VerifySection(i);
-    if (!st.ok()) return st;
-  }
-  if (!deferred) {
-    env->all_verified_.store(true, std::memory_order_release);
-    // Eagerly-verified maps just streamed every page; drop them from the
-    // resident set so a freshly-opened mmap model starts near zero RSS and
-    // pages back in on demand.
-    if (mode == LoadMode::kMmap) {
-      env->file_->Advise(MmapFile::Advice::kDontNeed);
-    }
-  }
   return std::shared_ptr<const MappedEnvelope>(std::move(env));
 }
 
@@ -141,41 +118,6 @@ const SectionInfo* MappedEnvelope::FindSection(uint32_t tag) const {
 const uint8_t* MappedEnvelope::SectionData(uint32_t tag) const {
   const SectionInfo* s = FindSection(tag);
   return s == nullptr ? nullptr : file_->data() + s->offset;
-}
-
-Status MappedEnvelope::VerifySection(size_t i) const {
-  VerifyState& state = verify_[i];
-  std::call_once(state.once, [&] {
-    const SectionInfo& s = info_.sections[i];
-    const uint32_t crc =
-        Crc32c(file_->data() + s.pad_start, (s.offset - s.pad_start) + s.size);
-    if (crc != s.crc) {
-      RNE_COUNTER_ADD("persist.crc_failures", 1);
-      RNE_COUNTER_ADD("mmap.verify_failures", 1);
-      state.status = Status::Corruption(
-          "section " + std::to_string(s.tag) + " checksum mismatch in " +
-          path_);
-    } else {
-      RNE_COUNTER_ADD("mmap.section_verifies", 1);
-    }
-  });
-  return state.status;
-}
-
-Status MappedEnvelope::EnsureAllVerified() const {
-  if (all_verified_.load(std::memory_order_acquire)) return Status::Ok();
-  for (size_t i = 0; i < info_.sections.size(); ++i) {
-    const Status st = VerifySection(i);
-    if (!st.ok()) return st;
-  }
-  all_verified_.store(true, std::memory_order_release);
-  return Status::Ok();
-}
-
-void MappedEnvelope::EnsureAllVerifiedOrThrow() const {
-  if (all_verified_.load(std::memory_order_acquire)) return;
-  const Status st = EnsureAllVerified();
-  if (!st.ok()) throw CorruptionError(st.ToString());
 }
 
 }  // namespace rne

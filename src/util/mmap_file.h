@@ -7,9 +7,8 @@
 //
 // MappedEnvelope is the zero-copy load path: it maps an index file, runs
 // the same structural validation as BinaryReader (header, section table,
-// metadata checksum, exact file length), and then verifies section data
-// checksums either eagerly (LoadMode::kMmap) or on first access
-// (LoadMode::kMmapCold, for sections flagged kSectionFlagLazyVerify).
+// metadata checksum, exact file length), and then verifies every section
+// data checksum before Open returns, so a mapped model is a verified model.
 // Because the open-time validation pins every section extent inside the
 // real file length, later zero-copy accesses can never run off the end of
 // the mapping — a truncated file fails at open with Status::Corruption
@@ -17,27 +16,14 @@
 #ifndef RNE_UTIL_MMAP_FILE_H_
 #define RNE_UTIL_MMAP_FILE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <stdexcept>
 #include <string>
 
 #include "util/serialize.h"
 #include "util/status.h"
 
 namespace rne {
-
-/// Thrown by hot query paths that discover deferred section corruption
-/// (cold-map lazy verification) and have no Status channel to report it.
-/// The serving layer converts in-flight exceptions into backend errors, so
-/// a corrupt cold map degrades to fallback answers instead of crashing.
-class CorruptionError : public std::runtime_error {
- public:
-  explicit CorruptionError(const std::string& what)
-      : std::runtime_error(what) {}
-};
 
 /// RAII read-only mapping of a whole file.
 class MmapFile {
@@ -66,18 +52,16 @@ class MmapFile {
   uint64_t size_ = 0;
 };
 
-/// An index file served from a read-only mapping, with checksum state.
+/// An index file served from a read-only mapping.
 class MappedEnvelope {
  public:
   /// Maps `path` and validates it exactly as BinaryReader would: header,
-  /// section table structure, metadata payload checksum. Section data
-  /// checksums are verified now (kMmap) or deferred to first access for
-  /// sections flagged lazy-verify (kMmapCold).
+  /// section table structure, metadata payload checksum and every section
+  /// data checksum.
   static StatusOr<std::shared_ptr<const MappedEnvelope>> Open(
-      const std::string& path, uint32_t index_magic, LoadMode mode);
+      const std::string& path, uint32_t index_magic);
 
   const EnvelopeInfo& info() const { return info_; }
-  const std::string& path() const { return path_; }
   const MmapFile& file() const { return *file_; }
 
   const SectionInfo* FindSection(uint32_t tag) const;
@@ -85,26 +69,11 @@ class MappedEnvelope {
   /// this object), or nullptr if the tag is absent.
   const uint8_t* SectionData(uint32_t tag) const;
 
-  /// Verifies every not-yet-verified section checksum; memoized, safe to
-  /// call concurrently. Returns the first Corruption found (sticky).
-  Status EnsureAllVerified() const;
-  /// Exception form for hot query paths; no-op once verification passed.
-  void EnsureAllVerifiedOrThrow() const;
-
  private:
-  struct VerifyState {
-    std::once_flag once;
-    Status status;
-  };
-
   MappedEnvelope() = default;
-  Status VerifySection(size_t i) const;
 
   std::shared_ptr<MmapFile> file_;
-  std::string path_;
   EnvelopeInfo info_;
-  mutable std::unique_ptr<VerifyState[]> verify_;
-  mutable std::atomic<bool> all_verified_{false};
 };
 
 }  // namespace rne

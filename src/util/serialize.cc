@@ -70,18 +70,6 @@ const char* IndexKindName(uint32_t magic) {
   }
 }
 
-const char* LoadModeName(LoadMode mode) {
-  switch (mode) {
-    case LoadMode::kHeap:
-      return "heap";
-    case LoadMode::kMmap:
-      return "mmap";
-    case LoadMode::kMmapCold:
-      return "mmap-cold";
-  }
-  return "unknown";
-}
-
 // ----------------------------------------------------------- BinaryWriter
 
 BinaryWriter::BinaryWriter(const std::string& path, uint32_t index_magic)
@@ -425,7 +413,7 @@ bool BinaryReader::ParseSectionTable(uint64_t file_size) {
     std::memcpy(&s.size, e + 16, 8);
     std::memcpy(&s.crc, e + 24, 4);
     std::memcpy(&reserved, e + 28, 4);
-    if (reserved != 0 || (s.flags & ~kSectionFlagLazyVerify) != 0) {
+    if (reserved != 0 || (s.flags & ~kSectionFlagRetiredLazyVerify) != 0) {
       status_ = Status::Corruption("unknown section flags in " + path_);
       return false;
     }

@@ -80,11 +80,9 @@ inline constexpr uint32_t kSecRneVertexEmb = 0x01;
 inline constexpr uint32_t kSecRneNodeEmb = 0x02;
 inline constexpr uint32_t kSecQuantCodes = 0x03;
 
-// Section flags.
-/// The section may be verified lazily (on first access) by cold-map loads
-/// instead of at open. Eager loads and mmap (non-cold) loads verify it at
-/// open regardless.
-inline constexpr uint32_t kSectionFlagLazyVerify = 0x1;
+// Section flags. Retired: 0x1, the lazy-verify bit of the deleted cold
+// mapped load; writers no longer set it, readers accept and ignore it.
+inline constexpr uint32_t kSectionFlagRetiredLazyVerify = 0x1;
 
 /// Human-readable name for a registered index-kind magic ("unknown" else).
 const char* IndexKindName(uint32_t magic);
@@ -96,12 +94,7 @@ enum class LoadMode {
   /// mmap the file read-only; large sections are served zero-copy from the
   /// mapping. All section checksums are verified at open.
   kMmap,
-  /// mmap the file read-only; sections flagged lazy-verify have their
-  /// checksum deferred to first access (open is O(metadata)).
-  kMmapCold,
 };
-
-const char* LoadModeName(LoadMode mode);
 
 /// One section as parsed from the table. `pad_start` is derived at open
 /// time (the file offset where this section's zero padding — and its CRC'd

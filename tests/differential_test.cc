@@ -352,7 +352,7 @@ TEST_F(DifferentialTest, CachedAnswersAreBitIdenticalPerBackend) {
 
 // ------------------------------------------------- mmap vs heap parity
 //
-// The zero-copy load paths (kMmap, kMmapCold) must serve *bit-identical*
+// The zero-copy load path (kMmap) must serve *bit-identical*
 // answers to the heap loader: same file, same doubles, compared with memcmp
 // — never EXPECT_NEAR. Any difference means the mapped view and the eager
 // deserializer disagree about the matrix bytes.
@@ -371,9 +371,6 @@ TEST_F(DifferentialTest, MmapServedRneBitIdenticalToHeap) {
   auto mapped = Rne::Load(*model_path_, LoadMode::kMmap);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped.value().IsMapped());
-  auto cold = Rne::Load(*model_path_, LoadMode::kMmapCold);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_TRUE(cold.value().IsMapped());
 
   Rng rng(FuzzSeed() + 10);
   const size_t n = graph_->NumVertices();
@@ -385,7 +382,6 @@ TEST_F(DifferentialTest, MmapServedRneBitIdenticalToHeap) {
     const auto t = static_cast<VertexId>(rng.UniformIndex(n));
     const double reference = heap.value().Query(s, t);
     ExpectBitIdentical(reference, mapped.value().Query(s, t), "mmap", s, t);
-    ExpectBitIdentical(reference, cold.value().Query(s, t), "cold", s, t);
   }
   // The batched entry point reads rows through the same zero-copy view.
   heap.value().QueryOneToMany(3, targets, want);
@@ -401,8 +397,6 @@ TEST_F(DifferentialTest, MmapServedQuantizedBitIdenticalToHeap) {
   auto mapped = QuantizedRne::Load(*quant_path_, LoadMode::kMmap);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped.value().IsMapped());
-  auto cold = QuantizedRne::Load(*quant_path_, LoadMode::kMmapCold);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
   Rng rng(FuzzSeed() + 11);
   const size_t n = graph_->NumVertices();
@@ -411,7 +405,6 @@ TEST_F(DifferentialTest, MmapServedQuantizedBitIdenticalToHeap) {
     const auto t = static_cast<VertexId>(rng.UniformIndex(n));
     const double reference = heap.value().Query(s, t);
     ExpectBitIdentical(reference, mapped.value().Query(s, t), "mmap", s, t);
-    ExpectBitIdentical(reference, cold.value().Query(s, t), "cold", s, t);
   }
 }
 
@@ -423,33 +416,29 @@ TEST_F(DifferentialTest, MmapBackendsServeBitIdenticalAnswers) {
   for (const char* name : {"rne", "rne-quantized"}) {
     SCOPED_TRACE(testing::Message() << "backend=" << name);
     QueryBackend* heap = (*backends_)[name].get();
-    for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMmapCold}) {
-      BackendContext ctx;
-      ctx.graph = graph_;
-      ctx.num_workers = 1;
-      ctx.model_path =
-          std::string(name) == "rne-quantized" ? *quant_path_ : *model_path_;
-      ctx.load = mode;
-      auto served = MakeBackend(name, ctx);
-      ASSERT_TRUE(served.ok()) << served.status().ToString();
-      for (int i = 0; i < 120; ++i) {
-        const auto s = static_cast<VertexId>(rng.UniformIndex(n));
-        const auto t = static_cast<VertexId>(rng.UniformIndex(n));
-        ExpectBitIdentical(heap->Distance(s, t),
-                           served.value()->Distance(s, t),
-                           LoadModeName(mode), s, t);
-      }
-      if (heap->SupportsKnn()) {
-        const auto want = heap->Knn(5, 8);
-        const auto got = served.value()->Knn(5, 8);
-        ASSERT_EQ(want.size(), got.size());
-        for (size_t j = 0; j < want.size(); ++j) {
-          EXPECT_EQ(want[j].first, got[j].first) << "rank " << j;
-          EXPECT_EQ(std::memcmp(&want[j].second, &got[j].second,
-                                sizeof(double)),
-                    0)
-              << "rank " << j;
-        }
+    BackendContext ctx;
+    ctx.graph = graph_;
+    ctx.num_workers = 1;
+    ctx.model_path =
+        std::string(name) == "rne-quantized" ? *quant_path_ : *model_path_;
+    ctx.load = LoadMode::kMmap;
+    auto served = MakeBackend(name, ctx);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    for (int i = 0; i < 120; ++i) {
+      const auto s = static_cast<VertexId>(rng.UniformIndex(n));
+      const auto t = static_cast<VertexId>(rng.UniformIndex(n));
+      ExpectBitIdentical(heap->Distance(s, t), served.value()->Distance(s, t),
+                         "mmap", s, t);
+    }
+    if (heap->SupportsKnn()) {
+      const auto want = heap->Knn(5, 8);
+      const auto got = served.value()->Knn(5, 8);
+      ASSERT_EQ(want.size(), got.size());
+      for (size_t j = 0; j < want.size(); ++j) {
+        EXPECT_EQ(want[j].first, got[j].first) << "rank " << j;
+        EXPECT_EQ(
+            std::memcmp(&want[j].second, &got[j].second, sizeof(double)), 0)
+            << "rank " << j;
       }
     }
   }

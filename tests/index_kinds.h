@@ -24,12 +24,10 @@ struct IndexKindParam {
   uint32_t magic;
   std::function<Status(const Graph&, const std::string&)> build_and_save;
   std::function<Status(const std::string&, const Graph&)> load;
-  /// Zero-copy load in the given mode (kMmap or kMmapCold) followed by full
-  /// lazy-section verification, collapsed to one Status: either the
-  /// open-time structural checks or the deferred checksum pass must reject
-  /// a corrupt file — never crash.
-  std::function<Status(const std::string&, const Graph&, LoadMode)>
-      load_mapped;
+  /// Zero-copy (kMmap) load, reporting only the Status: the open-time
+  /// structural and checksum checks must reject a corrupt file — never
+  /// crash.
+  std::function<Status(const std::string&, const Graph&)> load_mapped;
 };
 
 inline RneConfig SmallRneConfig() {
@@ -50,10 +48,8 @@ inline std::vector<IndexKindParam> AllIndexKinds() {
        [](const std::string& path, const Graph&) {
          return Rne::Load(path).status();
        },
-       [](const std::string& path, const Graph&, LoadMode mode) {
-         auto model = Rne::Load(path, mode);
-         if (!model.ok()) return model.status();
-         return model.value().VerifyMapped();
+       [](const std::string& path, const Graph&) {
+         return Rne::Load(path, LoadMode::kMmap).status();
        }},
       {"QuantizedRne", kQuantMagic,
        [](const Graph& g, const std::string& path) {
@@ -62,10 +58,8 @@ inline std::vector<IndexKindParam> AllIndexKinds() {
        [](const std::string& path, const Graph&) {
          return QuantizedRne::Load(path).status();
        },
-       [](const std::string& path, const Graph&, LoadMode mode) {
-         auto model = QuantizedRne::Load(path, mode);
-         if (!model.ok()) return model.status();
-         return model.value().VerifyMapped();
+       [](const std::string& path, const Graph&) {
+         return QuantizedRne::Load(path, LoadMode::kMmap).status();
        }},
   };
 }

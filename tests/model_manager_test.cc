@@ -236,7 +236,7 @@ TEST(ModelManagerTest, MmapReloadNeverServesStaleRows) {
   ASSERT_TRUE(model_a.Save(path).ok());
 
   ModelManager::Options options;
-  options.load = LoadMode::kMmapCold;  // worst case: deferred CRCs
+  options.load = LoadMode::kMmap;
   ModelManager manager(options);
   ASSERT_TRUE(manager.Load(path).ok());
   const auto snapshot_a = manager.Current();

@@ -136,7 +136,9 @@ TEST_P(HierarchySweep, Invariants) {
     EXPECT_EQ(path.back(), h.LeafOf(v));
     for (size_t i = 0; i < path.size(); ++i) {
       EXPECT_EQ(h.node(path[i]).level, i + 1);
-      if (i > 0) EXPECT_EQ(h.node(path[i]).parent, path[i - 1]);
+      if (i > 0) {
+        EXPECT_EQ(h.node(path[i]).parent, path[i - 1]);
+      }
     }
   }
 }

@@ -167,20 +167,9 @@ TEST_P(EnvelopeSweepTest, ZeroLengthFileRejected) {
 TEST_P(EnvelopeSweepTest, MissingFileIsNotFound) {
   const Status st = GetParam().load(Path("_does_not_exist.bin"), *graph_);
   EXPECT_EQ(st.code(), StatusCode::kNotFound) << st.ToString();
-  EXPECT_EQ(GetParam()
-                .load_mapped(Path("_does_not_exist.bin"), *graph_,
-                             LoadMode::kMmapCold)
-                .code(),
-            StatusCode::kNotFound);
-}
-
-TEST_P(EnvelopeSweepTest, ColdMapRoundTripLoadsAndVerifies) {
-  const std::string path = Path("_cold.bin");
-  ASSERT_TRUE(GetParam().build_and_save(*graph_, path).ok());
-  const Status st =
-      GetParam().load_mapped(path, *graph_, LoadMode::kMmapCold);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  std::filesystem::remove(path);
+  EXPECT_EQ(
+      GetParam().load_mapped(Path("_does_not_exist.bin"), *graph_).code(),
+      StatusCode::kNotFound);
 }
 
 TEST_P(EnvelopeSweepTest, OtherFormatVersionsRejected) {
@@ -199,17 +188,13 @@ TEST_P(EnvelopeSweepTest, OtherFormatVersionsRejected) {
     const uint32_t header_crc = Crc32c(bytes.data(), 24);
     std::memcpy(bytes.data() + 24, &header_crc, 4);
     ASSERT_TRUE(fault::WriteFileBytes(bad, bytes).ok());
-    const Status opened =
-        MappedEnvelope::Open(bad, GetParam().magic, LoadMode::kMmap).status();
-    std::vector<std::pair<std::string, Status>> results = {
+    const std::vector<std::pair<std::string, Status>> results = {
         {"heap load", GetParam().load(bad, *graph_)},
         {"InspectEnvelope", InspectEnvelope(bad).status()},
-        {"MappedEnvelope::Open", opened},
+        {"MappedEnvelope::Open",
+         MappedEnvelope::Open(bad, GetParam().magic).status()},
+        {"mmap load", GetParam().load_mapped(bad, *graph_)},
     };
-    for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMmapCold}) {
-      results.emplace_back(LoadModeName(mode),
-                           GetParam().load_mapped(bad, *graph_, mode));
-    }
     const std::string named =
         "unsupported format version " + std::to_string(version);
     for (const auto& [entry, st] : results) {
@@ -265,36 +250,28 @@ TEST_F(V2LayoutTest, SectionsAreAlignedUniqueAndTileTheFileTail) {
   EXPECT_EQ(prev_end, file_size);
 }
 
-TEST_F(V2LayoutTest, ColdMapDefersLazySectionCorruptionToVerify) {
-  // Find a lazy-verify section and flip one bit in the middle of its data.
+TEST_F(V2LayoutTest, EmbeddingSectionBitFlipRejectedByEveryLoad) {
+  // Flip one bit in the middle of each embedding section's data: the
+  // metadata stays intact, so only the section checksum can catch it, and
+  // both the heap and the mapped load check every section before they
+  // return a model.
   const auto info = InspectEnvelope(*path_);
   ASSERT_TRUE(info.ok());
-  const SectionInfo* lazy = nullptr;
-  for (const SectionInfo& sec : info.value().sections) {
-    if ((sec.flags & kSectionFlagLazyVerify) != 0) lazy = &sec;
+  for (const uint32_t tag : {kSecRneVertexEmb, kSecRneNodeEmb}) {
+    SCOPED_TRACE(testing::Message() << "section " << tag);
+    const SectionInfo* sec = nullptr;
+    for (const SectionInfo& s : info.value().sections) {
+      if (s.tag == tag) sec = &s;
+    }
+    ASSERT_NE(sec, nullptr);
+    const std::string bad = TempPath("rne_v2_sectionflip.bin");
+    ASSERT_TRUE(
+        fault::FlipBitCopy(*path_, bad, sec->offset + sec->size / 2, 5).ok());
+    EXPECT_EQ(Rne::Load(bad).status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(Rne::Load(bad, LoadMode::kMmap).status().code(),
+              StatusCode::kCorruption);
+    std::filesystem::remove(bad);
   }
-  ASSERT_NE(lazy, nullptr) << "embedding sections should be lazy-verify";
-  const std::string bad = TempPath("rne_v2_lazyflip.bin");
-  ASSERT_TRUE(
-      fault::FlipBitCopy(*path_, bad, lazy->offset + lazy->size / 2, 5)
-          .ok());
-
-  // Heap and eager-mmap loads check every section up front: rejected.
-  EXPECT_EQ(Rne::Load(bad).status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(Rne::Load(bad, LoadMode::kMmap).status().code(),
-            StatusCode::kCorruption);
-
-  // The cold map opens fine (metadata is intact), then the deferred check
-  // reports Corruption — and keeps reporting it (sticky), never crashing.
-  auto cold = Rne::Load(bad, LoadMode::kMmapCold);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_TRUE(cold.value().IsMapped());
-  EXPECT_EQ(cold.value().VerifyMapped().code(), StatusCode::kCorruption);
-  EXPECT_EQ(cold.value().VerifyMapped().code(), StatusCode::kCorruption);
-  // The hot query path has no Status channel; it must throw the dedicated
-  // exception (which the serving chain converts into a backend fallback).
-  EXPECT_THROW(cold.value().Query(0, 1), CorruptionError);
-  std::filesystem::remove(bad);
 }
 
 // Rewrites the section table of `src` through `mutate` (applied to the
@@ -332,7 +309,7 @@ TEST_F(V2LayoutTest, ZeroSizeSectionEntryRejected) {
   EXPECT_NE(st.ToString().find("zero-size section"), std::string::npos)
       << st.ToString();
   EXPECT_EQ(Rne::Load(bad).status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(Rne::Load(bad, LoadMode::kMmapCold).status().code(),
+  EXPECT_EQ(Rne::Load(bad, LoadMode::kMmap).status().code(),
             StatusCode::kCorruption);
   std::filesystem::remove(bad);
 }
@@ -371,7 +348,7 @@ TEST_F(V2LayoutTest, SectionOffsetOverlappingHeaderRejected) {
   EXPECT_NE(st.ToString().find("extent out of bounds"), std::string::npos)
       << st.ToString();
   EXPECT_EQ(Rne::Load(bad).status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(Rne::Load(bad, LoadMode::kMmapCold).status().code(),
+  EXPECT_EQ(Rne::Load(bad, LoadMode::kMmap).status().code(),
             StatusCode::kCorruption);
   std::filesystem::remove(bad);
 }
@@ -383,7 +360,7 @@ TEST_F(V2LayoutTest, MappedAnswersSurviveFileReplacement) {
   const std::string path = TempPath("rne_v2_replace.bin");
   const Rne original = Rne::Build(*graph_, SmallRneConfig());
   ASSERT_TRUE(original.Save(path).ok());
-  auto mapped = Rne::Load(path, LoadMode::kMmapCold);
+  auto mapped = Rne::Load(path, LoadMode::kMmap);
   ASSERT_TRUE(mapped.ok());
   const double before = mapped.value().Query(1, 17);
 

@@ -139,13 +139,6 @@ TEST(ResultCacheTest, FailedAndFallbackResponsesAreNotCached) {
   EXPECT_FALSE(cache.Lookup(Dist(0, 1), &out));
   EXPECT_FALSE(cache.Lookup(Dist(0, 2), &out));
   EXPECT_EQ(cache.Stats().insertions, 0u);
-
-  // Opt-in flips the fallback policy (brownout-heavy deployments).
-  ResultCacheOptions options;
-  options.cache_fallback = true;
-  ResultCache permissive(options);
-  permissive.Insert(Dist(0, 2), fallback, permissive.generation());
-  EXPECT_TRUE(permissive.Lookup(Dist(0, 2), &out));
 }
 
 TEST(ResultCacheTest, InvalidateBumpsGenerationAndDropsEverything) {
@@ -287,8 +280,7 @@ TEST(CachedEngineRaceTest, AnswerComputedAcrossAnInvalidateIsNotCached) {
 // rules, one call at a time. Single-threaded, so no locks.
 class ReferenceCache {
  public:
-  explicit ReferenceCache(const ResultCacheOptions& options)
-      : cache_fallback_(options.cache_fallback) {
+  explicit ReferenceCache(const ResultCacheOptions& options) {
     size_t shards = 1;
     while (shards < std::max<size_t>(1, options.num_shards)) shards <<= 1;
     capacity_ = std::max<size_t>(1, options.capacity);
@@ -319,8 +311,7 @@ class ReferenceCache {
 
   void Insert(const Request& request, const Response& response,
               uint64_t generation) {
-    if (!response.status.ok()) return;
-    if (response.fell_back && !cache_fallback_) return;
+    if (!response.status.ok() || response.fell_back) return;
     if (generation != generation_) return;
     const Key key = MakeKey(request, generation);
     Shard& shard = ShardFor(key);
@@ -423,7 +414,6 @@ class ReferenceCache {
     return shards_[KeyHash()(key) & (shards_.size() - 1)];
   }
 
-  const bool cache_fallback_;
   size_t capacity_ = 0;
   size_t per_shard_capacity_ = 0;
   std::vector<Shard> shards_;
@@ -540,15 +530,14 @@ void RunDifferential(const ResultCacheOptions& options, uint64_t seed,
 }
 
 TEST(ResultCacheDifferentialTest, MatchesTheNodeBasedReferenceCache) {
-  // Capacities 1, 3 and 7 over 1 and 4 shards, with and without
-  // cache_fallback: 12 configurations x 10k calls.
+  // Capacities 1, 3 and 7 over 1 and 4 shards: 6 configurations x 10k
+  // calls.
   const size_t capacities[] = {1, 3, 7};
-  for (int config = 0; config < 12; ++config) {
+  for (int config = 0; config < 6; ++config) {
     SCOPED_TRACE(testing::Message() << "config " << config);
     ResultCacheOptions options;
     options.capacity = capacities[config % 3];
-    options.num_shards = config % 6 < 3 ? 1 : 4;
-    options.cache_fallback = config >= 6;
+    options.num_shards = config < 3 ? 1 : 4;
     RunDifferential(options, 2024 + static_cast<uint64_t>(config), 10000);
     if (testing::Test::HasFailure()) return;
   }

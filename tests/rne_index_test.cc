@@ -8,15 +8,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <limits>
 #include <set>
 #include <thread>
 
 #include "core/rne_index.h"
 #include "graph/generators.h"
-#include "util/mmap_file.h"
 
 namespace rne {
 namespace {
@@ -294,39 +290,6 @@ TEST_F(RneIndexTest, ParallelBuildMatchesSequential) {
               Sorted(sequential.Range(s, 800.0)))
         << "source " << s;
   }
-}
-
-TEST_F(RneIndexTest, CorruptColdMappedModelThrows) {
-  // A cold map defers the vertex-embedding checksum to first use; queries
-  // through the index must hit that gate rather than serve corrupt rows.
-  const std::string path =
-      std::filesystem::temp_directory_path() / "rne_index_corrupt.rne";
-  ASSERT_TRUE(model_->Save(path).ok());
-  const auto info = InspectEnvelope(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  uint64_t flip_at = 0;
-  for (const SectionInfo& sec : info.value().sections) {
-    if (sec.tag == kSecRneVertexEmb) {
-      flip_at = sec.offset + (sec.size / 2 & ~uint64_t{3});  // a float's LSB
-    }
-  }
-  ASSERT_GT(flip_at, 0u);
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(flip_at));
-    char byte = 0;
-    f.read(&byte, 1);
-    byte ^= 0x01;  // lowest mantissa bit: the float stays finite
-    f.seekp(static_cast<std::streamoff>(flip_at));
-    f.write(&byte, 1);
-  }
-  auto cold = Rne::Load(path, LoadMode::kMmapCold);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  const RneIndex index(&cold.value());
-  EXPECT_THROW(index.Knn(5, 10), CorruptionError);
-  EXPECT_THROW(index.Range(5, std::numeric_limits<double>::max()),
-               CorruptionError);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //              [--deadline-us 0] [--batch 64]
 //              [--listen <port>] [--max-conns 1024] [--idle-timeout-ms 0]
 //              [--cache 65536] [--cache-shards 16]
-//              [--mmap | --mmap-cold]
+//              [--mmap]
 //
 // --backends is the fallback chain, primary first: a request skips a
 // backend that failed to load or fails at dispatch, and is answered by the
@@ -20,9 +20,9 @@
 // requests) in the engine at a time, which bounds what the engine holds;
 // every QUERY and KNN gets an answer line.
 //
-// --mmap serves model files zero-copy from a read-only mapping. --mmap-cold
-// additionally defers section checksums to first access — ModelManager
-// re-verifies at load/RELOAD time, so published models are always checked.
+// --mmap serves model files zero-copy from a read-only mapping; every
+// section checksum is verified when the file is mapped, at startup and on
+// each RELOAD, so a published model is always a checked one.
 //
 // The line protocol (QUERY/KNN/STATS/METRICS/RELOAD) lives in
 // serve/server_loop.h; this binary only parses flags, builds the engine,
@@ -114,13 +114,13 @@ std::vector<std::string> SplitCommas(const std::string& csv) {
 }
 
 int Main(int argc, char** argv) {
-  auto parsed = ArgParser::Parse(argc, argv, 1, {"mmap", "mmap-cold"});
+  auto parsed = ArgParser::Parse(argc, argv, 1, {"mmap"});
   if (!parsed.ok()) return Fail(parsed.status().ToString());
   const ArgParser& args = parsed.value();
   const Status known = args.RequireKnown(
       {"model", "gr", "co", "backends", "threads", "deadline-us", "batch",
        "seed", "listen", "max-conns", "idle-timeout-ms", "cache",
-       "cache-shards", "mmap", "mmap-cold"});
+       "cache-shards", "mmap"});
   if (!known.ok()) return Fail(known.ToString());
   FlagReader flags(args);
   EngineOptions options;
@@ -146,11 +146,7 @@ int Main(int argc, char** argv) {
   BackendContext ctx;
   ctx.model_path = args.Get("model", "");
   ctx.seed = seed;
-  if (args.Has("mmap-cold")) {
-    ctx.load = LoadMode::kMmapCold;
-  } else if (args.Has("mmap")) {
-    ctx.load = LoadMode::kMmap;
-  }
+  if (args.Has("mmap")) ctx.load = LoadMode::kMmap;
   if (args.Has("gr")) {
     auto loaded = LoadDimacs(args.Get("gr", ""), args.Get("co", ""));
     if (!loaded.ok()) return Fail(loaded.status().ToString());

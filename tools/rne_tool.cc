@@ -11,8 +11,8 @@
 //   rne_tool verify   city.rne [--deep]
 //
 // eval/query/knn accept --mmap (serve the model zero-copy from a read-only
-// mapping) or --mmap-cold (defer section checksums to first access).
-// verify lists the section table.
+// mapping; every checksum is still verified at load). verify lists the
+// section table.
 //
 // Serving commands (query/knn) degrade gracefully: when the model file is
 // missing or corrupt and --gr is given, they log the load failure and answer
@@ -52,23 +52,10 @@ StatusOr<Graph> LoadGraphArg(const ArgParser& args) {
   return LoadDimacs(gr, args.Get("co", ""));
 }
 
-LoadMode LoadModeFromArgs(const ArgParser& args) {
-  if (args.Has("mmap-cold")) return LoadMode::kMmapCold;
-  if (args.Has("mmap")) return LoadMode::kMmap;
-  return LoadMode::kHeap;
-}
-
-/// Loads the model under the --mmap/--mmap-cold flags. A cold map defers
-/// section checksums to first access, which on this one-shot CLI would
-/// surface as a CorruptionError thrown mid-query; complete the verification
-/// here so a corrupt file takes the same warn-and-fall-back path as an
-/// eager load failure (ModelManager does the same before publishing).
+/// Loads the model, from a read-only mapping under --mmap.
 StatusOr<Rne> LoadModelArg(const ArgParser& args) {
-  auto model =
-      Rne::Load(args.Get("model", "model.rne"), LoadModeFromArgs(args));
-  if (!model.ok()) return model;
-  if (const Status st = model.value().VerifyMapped(); !st.ok()) return st;
-  return model;
+  return Rne::Load(args.Get("model", "model.rne"),
+                   args.Has("mmap") ? LoadMode::kMmap : LoadMode::kHeap);
 }
 
 int CmdGenerate(const ArgParser& args) {
@@ -315,11 +302,9 @@ int CmdVerify(const ArgParser& args) {
               info.value().format_version,
               static_cast<unsigned long long>(info.value().payload_size));
   for (const SectionInfo& sec : info.value().sections) {
-    std::printf("  section 0x%02x: offset %llu, %llu bytes%s\n", sec.tag,
+    std::printf("  section 0x%02x: offset %llu, %llu bytes\n", sec.tag,
                 static_cast<unsigned long long>(sec.offset),
-                static_cast<unsigned long long>(sec.size),
-                (sec.flags & kSectionFlagLazyVerify) != 0 ? ", lazy-verify"
-                                                          : "");
+                static_cast<unsigned long long>(sec.size));
   }
   if (args.Has("deep")) {
     // Full typed deserialize — catches payload-level problems the envelope
@@ -346,7 +331,7 @@ int Main(int argc, char** argv) {
   }
   auto args =
       ArgParser::Parse(argc, argv, 2,
-                       /*switches=*/{"exact", "deep", "mmap", "mmap-cold"});
+                       /*switches=*/{"exact", "deep", "mmap"});
   if (!args.ok()) return Fail(args.status().ToString());
   const std::string cmd = argv[1];
   if (cmd == "generate") return CmdGenerate(args.value());
