@@ -282,16 +282,28 @@ const RneIndex& ServeIndex() {
   return *index;
 }
 
+// Reports `counter`'s increase since `before` per iteration as "rows": the
+// row distances a search computed.
+void ReportRows(benchmark::State& state, const obs::Counter& counter,
+                uint64_t before) {
+  state.counters["rows"] = static_cast<double>(counter.Value() - before) /
+                           static_cast<double>(state.iterations());
+}
+
 // One `KNN s k` request's search (the knn_rne workload), uniform sources.
 void BM_RneIndexKnn(benchmark::State& state) {
   const RneIndex& index = ServeIndex();
   const auto k = static_cast<size_t>(state.range(0));
   const size_t n = ServeModel().NumVertices();
+  const obs::Counter& rows =
+      *obs::MetricsRegistry::Global().GetCounter("index.knn.rows_computed");
+  const uint64_t before = rows.Value();
   Rng rng(23);
   for (auto _ : state) {
     const auto s = static_cast<VertexId>(rng.UniformIndex(n));
     benchmark::DoNotOptimize(index.Knn(s, k));
   }
+  ReportRows(state, rows, before);
 }
 BENCHMARK(BM_RneIndexKnn)->Arg(10);
 
@@ -309,12 +321,16 @@ void BM_RneIndexRange(benchmark::State& state) {
     }
     return sum / 256.0;
   }();
+  const obs::Counter& rows =
+      *obs::MetricsRegistry::Global().GetCounter("index.range.rows_computed");
+  const uint64_t before = rows.Value();
   Rng rng(23);
   for (auto _ : state) {
     const auto s = static_cast<VertexId>(rng.UniformIndex(n));
     benchmark::DoNotOptimize(index.Range(s, tau));
   }
   state.counters["tau"] = tau;
+  ReportRows(state, rows, before);
 }
 BENCHMARK(BM_RneIndexRange);
 

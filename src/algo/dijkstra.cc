@@ -156,14 +156,4 @@ std::vector<VertexId> DijkstraSearch::Path(VertexId s, VertexId t) {
   return path;
 }
 
-double DijkstraDistance(const Graph& g, VertexId s, VertexId t) {
-  DijkstraSearch search(g);
-  return search.Distance(s, t);
-}
-
-std::vector<double> DijkstraAllDistances(const Graph& g, VertexId s) {
-  DijkstraSearch search(g);
-  return search.AllDistances(s);
-}
-
 }  // namespace rne

@@ -77,10 +77,6 @@ class DijkstraSearch {
   std::vector<double> dense_;  // scratch for AllDistances
 };
 
-/// One-shot convenience wrappers (allocate a workspace internally).
-double DijkstraDistance(const Graph& g, VertexId s, VertexId t);
-std::vector<double> DijkstraAllDistances(const Graph& g, VertexId s);
-
 }  // namespace rne
 
 #endif  // RNE_ALGO_DIJKSTRA_H_

@@ -98,8 +98,9 @@ class Rne {
   size_t NumVertices() const { return vertex_emb_.rows(); }
 
   const EmbeddingMatrix& vertex_embeddings() const { return vertex_emb_; }
-  /// Global embeddings of partition-tree nodes (row = node id), used by the
-  /// range/kNN index.
+  /// Global embeddings of partition-tree nodes (row = node id), persisted
+  /// with the model. The range/kNN index does not read them: it bounds by
+  /// stored distances between vertex rows (DESIGN.md §17).
   const EmbeddingMatrix& node_embeddings() const { return node_emb_; }
   const PartitionHierarchy& hierarchy() const { return *hierarchy_; }
 
@@ -109,8 +110,8 @@ class Rne {
   /// Online refresh (extension beyond the paper's static setting): continues
   /// SGD directly on the flattened vertex matrix with fresh exact samples,
   /// e.g. after localized edge-weight changes. `lr0` as in TrainConfig.
-  /// Node embeddings (used by RneIndex) are left untouched; rebuild indexes
-  /// after large refreshes.
+  /// Node embeddings are left untouched. An RneIndex over this model stores
+  /// distances between vertex rows, so rebuild it after any refresh.
   void RefineOnline(const std::vector<DistanceSample>& samples, size_t epochs,
                     double lr0, uint64_t seed = 17);
 

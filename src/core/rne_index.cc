@@ -1,8 +1,10 @@
 #include "core/rne_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 
 #include "core/kernels.h"
 #include "obs/metrics.h"
@@ -13,21 +15,30 @@ namespace rne {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr size_t kPivots = RneIndex::kPivots;
 
-// Relative margin of the triangle-inequality cuts. A computed distance is
-// within eps_f/2 = 2^-24 (~6e-8) of the exact metric value (kernels.h), and
-// every bound combines at most three computed distances, each then scaled
-// by one more correctly rounded multiply; 1e-6 covers that with room to
-// spare, so a cut never drops a row whose computed distance would be kept.
+// Relative margin of the pivot cuts. A computed distance is within
+// eps_f/2 = 2^-24 (~6e-8) of the exact metric value (kernels.h), storing
+// it as a float adds another 2^-24, and a bound subtracts two such values
+// in float; 1e-6 times (source pivot distance + stored distance + cut-off)
+// covers all of it with room to spare (DESIGN.md §17), so a cut never
+// drops a row whose computed distance would be kept.
 constexpr double kBoundSlack = 1e-6;
 
-struct NodeEntry {
-  double lower_bound;  // max(center_dist - radius, 0)
-  double center_dist;
-  uint32_t id;
-  bool operator>(const NodeEntry& o) const {
-    return lower_bound > o.lower_bound;
+// The largest of kPivots lanes, as halving element-wise maxima: a
+// loop-carried float max is never reassociated, so the compiler would
+// leave it scalar, while these steps vectorize.
+float LaneMax(std::array<float, kPivots>& m) {
+  for (size_t w = kPivots / 2; w > 0; w /= 2) {
+    for (size_t j = 0; j < w; ++j) m[j] = std::max(m[j], m[j + w]);
   }
+  return m[0];
+}
+
+struct NodeEntry {
+  float bound;
+  uint32_t id;
+  bool operator>(const NodeEntry& o) const { return bound > o.bound; }
 };
 
 // Per-thread query scratch, so a search allocates nothing but its result
@@ -35,6 +46,7 @@ struct NodeEntry {
 struct Scratch {
   std::vector<NodeEntry> nodes;                   // kNN min-heap of nodes
   std::vector<std::pair<double, VertexId>> best;  // kNN max-heap, top = k-th
+  std::vector<std::pair<float, uint32_t>> seed;   // home leaf (bound, slot)
   std::vector<uint32_t> stack;                    // range DFS stack
 };
 
@@ -60,9 +72,10 @@ RneIndex::RneIndex(const Rne* model, std::vector<VertexId> targets,
 
 void RneIndex::Build(const std::vector<VertexId>& targets, size_t num_threads) {
   const PartitionHierarchy& hier = model_->hierarchy();
+  const EmbeddingMatrix& rows = model_->vertex_embeddings();
   l1_ = model_->p() == 1.0 ? ActiveKernels().l1 : nullptr;
   scale_ = model_->scale();
-  slack_ = model_->p() >= 1.0 ? kBoundSlack : kInf;
+  metric_ = model_->p() >= 1.0;
 
   // Group the targets by leaf (counting sort into the flat arrays).
   leaf_offsets_.assign(hier.num_nodes() + 1, 0);
@@ -71,88 +84,116 @@ void RneIndex::Build(const std::vector<VertexId>& targets, size_t num_threads) {
     leaf_offsets_[id + 1] += leaf_offsets_[id];
   }
   std::vector<uint32_t> next(leaf_offsets_.begin(), leaf_offsets_.end() - 1);
-  leaf_ids_.resize(targets.size());
+  const size_t n = targets.size();
+  leaf_ids_.resize(n);
   for (const VertexId v : targets) leaf_ids_[next[hier.LeafOf(v)]++] = v;
-  leaf_center_dist_.assign(targets.size(), 0.0);
 
-  radius_.assign(hier.num_nodes(), -1.0);
-  // Bottom-up: visit nodes by decreasing level so children precede parents.
-  std::vector<uint32_t> order(hier.num_nodes());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return hier.node(a).level > hier.node(b).level;
-  });
-  // Radius must be measured from the node's own embedding to the target
-  // vertices' embeddings, so compute it directly per node over the targets
-  // in its subtree. Collect subtree targets bottom-up (cheap list splicing),
-  // then scan the distance maxima — the O(levels * |targets| * dim) hot part
-  // — in parallel over nodes: every node writes only its own radius_ slot
-  // and, for a leaf, its own slice of the flat arrays.
-  std::vector<std::vector<VertexId>> subtree(hier.num_nodes());
-  std::vector<uint32_t> populated;
-  populated.reserve(hier.num_nodes());
-  for (const uint32_t id : order) {
-    const auto& node = hier.node(id);
-    std::vector<VertexId>& mine = subtree[id];
-    if (node.IsLeaf()) {
-      mine.assign(leaf_ids_.begin() + leaf_offsets_[id],
-                  leaf_ids_.begin() + leaf_offsets_[id + 1]);
+  // Pivots by farthest-point traversal, from the first target in leaf
+  // order. Each pass measures every target against the newest pivot, which
+  // fills that pivot's column of the table and lowers each target's
+  // distance to its nearest pivot; the next pivot is the target farthest
+  // from all chosen ones (the lowest slot on ties). A chosen slot is
+  // marked -1 so no target is chosen twice, and an index of at most
+  // kPivots targets uses every one. Unused columns stay 0.
+  pivot_dist_.assign(n * kPivots, 0.0f);
+  std::vector<double> nearest(n, kInf);
+  // One block of slots per build thread; every slot's values are the same
+  // whichever block computes them.
+  const size_t blocks = std::max<size_t>(1, std::min(num_threads, n));
+  const size_t block_size = (n + blocks - 1) / blocks;
+  std::unique_ptr<ThreadPool> pool;
+  if (blocks > 1) pool = std::make_unique<ThreadPool>(blocks);
+  size_t slot = 0;
+  for (size_t j = 0; j < std::min(kPivots, n); ++j) {
+    const VertexId pivot = leaf_ids_[slot];
+    pivots_.push_back(pivot);
+    nearest[slot] = -1.0;
+    const auto pass = [&](size_t block) {
+      const size_t end = std::min(n, (block + 1) * block_size);
+      for (size_t i = block * block_size; i < end; ++i) {
+        const double d = Dist(rows.Row(leaf_ids_[i]), rows.Row(pivot));
+        pivot_dist_[i * kPivots + j] = static_cast<float>(d);
+        if (nearest[i] > d) nearest[i] = d;  // never a chosen slot's -1
+      }
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(blocks, pass);
     } else {
-      for (const uint32_t c : node.children) {
-        mine.insert(mine.end(), subtree[c].begin(), subtree[c].end());
+      pass(0);
+    }
+    slot = std::max_element(nearest.begin(), nearest.end()) - nearest.begin();
+  }
+  for (const float d : pivot_dist_) {
+    max_stored_ = std::max<double>(max_stored_, d);
+  }
+
+  // Boxes: every target widens the box of its leaf and of each ancestor.
+  boxes_.resize(hier.num_nodes() * 2 * kPivots);
+  for (size_t id = 0; id < hier.num_nodes(); ++id) {
+    float* box = &boxes_[id * 2 * kPivots];
+    std::fill(box, box + kPivots, std::numeric_limits<float>::infinity());
+    std::fill(box + kPivots, box + 2 * kPivots,
+              -std::numeric_limits<float>::infinity());
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const float* row = &pivot_dist_[i * kPivots];
+    for (uint32_t id = hier.LeafOf(leaf_ids_[i]); id != UINT32_MAX;
+         id = hier.node(id).parent) {
+      float* box = &boxes_[id * 2 * kPivots];
+      for (size_t j = 0; j < kPivots; ++j) {
+        box[j] = std::min(box[j], row[j]);
+        box[kPivots + j] = std::max(box[kPivots + j], row[j]);
       }
     }
-    if (!mine.empty()) populated.push_back(id);
-  }
-  const auto radius_of = [&](uint32_t id) {
-    const auto center = model_->node_embeddings().Row(id);
-    const auto dist = [&](VertexId v) {
-      return Dist(center, model_->vertex_embeddings().Row(v));
-    };
-    if (!hier.node(id).IsLeaf()) {
-      double r = 0.0;
-      for (const VertexId v : subtree[id]) r = std::max(r, dist(v));
-      radius_[id] = r;
-      return;
-    }
-    // A leaf's rows, sorted by (distance to its embedding, id); the
-    // largest of those distances is its radius.
-    const uint32_t begin = leaf_offsets_[id];
-    std::vector<std::pair<double, VertexId>> rows;
-    rows.reserve(subtree[id].size());
-    for (const VertexId v : subtree[id]) rows.emplace_back(dist(v), v);
-    std::sort(rows.begin(), rows.end());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      leaf_center_dist_[begin + i] = rows[i].first;
-      leaf_ids_[begin + i] = rows[i].second;
-    }
-    radius_[id] = rows.back().first;
-  };
-  if (num_threads > 1 && populated.size() > 1) {
-    ThreadPool pool(num_threads);
-    pool.ParallelFor(populated.size(),
-                     [&](size_t i) { radius_of(populated[i]); });
-  } else {
-    for (const uint32_t id : populated) radius_of(id);
   }
 }
 
-template <typename CutOff, typename Accept>
-void RneIndex::ScanLeaf(uint32_t leaf, double center_dist,
-                        std::span<const float> src, CutOff cut_off,
-                        Accept accept) const {
+double RneIndex::SourcePivots(std::span<const float> src,
+                              PivotDists& ds) const {
+  ds.fill(0.0f);
+  double largest = 0.0;
+  for (size_t j = 0; j < pivots_.size(); ++j) {
+    const double d = Dist(src, model_->vertex_embeddings().Row(pivots_[j]));
+    ds[j] = static_cast<float>(d);
+    largest = std::max(largest, d);
+  }
+  return largest + max_stored_;
+}
+
+double RneIndex::Limit(double cut_off, double magnitude) const {
+  return metric_ ? cut_off + kBoundSlack * (magnitude + cut_off) : kInf;
+}
+
+float RneIndex::RowBound(const PivotDists& ds, uint32_t i) const {
+  const float* row = &pivot_dist_[size_t{i} * kPivots];
+  PivotDists m;
+  for (size_t j = 0; j < kPivots; ++j) m[j] = std::fabs(ds[j] - row[j]);
+  return LaneMax(m);
+}
+
+float RneIndex::NodeBound(const PivotDists& ds, uint32_t id) const {
+  const float* lo = &boxes_[size_t{id} * 2 * kPivots];
+  const float* hi = lo + kPivots;
+  PivotDists m;
+  for (size_t j = 0; j < kPivots; ++j) {
+    m[j] = std::max(lo[j] - ds[j], ds[j] - hi[j]);
+  }
+  return LaneMax(m);  // negative when the source lies inside the box
+}
+
+template <typename Accept>
+uint64_t RneIndex::ScanLeaf(uint32_t leaf, const PivotDists& ds,
+                            std::span<const float> src, const double& limit,
+                            Accept accept) const {
   const EmbeddingMatrix& rows = model_->vertex_embeddings();
+  uint64_t computed = 0;
   for (uint32_t i = leaf_offsets_[leaf]; i < leaf_offsets_[leaf + 1]; ++i) {
-    const double row_dist = leaf_center_dist_[i];
-    const double tau = cut_off();
-    const double magnitude = center_dist + row_dist + tau;
-    // Rows ascend in row_dist and tau only shrinks, so once a row lies too
-    // far outside the source's ring around the center, every later one does.
-    if (Beyond(row_dist - center_dist, tau, magnitude)) break;
-    if (Beyond(center_dist - row_dist, tau, magnitude)) continue;
+    if (RowBound(ds, i) > limit) continue;
     const VertexId v = leaf_ids_[i];
     accept(v, Dist(src, rows.Row(v)));  // bit-identical to Query(source, v)
+    ++computed;
   }
+  return computed;
 }
 
 std::vector<VertexId> RneIndex::Range(VertexId source, double tau) const {
@@ -162,34 +203,28 @@ std::vector<VertexId> RneIndex::Range(VertexId source, double tau) const {
   if (!(tau >= 0.0) || num_targets() == 0) return result;
   const PartitionHierarchy& hier = model_->hierarchy();
   const auto src = model_->vertex_embeddings().Row(source);
+  PivotDists ds;
+  const double limit = Limit(tau, SourcePivots(src, ds));
   std::vector<uint32_t>& stack = LocalScratch().stack;
   stack.assign(1, hier.root());
-  const auto cut_off = [tau] { return tau; };
   const auto accept = [&](VertexId v, double d) {
     if (d <= tau) result.push_back(v);
   };
-  // visited: nodes expanded; pruned: nodes bounded but not expanded.
-  uint64_t visited = 0, pruned = 0;
+  uint64_t visited = 0, computed = 0;  // nodes expanded, rows measured
   while (!stack.empty()) {
     const uint32_t id = stack.back();
     stack.pop_back();
-    if (radius_[id] < 0.0) continue;  // no targets below
-    const double center_dist = NodeDist(src, id);
-    if (Beyond(center_dist - radius_[id], tau,
-               center_dist + radius_[id] + tau)) {  // triangle-inequality cut
-      ++pruned;
-      continue;
-    }
+    if (NodeBound(ds, id) > limit) continue;  // also every empty node
     ++visited;
     const auto& node = hier.node(id);
     if (node.IsLeaf()) {
-      ScanLeaf(id, center_dist, src, cut_off, accept);
+      computed += ScanLeaf(id, ds, src, limit, accept);
     } else {
       for (const uint32_t c : node.children) stack.push_back(c);
     }
   }
   RNE_COUNTER_ADD("index.range.nodes_visited", visited);
-  RNE_COUNTER_ADD("index.range.nodes_pruned", pruned);
+  RNE_COUNTER_ADD("index.range.rows_computed", computed);
   return result;
 }
 
@@ -199,17 +234,20 @@ std::vector<std::pair<VertexId, double>> RneIndex::Knn(VertexId source,
   if (k == 0 || num_targets() == 0) return result;
   RNE_COUNTER_ADD("index.knn.queries", 1);
   const PartitionHierarchy& hier = model_->hierarchy();
-  const auto src = model_->vertex_embeddings().Row(source);
+  const EmbeddingMatrix& rows = model_->vertex_embeddings();
+  const auto src = rows.Row(source);
+  PivotDists ds;
+  const double magnitude = SourcePivots(src, ds);
   Scratch& scratch = LocalScratch();
   // The k best (distance, id) pairs so far as a max-heap: best.front() is
-  // the k-th, and `kth` its distance (+inf until k rows have been seen).
+  // the k-th. A bound above `limit` proves its rows are beyond the k-th
+  // distance; +inf until k rows have been seen.
   auto& best = scratch.best;
-  // Nodes still to expand, as a min-heap on their lower bound.
+  // Nodes still to expand, as a min-heap on their bound.
   auto& heap = scratch.nodes;
   best.clear();
   heap.clear();
-  double kth = kInf;
-  const auto cut_off = [&kth] { return kth; };
+  double limit = kInf;
   const auto accept = [&](VertexId v, double d) {
     const std::pair<double, VertexId> row(d, v);
     if (best.size() == k) {
@@ -220,51 +258,55 @@ std::vector<std::pair<VertexId, double>> RneIndex::Knn(VertexId source,
       best.push_back(row);
     }
     std::push_heap(best.begin(), best.end());
-    if (best.size() == k) kth = best.front().first;
+    if (best.size() == k) limit = Limit(best.front().first, magnitude);
   };
 
-  // expanded: nodes whose leaf was scanned or whose children were bounded.
-  // bounded: nodes whose lower bound was computed but never expanded.
-  uint64_t expanded = 0, bounded = 0;
-  // Seed the top-k from the source's own leaf: its targets tend to be the
-  // nearest, so kth is tight before the first subtree is bounded.
+  // visited: leaves scanned and internal nodes whose children were bounded.
+  uint64_t visited = 0, computed = 0;
+  // Seed the top-k from the source's own leaf, whose targets tend to be the
+  // nearest: its k smallest-bound rows first, so the cut-off is tight
+  // before the rest of the leaf and the first subtree are bounded.
   const uint32_t home = hier.LeafOf(source);
-  if (radius_[home] >= 0.0) {
-    ScanLeaf(home, NodeDist(src, home), src, cut_off, accept);
-    ++expanded;
-  }
-  const auto offer = [&](uint32_t id) {
-    if (id == home || radius_[id] < 0.0) return;
-    const double d = NodeDist(src, id);
-    const double lower_bound = std::max(d - radius_[id], 0.0);
-    if (Beyond(lower_bound, kth, d + radius_[id] + kth)) {
-      ++bounded;
-      return;
+  if (leaf_offsets_[home] < leaf_offsets_[home + 1]) {
+    auto& seed = scratch.seed;
+    seed.clear();
+    for (uint32_t i = leaf_offsets_[home]; i < leaf_offsets_[home + 1]; ++i) {
+      seed.emplace_back(RowBound(ds, i), i);
     }
-    heap.push_back({lower_bound, d, id});
-    std::push_heap(heap.begin(), heap.end(), std::greater<>());
-  };
-  offer(hier.root());
+    const size_t first = std::min(k, seed.size());
+    std::nth_element(seed.begin(), seed.begin() + first, seed.end());
+    for (size_t r = 0; r < seed.size(); ++r) {
+      if (r >= first && seed[r].first > limit) continue;
+      const VertexId v = leaf_ids_[seed[r].second];
+      accept(v, Dist(src, rows.Row(v)));
+      ++computed;
+    }
+    ++visited;
+  }
+  heap.push_back({NodeBound(ds, hier.root()), hier.root()});
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), std::greater<>());
     const NodeEntry e = heap.back();
     heap.pop_back();
-    // kth has shrunk since this node was pushed. Popping the rest costs no
-    // distance; their margins differ, so one cut does not imply the next.
-    if (Beyond(e.lower_bound, kth, e.center_dist + radius_[e.id] + kth)) {
-      ++bounded;
-      continue;
-    }
-    ++expanded;
+    // The limit only shrinks and the heap pops bounds in ascending order,
+    // so every node still queued is beyond it too.
+    if (e.bound > limit) break;
     const auto& node = hier.node(e.id);
     if (node.IsLeaf()) {
-      ScanLeaf(e.id, e.center_dist, src, cut_off, accept);
+      if (e.id == home) continue;  // seeded above
+      computed += ScanLeaf(e.id, ds, src, limit, accept);
     } else {
-      for (const uint32_t c : node.children) offer(c);
+      for (const uint32_t c : node.children) {
+        const float bound = NodeBound(ds, c);
+        if (bound > limit) continue;
+        heap.push_back({bound, c});
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
+      }
     }
+    ++visited;
   }
-  RNE_COUNTER_ADD("index.knn.nodes_visited", expanded);
-  RNE_COUNTER_ADD("index.knn.nodes_pruned", bounded);
+  RNE_COUNTER_ADD("index.knn.nodes_visited", visited);
+  RNE_COUNTER_ADD("index.knn.rows_computed", computed);
 
   std::sort_heap(best.begin(), best.end());
   result.reserve(best.size());
@@ -273,10 +315,10 @@ std::vector<std::pair<VertexId, double>> RneIndex::Knn(VertexId source,
 }
 
 size_t RneIndex::MemoryBytes() const {
-  return radius_.size() * sizeof(double) +
-         leaf_offsets_.size() * sizeof(uint32_t) +
+  return leaf_offsets_.size() * sizeof(uint32_t) +
          leaf_ids_.size() * sizeof(VertexId) +
-         leaf_center_dist_.size() * sizeof(double);
+         pivot_dist_.size() * sizeof(float) + boxes_.size() * sizeof(float) +
+         pivots_.size() * sizeof(VertexId);
 }
 
 }  // namespace rne

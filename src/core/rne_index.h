@@ -1,18 +1,21 @@
 // Tree-structured index for range and kNN queries in embedding space
-// (Sec VI). Reuses the partition tree: every node stores its global
-// embedding (from the trained model) plus a covering radius — the maximum
-// metric distance from the node's embedding to any target vertex embedding
-// beneath it. The triangle inequality of the Lp metric then prunes subtrees:
-//   dist(source, node) - radius(node) > tau  =>  no target under `node`
-//   can be within tau of the source.
-// Each leaf also stores its targets' distances to the leaf's embedding,
-// sorted, so the same inequality skips single rows inside a scanned leaf:
-//   |dist(source, leaf) - dist(row, leaf)| > tau  =>  row is beyond tau.
-// Both cuts keep a relative margin above the kernels' rounding bound (see
-// kernels.h), so answers equal brute force over Query() bit for bit.
+// (Sec VI). Reuses the partition tree, but bounds it with pivots instead of
+// the paper's node embedding plus covering radius: kPivots targets chosen by
+// farthest-point traversal, and every target's stored distances to them (a
+// LAESA pivot table). For any pivot p the triangle inequality of the Lp
+// metric gives
+//   d(s, r) >= |d(s, p) - d(r, p)|,
+// so a row whose largest such difference is beyond the cut-off is skipped
+// without computing d(s, r), and a tree node whose per-pivot [min, max] box
+// of stored distances lies beyond the cut-off is never expanded. Neither
+// bound runs a distance kernel; a query computes only its kPivots source
+// distances. Every cut keeps a relative margin above the rounding of the
+// kernels and of the float-stored table (DESIGN.md §17), so answers equal
+// brute force over Query() bit for bit.
 #ifndef RNE_CORE_RNE_INDEX_H_
 #define RNE_CORE_RNE_INDEX_H_
 
+#include <array>
 #include <span>
 #include <utility>
 #include <vector>
@@ -27,8 +30,12 @@ namespace rne {
 /// Query(source, target) computes it. Safe for concurrent queries.
 class RneIndex {
  public:
+  /// Pivots per index, from a sweep over {4, 8, 16} (EXPERIMENTS.md); an
+  /// index over fewer targets uses every target as a pivot.
+  static constexpr size_t kPivots = 8;
+
   /// Indexes every vertex as a target. `model` must outlive the index.
-  /// `num_threads` > 1 parallelizes the radius computation of the build
+  /// `num_threads` > 1 parallelizes the pivot-table passes of the build
   /// (queries are unaffected); 0/1 builds sequentially.
   explicit RneIndex(const Rne* model, size_t num_threads = 1);
   /// Indexes only `targets` (must be valid vertex ids).
@@ -46,11 +53,14 @@ class RneIndex {
                                                size_t k) const;
 
   size_t num_targets() const { return leaf_ids_.size(); }
-  /// Extra memory on top of the model (radii + flat per-leaf target
-  /// arrays: offsets, ids and distances to the leaf's embedding).
+  /// Extra memory on top of the model (flat per-leaf target arrays, the
+  /// pivot table, the per-node pivot boxes and the pivot ids).
   size_t MemoryBytes() const;
 
  private:
+  /// A vertex's distances to the pivots, as stored (unused slots are 0).
+  using PivotDists = std::array<float, kPivots>;
+
   void Build(const std::vector<VertexId>& targets, size_t num_threads);
   /// Distance between two embeddings in the edge-weight unit, computed as
   /// Query() computes it: MetricDist(a, b, p) * scale, with the p = 1
@@ -60,41 +70,47 @@ class RneIndex {
                                     : MetricDist(a, b, model_->p());
     return d * scale_;
   }
-  /// Distance from `src` to node `id`'s embedding.
-  double NodeDist(std::span<const float> src, uint32_t id) const {
-    return Dist(src, model_->node_embeddings().Row(id));
-  }
-  /// True when `lower_bound` on a computed distance proves that distance
-  /// is strictly above `cut_off`; `magnitude` is the sum of the distances
-  /// the bound was derived from, which scales the rounding margin.
-  bool Beyond(double lower_bound, double cut_off, double magnitude) const {
-    return lower_bound > cut_off + slack_ * magnitude;
-  }
-  /// The one leaf scan shared by Range and Knn. Visits the targets of
-  /// `leaf` (whose embedding is `center_dist` from `src`) in order of their
-  /// distance to it, skips rows the per-row bound puts beyond `cut_off()`,
-  /// and calls `accept(vertex, distance)` for every other row.
-  template <typename CutOff, typename Accept>
-  void ScanLeaf(uint32_t leaf, double center_dist,
-                std::span<const float> src, CutOff cut_off,
-                Accept accept) const;
+  /// Fills `ds` with the source's pivot distances; returns the magnitude
+  /// that scales the query's rounding margin besides its cut-off.
+  double SourcePivots(std::span<const float> src, PivotDists& ds) const;
+  /// The cut-off plus its rounding margin: a bound above it proves every
+  /// row it covers is strictly beyond `cut_off`. +inf when the model's
+  /// p < 1, which is not a metric, so nothing is pruned.
+  double Limit(double cut_off, double magnitude) const;
+  /// Lower bound on d(source, r) for the target in leaf-order slot `i`.
+  float RowBound(const PivotDists& ds, uint32_t i) const;
+  /// Lower bound on d(source, r) for every target r under node `id`;
+  /// +inf for a node without targets.
+  float NodeBound(const PivotDists& ds, uint32_t id) const;
+  /// The one leaf scan shared by Range and Knn: computes the distance of
+  /// every row of `leaf` whose bound is within `limit` and passes it to
+  /// `accept(vertex, distance)`, which may lower `limit` (it is read per
+  /// row). Returns the number of distances computed.
+  template <typename Accept>
+  uint64_t ScanLeaf(uint32_t leaf, const PivotDists& ds,
+                    std::span<const float> src, const double& limit,
+                    Accept accept) const;
 
   const Rne* model_;
   /// The active L1 kernel when the model's p is 1, else null.
   double (*l1_)(const float*, const float*, size_t) = nullptr;
   double scale_ = 1.0;
-  /// Relative rounding margin of both bounds; +inf (no pruning) when the
-  /// model's p < 1, which is not a metric.
-  double slack_ = 0.0;
-  /// radius per tree node in the edge-weight unit; negative = no targets.
-  std::vector<double> radius_;
+  /// False when the model's p < 1: the bounds are invalid, none is used.
+  bool metric_ = true;
   /// Targets grouped by leaf: node `id`'s targets are entries
-  /// [leaf_offsets_[id], leaf_offsets_[id + 1]) of the two arrays below
-  /// (empty for internal nodes), sorted by (center distance, id).
+  /// [leaf_offsets_[id], leaf_offsets_[id + 1]) of leaf_ids_ (empty for
+  /// internal nodes), and slot i's pivot distances are
+  /// pivot_dist_[i * kPivots, (i + 1) * kPivots).
   std::vector<uint32_t> leaf_offsets_;
   std::vector<VertexId> leaf_ids_;
-  /// Distance of each target to its leaf's embedding (edge-weight unit).
-  std::vector<double> leaf_center_dist_;
+  std::vector<float> pivot_dist_;
+  /// The pivots (at most kPivots target ids) and the largest stored
+  /// distance to any of them.
+  std::vector<VertexId> pivots_;
+  double max_stored_ = 0.0;
+  /// Per node, kPivots lows then kPivots highs: the range of its targets'
+  /// stored distances to each pivot; [+inf, -inf] without targets.
+  std::vector<float> boxes_;
 };
 
 }  // namespace rne

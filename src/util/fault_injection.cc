@@ -29,6 +29,14 @@ std::atomic<uint64_t> g_runtime_injected{0};
 
 constexpr size_t kFaultLogCap = 65536;
 
+// One injected fault, as recorded in the schedule log.
+struct RuntimeFaultEvent {
+  uint64_t ordinal = 0;     // global decision index (deterministic per seed)
+  std::string point;
+  char kind = '?';          // 'T' throw, 'E' error, 'L' latency
+  uint32_t latency_us = 0;  // latency faults only
+};
+
 struct RuntimeFaultState {
   Mutex mu;
   uint64_t seed RNE_GUARDED_BY(mu) = 0;
@@ -153,10 +161,6 @@ void DisarmRuntimeFaults() {
   state.overrides.clear();
 }
 
-bool RuntimeFaultsArmed() {
-  return g_runtime_armed.load(std::memory_order_acquire);
-}
-
 Status MaybeInjectRuntimeFault(const std::string& point) {
   if (!g_runtime_armed.load(std::memory_order_acquire)) return Status::Ok();
   RuntimeFaultConfig config;
@@ -214,12 +218,6 @@ Status MaybeInjectRuntimeFault(const std::string& point) {
 
 uint64_t RuntimeFaultCount() {
   return g_runtime_injected.load(std::memory_order_relaxed);
-}
-
-std::vector<RuntimeFaultEvent> RuntimeFaultLog() {
-  RuntimeFaultState& state = RuntimeState();
-  MutexLock lock(&state.mu);
-  return state.log;
 }
 
 std::string RuntimeFaultLogJson() {

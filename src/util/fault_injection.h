@@ -105,32 +105,18 @@ void ArmRuntimeFaultsAt(const std::string& point,
 /// log is kept until Reset() so post-mortems can still read it.
 void DisarmRuntimeFaults();
 
-/// True when any runtime fault point is armed.
-bool RuntimeFaultsArmed();
-
 /// The serving-path hook. Returns Ok and does nothing when disarmed (one
 /// relaxed atomic load). When armed: may sleep (latency fault, then Ok),
 /// may throw InjectedThrow or InjectedChaos, or may return an error Status
 /// the caller must treat as a backend failure.
 Status MaybeInjectRuntimeFault(const std::string& point);
 
-/// One injected fault, as recorded in the schedule log.
-struct RuntimeFaultEvent {
-  uint64_t ordinal = 0;     // global decision index (deterministic per seed)
-  std::string point;
-  char kind = '?';          // 'T' throw, 'E' error, 'L' latency
-  uint32_t latency_us = 0;  // latency faults only
-};
-
 /// Total faults injected since the last Reset().
 uint64_t RuntimeFaultCount();
 
-/// Snapshot of the (bounded) schedule log; oldest events are dropped past
-/// the cap, with the drop count reported in the JSON export.
-std::vector<RuntimeFaultEvent> RuntimeFaultLog();
-
 /// JSON object: {"seed":..,"injected":..,"dropped":..,"events":[...]} — the
-/// artifact a failing chaos CI run uploads.
+/// artifact a failing chaos CI run uploads. The (bounded) schedule log
+/// drops its oldest events past the cap and reports the drop count.
 std::string RuntimeFaultLogJson();
 
 // --- corruption helpers for tests ------------------------------------------

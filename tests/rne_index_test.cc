@@ -4,15 +4,24 @@
 // embedding itself, which is tested elsewhere.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "core/rne_index.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
+#include "util/crc32c.h"
+#include "util/fault_injection.h"
+#include "util/serialize.h"
 
 namespace rne {
 namespace {
@@ -43,10 +52,11 @@ class RneIndexTest : public ::testing::Test {
 
   // The k smallest (Query(source, t), t) pairs, in (distance, id) order.
   static Neighbors BruteKnn(VertexId source, size_t k,
-                            const std::vector<VertexId>& targets) {
+                            const std::vector<VertexId>& targets,
+                            const Rne& model = *model_) {
     std::vector<std::pair<double, VertexId>> all;
     for (const VertexId t : targets) {
-      all.emplace_back(model_->Query(source, t), t);
+      all.emplace_back(model.Query(source, t), t);
     }
     std::sort(all.begin(), all.end());
     all.resize(std::min(k, all.size()));
@@ -57,10 +67,11 @@ class RneIndexTest : public ::testing::Test {
 
   // Every target within tau of source, by ascending id.
   static std::vector<VertexId> BruteRange(
-      VertexId source, double tau, const std::vector<VertexId>& targets) {
+      VertexId source, double tau, const std::vector<VertexId>& targets,
+      const Rne& model = *model_) {
     std::vector<VertexId> out;
     for (const VertexId t : targets) {
-      if (model_->Query(source, t) <= tau) out.push_back(t);
+      if (model.Query(source, t) <= tau) out.push_back(t);
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -109,6 +120,46 @@ std::vector<VertexId> AllVertices(const Graph& g) {
 std::vector<VertexId> Sorted(std::vector<VertexId> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+// A copy of `model` in which every vertex of `copies` carries the
+// embedding row of `original`. Training never makes two rows equal, so the
+// model is saved, its vertex-embedding section patched, the section and
+// table checksums re-sealed, and the file loaded back.
+Rne WithCopiedRows(const Rne& model, VertexId original,
+                   const std::vector<VertexId>& copies) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("rne_index_copied_rows_" + std::to_string(getpid()) + ".bin"))
+          .string();
+  EXPECT_TRUE(model.Save(path).ok());
+  const auto info = InspectEnvelope(path);
+  EXPECT_TRUE(info.ok());
+  std::vector<uint8_t> file;
+  EXPECT_TRUE(fault::ReadFileBytes(path, &file).ok());
+  const auto& sections = info.value().sections;
+  size_t index = 0;
+  while (sections[index].tag != kSecRneVertexEmb) ++index;
+  const SectionInfo& sec = sections[index];
+  const size_t row_bytes = model.dim() * sizeof(float);
+  for (const VertexId v : copies) {
+    std::memcpy(file.data() + sec.offset + v * row_bytes,
+                file.data() + sec.offset + original * row_bytes, row_bytes);
+  }
+  const uint32_t crc = Crc32c(file.data() + sec.pad_start,
+                              sec.offset + sec.size - sec.pad_start);
+  const size_t entries_at = kEnvelopeHeaderSize + 4;
+  std::memcpy(file.data() + entries_at + index * kSectionEntrySize + 24,
+              &crc, 4);
+  const size_t entries_bytes = sections.size() * kSectionEntrySize;
+  uint32_t table_crc = Crc32c(file.data() + kEnvelopeHeaderSize, 4);
+  table_crc = Crc32cExtend(table_crc, file.data() + entries_at, entries_bytes);
+  std::memcpy(file.data() + entries_at + entries_bytes, &table_crc, 4);
+  EXPECT_TRUE(fault::WriteFileBytes(path, file).ok());
+  auto loaded = Rne::Load(path);
+  std::filesystem::remove(path);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return std::move(loaded).value();
 }
 
 TEST_F(RneIndexTest, RangeMatchesBruteForce) {
@@ -289,6 +340,97 @@ TEST_F(RneIndexTest, ParallelBuildMatchesSequential) {
     EXPECT_EQ(Sorted(parallel.Range(s, 800.0)),
               Sorted(sequential.Range(s, 800.0)))
         << "source " << s;
+  }
+}
+
+TEST_F(RneIndexTest, KnnComputesFewRows) {
+  // Row distances computed by Knn(s, 10) over every source of the fixture:
+  // 13,187 with the node-center/radius and ring bounds the pivot table
+  // replaced, 3,198 with the pivot bounds. The assertion allows half the
+  // old count.
+  const RneIndex index(model_);
+  const obs::Counter& rows =
+      *obs::MetricsRegistry::Global().GetCounter("index.knn.rows_computed");
+  const uint64_t before = rows.Value();
+  for (VertexId s = 0; s < graph_->NumVertices(); ++s) index.Knn(s, 10);
+  EXPECT_LE(rows.Value() - before, 13187u / 2);
+}
+
+TEST_F(RneIndexTest, IdenticalEmbeddingsTieById) {
+  // Four vertices share vertex 40's row and six share vertex 7's, so some
+  // pivots coincide with other targets (zero pivot distances) and equal
+  // distances must come out by ascending id.
+  const std::vector<VertexId> same40 = {40, 41, 90, 150};
+  const std::vector<VertexId> same7 = {7, 8, 100, 101, 102, 103};
+  Rne model = WithCopiedRows(*model_, 40, {41, 90, 150});
+  model = WithCopiedRows(model, 7, {8, 100, 101, 102, 103});
+  ASSERT_EQ(model.Query(40, 150), 0.0);
+  ASSERT_EQ(model.Query(7, 103), 0.0);
+  const auto all = AllVertices(*graph_);
+  const RneIndex index(&model);
+  for (VertexId source = 0; source < graph_->NumVertices(); ++source) {
+    for (const size_t k : KValues(all.size())) {
+      ExpectSameNeighbors(index.Knn(source, k),
+                          BruteKnn(source, k, all, model), source, k);
+    }
+    EXPECT_EQ(Sorted(index.Range(source, 800.0)),
+              BruteRange(source, 800.0, all, model))
+        << "source " << source;
+  }
+  const auto knn = index.Knn(90, same40.size());
+  ASSERT_EQ(knn.size(), same40.size());
+  for (size_t i = 0; i < knn.size(); ++i) {
+    EXPECT_EQ(knn[i].first, same40[i]);
+    EXPECT_EQ(knn[i].second, 0.0);
+  }
+  // Only the duplicated rows as targets: more targets than pivots but
+  // two distinct embeddings, so most pivots repeat one another.
+  std::vector<VertexId> targets = same40;
+  targets.insert(targets.end(), same7.begin(), same7.end());
+  ASSERT_GT(targets.size(), RneIndex::kPivots);
+  const RneIndex dup(&model, targets);
+  for (VertexId source = 0; source < graph_->NumVertices(); ++source) {
+    for (size_t k = 1; k <= targets.size() + 1; ++k) {
+      ExpectSameNeighbors(dup.Knn(source, k),
+                          BruteKnn(source, k, targets, model), source, k);
+    }
+    const double tau = model.Query(source, 7);
+    EXPECT_EQ(Sorted(dup.Range(source, tau)),
+              BruteRange(source, tau, targets, model))
+        << "source " << source;
+  }
+}
+
+TEST_F(RneIndexTest, FewerTargetsThanPivots) {
+  const std::vector<VertexId> targets = {5, 100, 190};
+  static_assert(RneIndex::kPivots > 3);
+  const RneIndex index(model_, targets);
+  for (VertexId source = 0; source < graph_->NumVertices(); ++source) {
+    for (size_t k = 1; k <= targets.size() + 1; ++k) {
+      ExpectSameNeighbors(index.Knn(source, k), BruteKnn(source, k, targets),
+                          source, k);
+    }
+    for (const VertexId t : targets) {
+      const double d = model_->Query(source, t);
+      EXPECT_EQ(Sorted(index.Range(source, d)), BruteRange(source, d, targets))
+          << "source " << source << " tau " << d;
+    }
+  }
+}
+
+TEST_F(RneIndexTest, SourceNotTargetAtEveryK) {
+  // Every third vertex is a source that is not a target, while its leaf
+  // still holds targets (unlike SourceLeafWithoutTargets).
+  std::vector<VertexId> targets, sources;
+  for (VertexId v = 0; v < graph_->NumVertices(); ++v) {
+    (v % 3 == 0 ? sources : targets).push_back(v);
+  }
+  const RneIndex index(model_, targets);
+  for (const VertexId source : sources) {
+    for (const size_t k : KValues(targets.size())) {
+      ExpectSameNeighbors(index.Knn(source, k), BruteKnn(source, k, targets),
+                          source, k);
+    }
   }
 }
 
